@@ -38,7 +38,7 @@ def _limits(args: argparse.Namespace) -> SearchLimits:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         problem = parse_problem(_read_text(Path(args.file)))
-    except (OSError, ProblemFormatError) as exc:
+    except (OSError, UnicodeDecodeError, ProblemFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -111,7 +111,7 @@ def bench_directory(
             millis = int((time.perf_counter() - started) * 1000)
             rows.append(BenchRow(path.name, "budget", millis))
             continue
-        except (OSError, BvSynthError) as exc:
+        except (OSError, UnicodeDecodeError, BvSynthError) as exc:
             millis = int((time.perf_counter() - started) * 1000)
             rows.append(BenchRow(path.name, "error", millis))
             print(f"{path.name}: {exc}", file=sys.stderr)

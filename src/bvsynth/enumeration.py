@@ -4,7 +4,8 @@ A signature is the tuple of an expression's values on every example input,
 in example order; values are raw bits, the width lives on the state.  Per
 nonterminal, only the first expression seen with a given signature is kept
 as a reusable subexpression; later duplicates are still emitted as
-top-level candidates but never composed into anything larger.
+top-level candidates but never composed into anything larger.  The if0
+production is never enumerated: all branching comes from the decision tree.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
@@ -23,8 +24,8 @@ from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators
 
 Signature = tuple[int, ...]
 
-# nonterminal, size, expression, signature, entered-the-pool
-Event = tuple[str, int, Expr, Signature, bool]
+# nonterminal, size, expression, signature
+Event = tuple[str, int, Expr, Signature]
 
 
 class SearchResult(NamedTuple):
@@ -80,14 +81,12 @@ class EnumerationState:
         rows: Sequence[Sequence[int]],
         width: int,
         *,
-        exclude_ops: frozenset[str] | set[str] = frozenset(),
         deadline: float | None = None,
     ):
         self.grammar = grammar
         self.params = tuple(params)
         self.rows = [tuple(r) for r in rows]
         self.width = width
-        self.exclude_ops = frozenset(exclude_ops)
         self.deadline = deadline
 
         self._fns = bound_operators(width)
@@ -108,7 +107,7 @@ class EnumerationState:
                 OPERATORS[p.op].arity
                 for nt in grammar.nonterminals
                 for p in grammar.productions[nt]
-                if isinstance(p, OpRule) and p.op not in self.exclude_ops
+                if isinstance(p, OpRule) and p.op != "if0"
             ),
             default=0,
         )
@@ -116,22 +115,9 @@ class EnumerationState:
         self._pending: Event | None = None
 
     @classmethod
-    def for_problem(
-        cls,
-        problem: Problem,
-        *,
-        exclude_ops: frozenset[str] | set[str] = frozenset(),
-        deadline: float | None = None,
-    ) -> "EnumerationState":
+    def for_problem(cls, problem: Problem, *, deadline: float | None = None) -> "EnumerationState":
         rows = [tuple(v.bits for v in ex.inputs) for ex in problem.examples]
-        return cls(
-            problem.grammar,
-            problem.params,
-            rows,
-            problem.width,
-            exclude_ops=exclude_ops,
-            deadline=deadline,
-        )
+        return cls(problem.grammar, problem.params, rows, problem.width, deadline=deadline)
 
     # -- construction stream ------------------------------------------------
 
@@ -143,13 +129,13 @@ class EnumerationState:
         store = self._store[nt]
         if sig in store:
             self.pruned += 1
-            return (nt, size, expr, sig, False)
-        store[sig] = expr
-        self._pools[nt][size].append((expr, sig))
-        self.stored += 1
-        if size > self._max_pooled:
-            self._max_pooled = size
-        return (nt, size, expr, sig, True)
+        else:
+            store[sig] = expr
+            self._pools[nt][size].append((expr, sig))
+            self.stored += 1
+            if size > self._max_pooled:
+                self._max_pooled = size
+        return (nt, size, expr, sig)
 
     def _event_stream(self) -> Iterator[Event]:
         grammar = self.grammar
@@ -176,7 +162,7 @@ class EnumerationState:
                             sig = (prod.value.bits,) * n_rows
                             yield self._record(nt, 1, Const(prod.value), sig)
                     else:
-                        if prod.op in self.exclude_ops:
+                        if prod.op == "if0":
                             continue
                         arity = len(prod.operands)
                         if size - 1 < arity:
@@ -221,28 +207,6 @@ class EnumerationState:
 
     # -- public surface -----------------------------------------------------
 
-    def next_candidate(self, nt: str | None = None) -> Expr:
-        """Next top-level candidate at ``nt`` (default: start symbol).
-
-        Raises :class:`Exhausted` when the pruned language is finite and
-        fully enumerated.  Consuming candidates advances the shared stream.
-        """
-        target = nt if nt is not None else self.grammar.start
-        while True:
-            event = self._next_event()
-            if event is None:
-                raise Exhausted("grammar language fully enumerated")
-            if event[0] == target:
-                return event[2]
-
-    def candidates(self, nt: str | None = None) -> Iterator[Expr]:
-        """Iterate candidates until exhaustion; see :meth:`next_candidate`."""
-        while True:
-            try:
-                yield self.next_candidate(nt)
-            except Exhausted:
-                return
-
     def enumerate_until(
         self,
         accept: Callable[[Signature], bool],
@@ -281,7 +245,7 @@ class EnumerationState:
                     # the language continues past the size budget
                     raise NotFound(f"size budget {max_size} exhausted")
                 raise Exhausted("grammar language fully enumerated")
-            e_nt, e_size, expr, sig, _new = event
+            e_nt, e_size, expr, sig = event
             if e_size > max_size:
                 self._pending = event
                 raise NotFound(f"size budget {max_size} exhausted")
@@ -293,20 +257,15 @@ class EnumerationState:
                 if accept(sig):
                     return SearchResult(expr, sig)
 
-    def build_to(self, size: int) -> None:
-        """Drive the stream until every layer up to ``size`` is complete."""
-        while self.completed_size < size:
+    def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
+        """Every retained (expr, signature) pair at ``nt`` of size at most
+        ``max_size``, in stream order, once the stream has completed layer
+        ``max_size`` (or run out)."""
+        while self.completed_size < max_size:
             event = self._next_event()
             if event is None:
-                return
-            if event[1] > size:
+                break
+            if event[1] > max_size:
                 self._pending = event
-                return
-
-    def signatures(self, nt: str, max_size: int) -> set[Signature]:
-        """Signatures whose retained representative has size <= ``max_size``."""
-        return {sig for sig, expr in self._store[nt].items() if expr.size <= max_size}
-
-    def pool_entries(self, nt: str) -> list[tuple[Expr, Signature]]:
-        """All retained (expr, signature) pairs at ``nt`` in stream order."""
-        return [pair for layer in self._pools[nt] for pair in layer]
+                break
+        return [pair for layer in self._pools[nt][: max_size + 1] for pair in layer]

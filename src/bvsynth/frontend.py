@@ -109,9 +109,7 @@ def read_sexprs(text: str) -> list[SExpr]:
     return list(root)
 
 
-def _pos(sx: SExpr) -> tuple[int | None, int | None]:
-    if isinstance(sx, Atom):
-        return sx.line, sx.col
+def _pos(sx: SExpr) -> tuple[int, int]:
     return sx.line, sx.col
 
 
@@ -127,15 +125,16 @@ def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
         return None
     body = sx.text[2:]
     if sx.text[1] in "xX":
-        bits_per_digit, base = 4, 16
+        bits_per_digit, base, digits = 4, 16, "0123456789abcdefABCDEF"
     elif sx.text[1] in "bB":
-        bits_per_digit, base = 1, 2
+        bits_per_digit, base, digits = 1, 2, "01"
     else:
         return None
-    try:
-        value = int(body, base)
-    except ValueError:
-        raise SygusSyntaxError(f"malformed literal {sx.text!r}", sx.line, sx.col) from None
+    # int() alone also takes a sign, underscores, a 0x/0b prefix and
+    # non-ASCII digits; strip() leaves something over for any of those
+    if not body or body.strip(digits):
+        raise SygusSyntaxError(f"malformed literal {sx.text!r}", sx.line, sx.col)
+    value = int(body, base)
     literal_width = len(body) * bits_per_digit
     if literal_width != width:
         raise SygusSyntaxError(
@@ -172,13 +171,6 @@ class Grammar:
     nonterminals: tuple[str, ...]
     productions: dict[str, tuple[Production, ...]]
     start: str
-
-    def has_if0(self) -> bool:
-        return any(
-            isinstance(p, OpRule) and p.op == "if0"
-            for prods in self.productions.values()
-            for p in prods
-        )
 
     def first_if0(self) -> OpRule | None:
         for nt in self.nonterminals:
@@ -217,6 +209,7 @@ def _parse_sort_width(sx: SExpr) -> int:
         and isinstance(sx[0], Atom)
         and sx[0].text == "BitVec"
         and isinstance(sx[1], Atom)
+        and sx[1].text.isascii()
         and sx[1].text.isdigit()
     ):
         width = int(sx[1].text)
@@ -397,7 +390,7 @@ def parse_problem(text: str) -> Problem:
     if synth is None:
         raise SygusSyntaxError("missing synth-fun")
     name, params, width, grammar = _parse_synth_fun(synth)
-    if not grammar.has_if0():
+    if grammar.first_if0() is None:
         raise MissingIf0Rule(f"grammar of {name!r} has no production named if0")
     for var, var_width in declared.items():
         if var_width != width:

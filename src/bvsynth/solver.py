@@ -69,7 +69,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     """
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.timeout if limits.timeout is not None else None
-    engine = EnumerationState.for_problem(problem, exclude_ops={"if0"}, deadline=deadline)
+    engine = EnumerationState.for_problem(problem, deadline=deadline)
 
     t0 = time.perf_counter()
     tmap = map_terminals(problem, engine, limits)

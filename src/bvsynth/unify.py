@@ -5,14 +5,16 @@ consistent with that example alone; one shared enumeration stream serves
 all searches.  Phase 2 inserts examples into a decision tree in rank order,
 enumerating a separating condition for each pair of conflicting examples.
 Conditions are drawn from the first operand nonterminal of the grammar's
-if0 production and are themselves if0-free.
+if0 production and are themselves if0-free.  Every if0 node keeps its
+condition's signature from the enumeration, so routing an example is a
+lookup: example ``i`` takes the then-branch exactly when ``signature[i] == 1``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     Exhausted,
@@ -22,8 +24,8 @@ from .errors import (
     UnsolvableExample,
     UnunifiablePair,
 )
-from .enumeration import EnumerationState, signature_of
-from .frontend import ConstTerminal, Example, Grammar, Problem, VarTerminal
+from .enumeration import EnumerationState, SearchResult, Signature
+from .frontend import ConstTerminal, Grammar, Problem, VarTerminal
 from .semantics import App, Const, Expr, Var
 
 
@@ -47,6 +49,7 @@ class Leaf:
 @dataclass
 class Internal:
     condition: Expr
+    signature: Signature  # the condition's value on every example
     then_child: "Tree"
     else_child: "Tree"
 
@@ -102,12 +105,10 @@ def rank_examples(tmap: TerminalMap) -> list[int]:
 
 def find_condition(
     problem: Problem, engine: EnumerationState, a: int, b: int, limits
-) -> tuple[Expr, int]:
+) -> SearchResult:
     """Smallest condition that is non-constant over all example inputs and
-    evaluates to 1 on exactly one of examples ``a`` and ``b``.
-
-    Returns the condition and the index of the example whose inputs made it
-    evaluate to 1; that example occupies the then-branch.
+    evaluates to 1 on exactly one of examples ``a`` and ``b``, with its
+    signature; the example it evaluates to 1 on occupies the then-branch.
     """
     nt = condition_nonterminal(problem.grammar)
 
@@ -118,28 +119,18 @@ def find_condition(
         return any(v != first for v in sig)
 
     try:
-        expr, sig = engine.enumerate_until(
+        return engine.enumerate_until(
             accept, max_size=limits.max_size, max_candidates=limits.max_candidates, nt=nt
         )
     except (NotFound, Exhausted) as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc
-    return expr, (a if sig[a] == 1 else b)
 
 
-def _value_on(problem: Problem, expr: Expr, example: Example) -> int:
-    row = tuple(v.bits for v in example.inputs)
-    return signature_of(expr, problem.params, [row], problem.width)[0]
-
-
-def route(problem: Problem, tree: Tree, example: Example) -> tuple[Leaf, tuple[bool, ...]]:
-    """Follow the tree for one example.  Path entries are True for then-branches."""
-    node = tree
-    path: list[bool] = []
-    while isinstance(node, Internal):
-        taken = _value_on(problem, node.condition, example) == 1
-        path.append(taken)
-        node = node.then_child if taken else node.else_child
-    return node, tuple(path)
+def _split(found: SearchResult, a: int, leaf_a: Leaf, other: Tree) -> Internal:
+    """An if0 node on ``found`` that sends example ``a`` to ``leaf_a``."""
+    if found.signature[a] == 1:
+        return Internal(found.expr, found.signature, leaf_a, other)
+    return Internal(found.expr, found.signature, other, leaf_a)
 
 
 def insert_example(
@@ -160,57 +151,47 @@ def insert_example(
     work: deque[tuple[int, Expr]] = deque([(index, tmap.assignment[index])])
     while work:
         i, expr_i = work.popleft()
-        tree = _insert_one(problem, engine, tmap, limits, tree, i, expr_i, work)
+        tree = _insert_one(problem, engine, limits, tree, i, expr_i, work)
     return tree
 
 
 def _insert_one(
     problem: Problem,
     engine: EnumerationState,
-    tmap: TerminalMap,
     limits,
-    node: Tree,
+    tree: Tree,
     i: int,
     expr_i: Expr,
     work: deque,
 ) -> Tree:
-    if isinstance(node, Internal):
-        if _value_on(problem, node.condition, problem.examples[i]) == 1:
-            node.then_child = _insert_one(
-                problem, engine, tmap, limits, node.then_child, i, expr_i, work
-            )
-        else:
-            node.else_child = _insert_one(
-                problem, engine, tmap, limits, node.else_child, i, expr_i, work
-            )
-        return node
+    parent: Internal | None = None
+    node = tree
+    while isinstance(node, Internal):
+        parent = node
+        node = node.then_child if node.signature[i] == 1 else node.else_child
 
     if node.expr == expr_i:
         node.bucket.add(i)
-        return node
+        return tree
 
     representative = min(node.bucket)
-    condition, then_index = find_condition(problem, engine, i, representative, limits)
-    incoming = Leaf(expr_i, {i})
-    if then_index == i:
-        replacement = Internal(condition, incoming, node)
-        old_on_then = False
-    else:
-        replacement = Internal(condition, node, incoming)
-        old_on_then = True
+    found = find_condition(problem, engine, i, representative, limits)
+    replacement = _split(found, i, Leaf(expr_i, {i}), node)
     # The pairwise condition constrains only the representative; any other
-    # bucket member it routes to the incoming side must be re-inserted to
-    # keep every bucket sound under route().
-    displaced = [
-        m
-        for m in sorted(node.bucket)
-        if m != representative
-        and (_value_on(problem, condition, problem.examples[m]) == 1) != old_on_then
-    ]
-    for m in displaced:
-        node.bucket.discard(m)
-        work.append((m, node.expr))
-    return replacement
+    # bucket member it routes away from the representative must be
+    # re-inserted to keep every bucket sound.
+    sig = found.signature
+    for m in sorted(node.bucket):
+        if (sig[m] == 1) != (sig[representative] == 1):
+            node.bucket.discard(m)
+            work.append((m, node.expr))
+    if parent is None:
+        return replacement
+    if parent.signature[i] == 1:
+        parent.then_child = replacement
+    else:
+        parent.else_child = replacement
+    return tree
 
 
 def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, limits) -> Tree:
@@ -220,13 +201,10 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, li
     order = rank_examples(tmap)
     first = order[0]
     second = next(j for j in order if tmap.assignment[j] != tmap.assignment[first])
-    condition, then_index = find_condition(problem, engine, first, second, limits)
-    leaf_first = Leaf(tmap.assignment[first], {first})
-    leaf_second = Leaf(tmap.assignment[second], {second})
-    if then_index == first:
-        tree: Tree = Internal(condition, leaf_first, leaf_second)
-    else:
-        tree = Internal(condition, leaf_second, leaf_first)
+    found = find_condition(problem, engine, first, second, limits)
+    tree: Tree = _split(
+        found, first, Leaf(tmap.assignment[first], {first}), Leaf(tmap.assignment[second], {second})
+    )
     for index in order:
         if index == first or index == second:
             continue
@@ -285,18 +263,3 @@ def internal_node_count(tree: Tree) -> int:
     if isinstance(tree, Leaf):
         return 0
     return 1 + internal_node_count(tree.then_child) + internal_node_count(tree.else_child)
-
-
-def iter_leaves(tree: Tree) -> Iterator[Leaf]:
-    if isinstance(tree, Leaf):
-        yield tree
-    else:
-        yield from iter_leaves(tree.then_child)
-        yield from iter_leaves(tree.else_child)
-
-
-def iter_conditions(tree: Tree) -> Iterator[Expr]:
-    if isinstance(tree, Internal):
-        yield tree.condition
-        yield from iter_conditions(tree.then_child)
-        yield from iter_conditions(tree.else_child)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from bvsynth.enumeration import EnumerationState
 from bvsynth.frontend import ConstTerminal, Example, Grammar, OpRule, Problem, VarTerminal
-from bvsynth.semantics import OPERATORS, BitVecValue
+from bvsynth.semantics import OPERATORS, BitVecValue, eval_expr
 from bvsynth.solver import SearchLimits
+from bvsynth.unify import Internal, Leaf, Tree
 
 LIMITS = SearchLimits()
 
@@ -29,11 +32,47 @@ def problem_of(grammar, pairs, width=64, name="f") -> Problem:
     return Problem(name=name, params=("x",), width=width, grammar=grammar, examples=examples)
 
 
-def engine_for(problem, exclude=("if0",), deadline=None) -> EnumerationState:
-    return EnumerationState.for_problem(
-        problem, exclude_ops=frozenset(exclude), deadline=deadline
-    )
+def engine_for(problem, deadline=None) -> EnumerationState:
+    return EnumerationState.for_problem(problem, deadline=deadline)
+
+
+def events(engine: EnumerationState) -> Iterator[tuple]:
+    """The engine's construction stream: one (nonterminal, size, expr,
+    signature) event per constructed expression, pruned ones included,
+    ending when the pruned language is exhausted."""
+    while (event := engine._next_event()) is not None:
+        yield event
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:
     return [tuple(v.bits for v in ex.inputs) for ex in problem.examples]
+
+
+def route(problem, tree: Tree, example: Example) -> tuple[Leaf, tuple[bool, ...]]:
+    """Follow the tree for one example, evaluating every condition with
+    ``eval_expr`` rather than reading its stored signature.  Path entries
+    are True for then-branches."""
+    env = dict(zip(problem.params, example.inputs))
+    node = tree
+    path: list[bool] = []
+    while isinstance(node, Internal):
+        taken = eval_expr(node.condition, env, problem.width).bits == 1
+        path.append(taken)
+        node = node.then_child if taken else node.else_child
+    return node, tuple(path)
+
+
+def leaves(tree: Tree) -> Iterator[Leaf]:
+    if isinstance(tree, Leaf):
+        yield tree
+    else:
+        yield from leaves(tree.then_child)
+        yield from leaves(tree.else_child)
+
+
+def conditions(tree: Tree) -> Iterator[Internal]:
+    """The if0 nodes, each holding a condition and its stored signature."""
+    if isinstance(tree, Internal):
+        yield tree
+        yield from conditions(tree.then_child)
+        yield from conditions(tree.else_child)

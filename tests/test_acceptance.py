@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from bvsynth.cli import main as cli_main
-from bvsynth.enumeration import EnumerationState
+from bvsynth.enumeration import EnumerationState, signature_of
 from bvsynth.errors import MissingIf0Rule, UnsupportedArity
 from bvsynth.frontend import (
     ConstTerminal,
@@ -27,10 +27,10 @@ from bvsynth.frontend import (
 from bvsynth.semantics import OPERATORS, BitVecValue, contains_op, eval_expr
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
-from bvsynth.unify import internal_node_count, iter_conditions, iter_leaves, map_terminals, route
+from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
-from helpers import grammar_of, problem_of, rows_of
+from helpers import conditions, grammar_of, leaves, problem_of, route, rows_of
 
 GEN_ARGS = [
     "gen", "--count", "200", "--seed", "1", "--size-min", "3", "--size-max", "7",
@@ -104,7 +104,7 @@ def test_criterion_2_phase1_minimality_oracle():
         output = bruteforce.value_on(target, ("x",), (value,), width)
         problem = problem_of(grammar, [(value, output)], width=width)
 
-        engine = EnumerationState.for_problem(problem, exclude_ops={"if0"})
+        engine = EnumerationState.for_problem(problem)
         tmap = map_terminals(problem, engine, limits)
         solver_size = tmap.assignment[0].size
 
@@ -171,12 +171,9 @@ def test_criterion_3_pruning_soundness_oracle():
         instances.append((grammar, rows, width))
 
     for grammar, rows, width in instances:
-        engine = EnumerationState(
-            grammar, ("x",), rows, width, exclude_ops=frozenset({"if0"})
-        )
-        engine.build_to(5)
+        engine = EnumerationState(grammar, ("x",), rows, width)
         for nt in grammar.nonterminals:
-            pruned = engine.signatures(nt, 5)
+            pruned = {sig for _, sig in engine.retained(nt, 5)}
             unpruned = bruteforce.signatures_up_to(
                 grammar, nt, 5, ("x",), rows, width, exclude=frozenset({"if0"})
             )
@@ -200,7 +197,7 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
         tree = result.tree
         assert internal_node_count(tree) == result.stats.internal_nodes
         buckets: list[set[int]] = []
-        for leaf in iter_leaves(tree):
+        for leaf in leaves(tree):
             assert leaf.bucket
             buckets.append(leaf.bucket)
             assert not contains_op(leaf.expr, "if0")  # (d)
@@ -214,10 +211,13 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
         assert covered == set(range(n))
         assert sum(len(b) for b in buckets) == n
         rows = rows_of(problem)
-        for cond in iter_conditions(tree):
-            assert not contains_op(cond, "if0")  # (d)
-            sig = bruteforce.signature_on(cond, problem.params, rows, problem.width)
+        for node in conditions(tree):
+            assert not contains_op(node.condition, "if0")  # (d)
+            sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
             assert len(set(sig)) > 1  # (e)
+            assert node.signature == signature_of(
+                node.condition, problem.params, rows, problem.width
+            )  # (f) routing reads the stored signature
     print("criterion 4 (tree invariants on all 200 instances): PASS")
 
 

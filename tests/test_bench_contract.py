@@ -1,0 +1,69 @@
+"""The benchmark under ``perfbench/`` wraps and checks this package from outside.
+
+These tests read ``perfbench/`` and change nothing in it, so a refactor that
+renames a traced entry point, stops calling it through the name the tracer
+wraps, or lets ``eval_expr`` drift from the benchmark's answer checker fails
+here rather than only in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import sys
+from pathlib import Path
+
+import bvsynth
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import selftest  # noqa: E402
+import spans  # noqa: E402
+
+# Two terminals (x on even inputs, bvnot x on odd ones), so a solve runs
+# both phases and every traced entry point.
+PARITY = """(set-logic BV)
+(synth-fun f ((x (BitVec 8))) (BitVec 8)
+  ((Start (BitVec 8) (x #x01 (bvnot Start) (bvand Start Start) (if0 Start Start Start)))))
+(constraint (= (f #x00) #x00))
+(constraint (= (f #x02) #x02))
+(constraint (= (f #x01) #xfe))
+(constraint (= (f #x03) #xfc))
+(check-synth)
+"""
+
+
+def _owner(module_name: str, path: str):
+    owner = importlib.import_module(module_name)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def test_entry_points_resolve_to_callables():
+    for module_name, path in spans.ENTRY_POINTS:
+        owner, attr = _owner(module_name, path)
+        assert callable(getattr(owner, attr, None)), f"{module_name}.{path}"
+
+
+def test_traced_solve_reaches_every_entry_point(monkeypatch):
+    for module_name, path in spans.ENTRY_POINTS:
+        owner, attr = _owner(module_name, path)
+        # re-setting the current value makes monkeypatch restore it afterwards
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        problem = bvsynth.parse_problem(PARITY)
+        result = bvsynth.solve_problem(problem)
+        bvsynth.emit_solution(problem, result.solution)
+    finally:
+        gc.callbacks.remove(tracer._on_gc)
+    assert result.stats.internal_nodes >= 1
+    traced = {span[spans.NAME] for span in tracer.spans}
+    for _, path in spans.ENTRY_POINTS:
+        assert path.rsplit(".", 1)[-1] in traced, path
+
+
+def test_benchmark_checker_agrees_with_eval_expr():
+    selftest.run(cases=50)

@@ -68,6 +68,16 @@ def test_solve_missing_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_invalid_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.sl"
+    path.write_bytes(b"\xff\xfe" + IDENTITY.encode("utf-16-le"))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_solve_budget_exhausted_exits_1(tmp_path, capsys):
     path = tmp_path / "hard.sl"
     path.write_text(HARD, encoding="utf-8")
@@ -132,6 +142,7 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
     generate_corpus(CorpusSpec(count=3, size_min=2, size_max=4, examples=5, width=64, seed=9), corpus)
     (corpus / "hard.sl").write_text(HARD, encoding="utf-8")
     (corpus / "broken.sl").write_text("(set-logic", encoding="utf-8")
+    (corpus / "utf16.sl").write_bytes(b"\xff\xfe" + HARD.encode("utf-16-le"))
     csv_path = tmp_path / "results.csv"
     sols = tmp_path / "solutions"
     code = main(
@@ -147,6 +158,7 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
     by_name = {r["file"]: r for r in rows}
     assert by_name["hard.sl"]["status"] == "budget"
     assert by_name["broken.sl"]["status"] == "error"
+    assert by_name["utf16.sl"]["status"] == "error"
     solved = [r for r in rows if r["status"] == "solved"]
     assert len(solved) == 3  # the generated instances are unaffected
     assert list(rows[0].keys()) == [
@@ -163,15 +175,24 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
 
 
 def test_console_entry_via_python_m(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import bvsynth
 
     path = tmp_path / "identity.sl"
     path.write_text(IDENTITY, encoding="utf-8")
+    # the child imports the package from where this process found it
+    src = str(Path(bvsynth.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "bvsynth", "solve", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "(define-fun f ((x (BitVec 64))) (BitVec 64) x)\n"

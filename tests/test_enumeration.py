@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+from itertools import islice
 
 import pytest
 
@@ -12,7 +12,7 @@ from bvsynth.semantics import App, Var, app, const, subexpressions
 from bvsynth.solver import SearchLimits
 
 import bruteforce
-from helpers import engine_for, grammar_of, problem_of, rows_of
+from helpers import engine_for, events, grammar_of, problem_of, rows_of
 
 LIMITS = SearchLimits()
 
@@ -45,7 +45,7 @@ def small_problem(pairs=((0x0, 0x0), (0xF, 0xF)), ops=("bvnot", "bvand"), width=
 def test_first_candidates_are_terminals_in_production_order():
     p = small_problem()
     eng = engine_for(p)
-    first_three = [eng.next_candidate() for _ in range(3)]
+    first_three = [e for _, _, e, _ in islice(events(eng), 3)]
     assert first_three == [Var("x"), const(8, 0), const(8, 1)]
 
 
@@ -54,9 +54,8 @@ def test_indistinguishable_expr_never_composed():
     # top-level candidate but never inside a retained subexpression.
     p = small_problem()
     eng = engine_for(p)
-    eng.build_to(4)
     dead = App("bvand", (const(8, 0), Var("x")))
-    entries = eng.pool_entries("Start")
+    entries = eng.retained("Start", 4)
     assert all(dead not in subexpressions(e) for e, _ in entries)
     sig = signature_of(dead, ("x",), rows_of(p), 8)
     rep = dict((s, e) for e, s in entries)[sig]
@@ -66,13 +65,11 @@ def test_indistinguishable_expr_never_composed():
 def test_retained_signatures_match_unpruned_bruteforce_size3():
     p = small_problem()
     eng = engine_for(p)
-    eng.build_to(3)
-    pruned = eng.signatures("Start", 3)
+    retained = eng.retained("Start", 3)
     unpruned = bruteforce.signatures_up_to(
         p.grammar, "Start", 3, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
-    assert pruned == unpruned
-    retained = [e for e, _ in eng.pool_entries("Start") if e.size <= 3]
+    assert {s for _, s in retained} == unpruned
     assert len(retained) == len(unpruned)
 
 
@@ -80,8 +77,8 @@ def test_retained_signatures_match_unpruned_bruteforce_size3():
 def test_pruning_soundness_on_fixed_instance(max_size):
     p = problem_of(grammar_of(["bvnot", "shr1", "bvadd"], width=8), [(3, 1), (7, 2), (10, 5)], width=8)
     eng = engine_for(p)
-    eng.build_to(max_size)
-    assert eng.signatures("Start", max_size) == bruteforce.signatures_up_to(
+    retained = {s for _, s in eng.retained("Start", max_size)}
+    assert retained == bruteforce.signatures_up_to(
         p.grammar, "Start", max_size, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
 
@@ -126,12 +123,13 @@ def test_exhausted_when_pruned_language_is_finite():
     # signature, so the pruned language is finite.
     p = problem_of(grammar_of(["bvnot"], consts=()), [(5, 5)])
     eng = engine_for(p)
-    stream = list(eng.candidates())
+    stream = [e for _, _, e, _ in events(eng)]
     assert stream == [Var("x"), app("bvnot", Var("x")), app("bvnot", app("bvnot", Var("x")))]
-    # The double negation was emitted as a candidate but not retained.
-    assert len(eng.pool_entries("Start")) == 2
+    # The double negation was constructed but not retained.
+    assert [e for e, _ in eng.retained("Start", 50)] == stream[:2]
+    assert (eng.evaluations, eng.stored, eng.pruned) == (3, 2, 1)
     with pytest.raises(Exhausted):
-        eng.next_candidate()
+        eng.enumerate_until(lambda sig: False, max_size=50, max_candidates=10_000)
     eng2 = engine_for(p)
     with pytest.raises(Exhausted):
         eng2.enumerate_until(lambda sig: False, max_size=50, max_candidates=10_000)
@@ -140,18 +138,17 @@ def test_exhausted_when_pruned_language_is_finite():
 def test_emission_sizes_are_monotone():
     p = small_problem(ops=("bvnot", "shr1", "bvand", "bvadd"))
     eng = engine_for(p)
-    sizes = [eng.next_candidate().size for _ in range(300)]
+    stream = list(islice(events(eng), 300))
+    assert all(e.size == size for _, size, e, _ in stream)
+    sizes = [size for _, size, _, _ in stream]
     assert sizes == sorted(sizes)
 
 
 def test_two_runs_emit_identical_streams():
     p = small_problem(ops=("bvnot", "shr1", "bvand", "bvadd"))
-    first = [engine_for(p).next_candidate() for _ in range(1)]  # warm-up construction
     a = engine_for(p)
     b = engine_for(p)
-    seq_a = [a.next_candidate() for _ in range(250)]
-    seq_b = [b.next_candidate() for _ in range(250)]
-    assert seq_a == seq_b
+    assert list(islice(events(a), 250)) == list(islice(events(b), 250))
     assert (a.evaluations, a.stored, a.pruned) == (b.evaluations, b.stored, b.pruned)
 
 
@@ -197,15 +194,24 @@ def test_minimality_matches_oracle_on_random_predicates():
 
 
 def test_exclusion_set_is_respected():
+    # if0 is never enumerated, not even as a pruned candidate: the engine
+    # builds exactly what it builds for the same grammar without if0.
     p = small_problem(ops=("bvnot", "bvadd"))
-    eng = EnumerationState.for_problem(p, exclude_ops={"if0", "bvadd"})
-    for expr in itertools.islice(eng.candidates(), 200):
-        assert all(not (isinstance(e, App) and e.op in ("if0", "bvadd")) for e in subexpressions(expr))
+    eng = engine_for(p)
+    retained = eng.retained("Start", 5)
+    for expr, _ in retained:
+        assert all(not (isinstance(e, App) and e.op == "if0") for e in subexpressions(expr))
+    no_if0 = grammar_of(["bvnot", "bvadd"], width=8, with_if0=False)
+    plain = EnumerationState(no_if0, ("x",), rows_of(p), 8)
+    assert plain.retained("Start", 5) == retained
+    counters = lambda e: (e.evaluations, e.stored, e.pruned)
+    assert counters(plain) == counters(eng)
 
 
 def test_stats_counters_consistent():
     p = small_problem(ops=("bvnot", "bvand", "bvadd"))
     eng = engine_for(p)
-    eng.build_to(5)
+    eng.retained("Start", 5)
     assert eng.stored + eng.pruned == eng.evaluations
-    assert eng.stored == sum(len(eng.pool_entries(nt)) for nt in p.grammar.nonterminals)
+    pools = eng._pools.values()
+    assert eng.stored == sum(len(layer) for layer_list in pools for layer in layer_list)

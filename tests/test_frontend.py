@@ -11,7 +11,7 @@ from bvsynth.errors import (
     SygusSyntaxError,
     UnsupportedArity,
 )
-from bvsynth.frontend import emit_solution, parse_problem, parse_solution
+from bvsynth.frontend import Atom, emit_solution, parse_literal, parse_problem, parse_solution
 from bvsynth.semantics import BitVecValue, Var, app, const
 
 from helpers import grammar_of, problem_of
@@ -217,7 +217,7 @@ def test_define_fun_spelling_of_helpers_accepted():
         "(check-synth)\n"
     )
     p = parse_problem(text)
-    assert p.grammar.has_if0()
+    assert p.grammar.first_if0() is not None
 
 
 def test_define_fun_with_unknown_name_rejected():
@@ -262,6 +262,54 @@ def test_binary_literals_accepted():
     p = parse_problem(text)
     assert p.width == 8
     assert p.examples[0].inputs[0].bits == 3
+
+
+@pytest.mark.parametrize("digits", ["\u00b2", "\u0663"])
+def test_sort_width_must_be_ascii_digits(digits):
+    text = (
+        "(set-logic BV)\n"
+        f"(synth-fun f ((x (BitVec {digits}))) (BitVec 8)\n"
+        "  ((Start (BitVec 8) (x (if0 Start Start Start)))))\n"
+        "(constraint (= (f #x01) #x01))\n"
+        "(check-synth)\n"
+    )
+    with pytest.raises(SygusSyntaxError, match="expected sort"):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "text, width",
+    [
+        ("#b-1", 2),
+        ("#x+1", 8),
+        ("#x0_1", 12),
+        ("#x\u0661", 4),
+        ("#b\u0661", 1),
+        ("#b2", 1),
+        ("#x", 0),
+        ("#x0x1", 12),
+        ("#x0X1", 12),
+        ("#b0b1", 3),
+        ("#b0B1", 3),
+        ("#x 1", 8),
+    ],
+)
+def test_literal_digits_must_match_the_radix(text, width):
+    with pytest.raises(SygusSyntaxError, match="malformed literal"):
+        parse_literal(Atom(text, 3, 7), width)
+
+
+@pytest.mark.parametrize(
+    "text, width, bits",
+    [("#x0b1", 12, 0x0B1), ("#XaBf", 12, 0xABF), ("#b0110", 4, 6), ("#B1", 1, 1)],
+)
+def test_literal_digits_of_the_radix_accepted(text, width, bits):
+    assert parse_literal(Atom(text, 3, 7), width) == BitVecValue(width, bits)
+
+
+def test_signed_literal_in_constraint_rejected():
+    with pytest.raises(SygusSyntaxError, match="malformed literal"):
+        parse_problem(w64_file(f"(constraint (= (f {lit64(1)}) #x+000000000000001))"))
 
 
 # -- emit / re-parse ----------------------------------------------------------

@@ -18,16 +18,13 @@ from bvsynth.unify import (
     find_condition,
     insert_example,
     internal_node_count,
-    iter_conditions,
-    iter_leaves,
     map_terminals,
     rank_examples,
-    route,
     tree_to_expr,
 )
 
 import bruteforce
-from helpers import engine_for, grammar_of, problem_of, rows_of
+from helpers import conditions, engine_for, grammar_of, leaves, problem_of, route, rows_of
 
 LIMITS = SearchLimits()
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
@@ -35,7 +32,7 @@ BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 
 def assert_tree_sound(problem, tree, tmap):
     """Routing soundness plus the leaf/condition purity invariants."""
-    for leaf in iter_leaves(tree):
+    for leaf in leaves(tree):
         assert leaf.bucket, "empty bucket"
         assert not contains_op(leaf.expr, "if0")
         for i in leaf.bucket:
@@ -45,9 +42,10 @@ def assert_tree_sound(problem, tree, tmap):
             env = dict(zip(problem.params, example.inputs))
             assert eval_expr(leaf.expr, env, problem.width) == example.output
     rows = rows_of(problem)
-    for cond in iter_conditions(tree):
-        assert not contains_op(cond, "if0")
-        sig = bruteforce.signature_on(cond, problem.params, rows, problem.width)
+    for node in conditions(tree):
+        assert not contains_op(node.condition, "if0")
+        sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
+        assert node.signature == sig, "stored signature differs from evaluation"
         assert len(set(sig)) > 1, "constant condition"
 
 
@@ -147,20 +145,19 @@ def test_find_condition_low_bit_discriminator():
     p = problem_of(grammar_of(BASE_OPS), [(0x0, 0), (mask, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 6)
     assert oracle is not None and oracle[0] == 3
-    cond, then_idx = find_condition(p, engine_for(p), 0, 1, LIMITS)
-    assert cond == app("bvand", Var("x"), const(64, 1))
-    assert then_idx == 1  # value 0 on A, 1 on B
-    sig = bruteforce.signature_on(cond, ("x",), rows_of(p), 64)
-    assert sig[then_idx] == 1 and sig[0] != 1
+    found = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    assert found.expr == app("bvand", Var("x"), const(64, 1))
+    assert found.signature == bruteforce.signature_on(found.expr, ("x",), rows_of(p), 64)
+    assert found.signature == (0, 1)  # value 0 on A, 1 on B: B takes the then-branch
 
 
 def test_find_condition_identity_when_one_input_is_one():
     p = problem_of(grammar_of(BASE_OPS), [(0x1, 0), (0x2, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 4)
     assert oracle is not None and oracle[0] == 1
-    cond, then_idx = find_condition(p, engine_for(p), 0, 1, LIMITS)
-    assert cond == Var("x")
-    assert then_idx == 0  # 1 on A only
+    found = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    assert found.expr == Var("x")
+    assert found.signature == (1, 2)  # 1 on A only: A takes the then-branch
 
 
 def test_find_condition_ununifiable_when_language_runs_out():
@@ -197,7 +194,7 @@ def test_route_follows_condition_values():
     p = parity_problem()
     then_leaf = Leaf(app("bvnot", Var("x")), {2, 3})
     else_leaf = Leaf(Var("x"), {0, 1})
-    tree = Internal(app("bvand", Var("x"), const(8, 1)), then_leaf, else_leaf)
+    tree = Internal(app("bvand", Var("x"), const(8, 1)), (0, 0, 1, 1), then_leaf, else_leaf)
     leaf, path = route(p, tree, p.examples[3])  # x = 3, 3 & 1 == 1
     assert leaf is then_leaf and path == (True,)
     leaf, path = route(p, tree, p.examples[1])  # x = 2
@@ -225,7 +222,7 @@ def test_insert_conflicting_expression_splits_leaf():
     tmap = _fake_map({Var("x"): {0}, app("bvnot", Var("x")): {1}})
     tree = insert_example(p, engine_for(p), tmap, LIMITS, Leaf(Var("x"), {0}), 1)
     assert internal_node_count(tree) == 1
-    assert len(list(iter_leaves(tree))) == 2
+    assert len(list(leaves(tree))) == 2
     assert_tree_sound(p, tree, tmap)
 
 
@@ -327,7 +324,7 @@ def test_tree_to_expr_single_leaf():
 def test_tree_to_expr_composes_if0():
     p = parity_problem()
     cond = app("bvand", Var("x"), const(8, 1))
-    tree = Internal(cond, Leaf(app("bvnot", Var("x")), {2}), Leaf(Var("x"), {0}))
+    tree = Internal(cond, (0, 0, 1, 1), Leaf(app("bvnot", Var("x")), {2}), Leaf(Var("x"), {0}))
     expr = tree_to_expr(tree, p.grammar)
     assert expr == app("if0", cond, app("bvnot", Var("x")), Var("x"))
     for ex in p.examples[:3]:
@@ -348,7 +345,7 @@ def test_tree_to_expr_grammar_violation():
         "Start",
     )
     # The leaf x is not derivable from Term, the if0 branch nonterminal.
-    tree = Internal(Var("x"), Leaf(Var("x"), {0}), Leaf(Const(BitVecValue(w, 0)), {1}))
+    tree = Internal(Var("x"), (1, 0), Leaf(Var("x"), {0}), Leaf(Const(BitVecValue(w, 0)), {1}))
     with pytest.raises(GrammarViolation):
         tree_to_expr(tree, grammar)
 
