@@ -1,11 +1,16 @@
 """Size-ordered expression enumeration with signature-based pruning.
 
-A signature is the tuple of an expression's values on every example input,
-in example order; values are raw bits, the width lives on the state.  Per
-nonterminal, only the first expression seen with a given signature is kept
-as a reusable subexpression; later duplicates are still emitted as
-top-level candidates but never composed into anything larger.  The if0
-production is never enumerated: all branching comes from the decision tree.
+A signature is an expression's values on every example input.  Inside the
+enumeration it is one packed int: lane ``i`` holds example ``i``'s value in
+bits ``[i*width, (i+1)*width)``, and every operator acts on all lanes at once
+(word-parallel, or lane by lane for the variable shifts).  Outside this module
+a signature is the per-example tuple (:meth:`EnumerationState.lanes`), and
+searches take their acceptance predicates from the state, so no other module
+knows the lane layout.  Per nonterminal, only the first expression seen with
+a given signature is kept as a reusable subexpression; later duplicates are
+still emitted as top-level candidates but never composed into anything
+larger.  The if0 production is never enumerated: all branching comes from
+the decision tree.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
@@ -15,6 +20,7 @@ order.
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -23,9 +29,10 @@ from .frontend import ConstTerminal, Grammar, OpRule, Problem, VarTerminal
 from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators
 
 Signature = tuple[int, ...]
+Packed = int  # a signature with example i's value in lane i
 
-# nonterminal, size, expression, signature
-Event = tuple[str, int, Expr, Signature]
+# nonterminal, size, expression, packed signature
+Event = tuple[str, int, Expr, Packed]
 
 
 class SearchResult(NamedTuple):
@@ -65,6 +72,65 @@ def signature_of(
     return tuple(ev(expr, row) for row in rows)
 
 
+def pack(values: Sequence[int], width: int) -> Packed:
+    """One int holding ``values[i]`` in lane ``i``."""
+    sig = 0
+    for v in reversed(values):
+        sig = (sig << width) | v
+    return sig
+
+
+def lane_ones(width: int, n: int) -> Packed:
+    """Bit 0 of each of ``n`` lanes: the packed form of ``(1,) * n``."""
+    return ((1 << (n * width)) - 1) // ((1 << width) - 1)
+
+
+def unpack(sig: Packed, width: int, n: int) -> Signature:
+    """The ``n`` lane values of ``sig``, lane 0 first."""
+    mask = (1 << width) - 1
+    return tuple((sig >> (i * width)) & mask for i in range(n))
+
+
+def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
+    """Every enumerable operator on ``n``-lane packed signatures: lane ``i``
+    of the result is the ``bound_operators`` function applied to lane ``i``
+    of the operands (Warren, *Hacker's Delight*, ch. 2)."""
+    ones = lane_ones(width, n)
+    full = ones * ((1 << width) - 1)
+    high = ones << (width - 1)  # the top bit of every lane
+    low = full ^ high
+    fns = bound_operators(width)
+
+    def shr(k: int) -> Callable[[Packed], Packed]:
+        if k >= width:
+            return lambda a: 0
+        keep = ones * ((1 << (width - k)) - 1)
+        return lambda a: (a >> k) & keep
+
+    def lanewise(fn: Callable[[int, int], int]) -> Callable[[Packed, Packed], Packed]:
+        return lambda a, b: pack(tuple(map(fn, unpack(a, width, n), unpack(b, width, n))), width)
+
+    return {
+        "bvnot": lambda a: a ^ full,
+        "bvand": operator.and_,
+        "bvor": operator.or_,
+        "bvxor": operator.xor,
+        # Add the low bits of every lane, which cannot carry out of it, then
+        # set each top bit to the sum of the two top bits and the carry in.
+        "bvadd": lambda a, b: ((a & low) + (b & low)) ^ ((a ^ b) & high),
+        # Each lane of ``a | high`` covers the same lane of ``b & low``, so
+        # no lane borrows from the next; the xor restores the top bits.
+        "bvsub": lambda a, b: (((a | high) - (b & low)) ^ ((a ^ ~b) & high)) & full,
+        "bvshl": lanewise(fns["bvshl"]),
+        "bvlshr": lanewise(fns["bvlshr"]),
+        "bvashr": lanewise(fns["bvashr"]),
+        "shl1": lambda a: (a & low) << 1,
+        "shr1": shr(1),
+        "shr4": shr(4),
+        "shr16": shr(16),
+    }
+
+
 class EnumerationState:
     """Shared enumeration stream over one grammar and one example-input list.
 
@@ -89,13 +155,15 @@ class EnumerationState:
         self.width = width
         self.deadline = deadline
 
-        self._fns = bound_operators(width)
+        self._fns = packed_operators(width, len(self.rows))
+        self._mask = (1 << width) - 1
+        self._ones = lane_ones(width, len(self.rows))
         self._col = {name: i for i, name in enumerate(self.params)}
         # pools[nt][size] lists retained (expr, signature) pairs; index 0 unused
-        self._pools: dict[str, list[list[tuple[Expr, Signature]]]] = {
+        self._pools: dict[str, list[list[tuple[Expr, Packed]]]] = {
             nt: [[]] for nt in grammar.nonterminals
         }
-        self._store: dict[str, dict[Signature, Expr]] = {nt: {} for nt in grammar.nonterminals}
+        self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
         self.completed_size = 0
         self.evaluations = 0  # every constructed (expr, signature), terminals included
         self.stored = 0
@@ -121,7 +189,7 @@ class EnumerationState:
 
     # -- construction stream ------------------------------------------------
 
-    def _record(self, nt: str, size: int, expr: Expr, sig: Signature) -> Event:
+    def _record(self, nt: str, size: int, expr: Expr, sig: Packed) -> Event:
         self.evaluations += 1
         if self.deadline is not None and (self.evaluations & 4095) == 0:
             if time.monotonic() > self.deadline:
@@ -130,7 +198,7 @@ class EnumerationState:
         if sig in store:
             self.pruned += 1
         else:
-            store[sig] = expr
+            store.add(sig)
             self._pools[nt][size].append((expr, sig))
             self.stored += 1
             if size > self._max_pooled:
@@ -140,7 +208,6 @@ class EnumerationState:
     def _event_stream(self) -> Iterator[Event]:
         grammar = self.grammar
         rows = self.rows
-        n_rows = len(rows)
         size = 1
         while True:
             # Once a full layer cannot contain any composition (all operand
@@ -155,11 +222,11 @@ class EnumerationState:
                     if isinstance(prod, VarTerminal):
                         if size == 1:
                             column = self._col[prod.name]
-                            sig = tuple(row[column] for row in rows)
+                            sig = pack([row[column] for row in rows], self.width)
                             yield self._record(nt, 1, Var(prod.name), sig)
                     elif isinstance(prod, ConstTerminal):
                         if size == 1:
-                            sig = (prod.value.bits,) * n_rows
+                            sig = prod.value.bits * self._ones
                             yield self._record(nt, 1, Const(prod.value), sig)
                     else:
                         if prod.op == "if0":
@@ -177,24 +244,17 @@ class EnumerationState:
                                 continue
                             if arity == 1:
                                 for ea, sa in pools[0]:
-                                    yield self._record(
-                                        nt, size, App(op, (ea,)), tuple(map(fn, sa))
-                                    )
+                                    yield self._record(nt, size, App(op, (ea,)), fn(sa))
                             elif arity == 2:
                                 for ea, sa in pools[0]:
                                     for eb, sb in pools[1]:
-                                        yield self._record(
-                                            nt, size, App(op, (ea, eb)), tuple(map(fn, sa, sb))
-                                        )
+                                        yield self._record(nt, size, App(op, (ea, eb)), fn(sa, sb))
                             else:
                                 for ea, sa in pools[0]:
                                     for eb, sb in pools[1]:
                                         for ec, sc in pools[2]:
                                             yield self._record(
-                                                nt,
-                                                size,
-                                                App(op, (ea, eb, ec)),
-                                                tuple(map(fn, sa, sb, sc)),
+                                                nt, size, App(op, (ea, eb, ec)), fn(sa, sb, sc)
                                             )
             self.completed_size = size
             size += 1
@@ -207,24 +267,45 @@ class EnumerationState:
 
     # -- public surface -----------------------------------------------------
 
+    def lanes(self, sig: Packed) -> Signature:
+        """The per-example tuple view of a packed signature."""
+        return unpack(sig, self.width, len(self.rows))
+
+    def example_equals(self, k: int, value: int) -> Callable[[Packed], bool]:
+        """Acceptance predicate: the signature's value on example ``k`` is ``value``."""
+        shift, mask = k * self.width, self._mask
+        return lambda sig: ((sig >> shift) & mask) == value
+
+    def separates(self, a: int, b: int) -> Callable[[Packed], bool]:
+        """Acceptance predicate: the signature is 1 on exactly one of examples
+        ``a`` and ``b``, and not the same value on every example."""
+        shift_a, shift_b, mask, ones = a * self.width, b * self.width, self._mask, self._ones
+        return lambda sig: (
+            (((sig >> shift_a) & mask) == 1) != (((sig >> shift_b) & mask) == 1)
+            and sig != (sig & mask) * ones
+        )
+
     def enumerate_until(
         self,
-        accept: Callable[[Signature], bool],
+        accept: Callable[[Packed], bool],
         *,
         max_size: int,
         max_candidates: int,
         nt: str | None = None,
     ) -> SearchResult:
-        """First candidate whose signature satisfies ``accept``.
+        """First candidate whose packed signature satisfies ``accept``.
 
-        ``accept`` must depend on a candidate only through its signature.
-        Retained pools are re-scanned first, in size order, so searches that
-        resume a shared stream still see every representative from size 1
-        up; the returned expression's size is therefore the minimum size of
-        any grammar-derivable expression satisfying ``accept``.
+        ``accept`` must depend on a candidate only through its signature;
+        :meth:`example_equals` and :meth:`separates` build the predicates
+        the unifier needs.  Retained pools are re-scanned first, in size
+        order, so searches that resume a shared stream still see every
+        representative from size 1 up; the returned expression's size is
+        therefore the minimum size of any grammar-derivable expression
+        satisfying ``accept``.
 
         The candidate budget counts pool re-scans plus every subexpression
-        constructed while this search drives the stream.
+        constructed while this search drives the stream.  The deadline is
+        checked every 4,096 re-scanned and every 4,096 constructed candidates.
         """
         target = nt if nt is not None else self.grammar.start
         used = 0
@@ -235,9 +316,14 @@ class EnumerationState:
                 used += 1
                 if used > max_candidates:
                     raise NotFound(f"candidate budget {max_candidates} exhausted")
+                if (used & 4095) == 0 and self.deadline is not None:
+                    if time.monotonic() > self.deadline:
+                        raise TimeoutExceeded(
+                            f"wall clock expired after {used} re-scanned candidates"
+                        )
                 self.inspected += 1
                 if accept(sig):
-                    return SearchResult(expr, sig)
+                    return SearchResult(expr, self.lanes(sig))
         while True:
             event = self._next_event()
             if event is None:
@@ -255,12 +341,12 @@ class EnumerationState:
             if e_nt == target:
                 self.inspected += 1
                 if accept(sig):
-                    return SearchResult(expr, sig)
+                    return SearchResult(expr, self.lanes(sig))
 
     def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
         """Every retained (expr, signature) pair at ``nt`` of size at most
         ``max_size``, in stream order, once the stream has completed layer
-        ``max_size`` (or run out)."""
+        ``max_size`` (or run out).  Signatures are per-example tuples."""
         while self.completed_size < max_size:
             event = self._next_event()
             if event is None:
@@ -268,4 +354,5 @@ class EnumerationState:
             if event[1] > max_size:
                 self._pending = event
                 break
-        return [pair for layer in self._pools[nt][: max_size + 1] for pair in layer]
+        layers = self._pools[nt][: max_size + 1]
+        return [(expr, self.lanes(sig)) for layer in layers for expr, sig in layer]

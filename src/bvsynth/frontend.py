@@ -548,23 +548,42 @@ class ParsedSolution(NamedTuple):
 
 
 def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
-    """Parse a ground term over the parameters and the operator catalogue."""
-    if isinstance(sx, Atom):
-        lit = parse_literal(sx, width)
-        if lit is not None:
-            return Const(lit)
-        if sx.text in params:
-            return Var(sx.text)
-        raise SygusSyntaxError(f"unknown symbol {sx.text!r}", sx.line, sx.col)
-    op_name = _head(sx)
-    operator = OPERATORS.get(op_name) if op_name else None
-    if operator is None:
-        raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(sx))
-    if len(sx) - 1 != operator.arity:
-        raise SygusSyntaxError(
-            f"{op_name} expects {operator.arity} operands, got {len(sx) - 1}", *_pos(sx)
-        )
-    return App(op_name, tuple(parse_term(a, params, width) for a in sx[1:]))
+    """Parse a ground term over the parameters and the operator catalogue.
+
+    Iterative, so nesting depth is not bounded by the interpreter's
+    recursion limit.  Nodes are checked in preorder, left to right, so the
+    first error raised is the one a recursive descent would raise.
+    """
+    done: list[Expr] = []
+    # (node, True) once its operands are on ``done``
+    todo: list[tuple[SExpr, bool]] = [(sx, False)]
+    while todo:
+        node, operands_done = todo.pop()
+        if operands_done:
+            arity = len(node) - 1
+            args = tuple(done[-arity:])
+            del done[-arity:]
+            done.append(App(node[0].text, args))
+        elif isinstance(node, Atom):
+            lit = parse_literal(node, width)
+            if lit is not None:
+                done.append(Const(lit))
+            elif node.text in params:
+                done.append(Var(node.text))
+            else:
+                raise SygusSyntaxError(f"unknown symbol {node.text!r}", node.line, node.col)
+        else:
+            op_name = _head(node)
+            operator = OPERATORS.get(op_name) if op_name else None
+            if operator is None:
+                raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(node))
+            if len(node) - 1 != operator.arity:
+                raise SygusSyntaxError(
+                    f"{op_name} expects {operator.arity} operands, got {len(node) - 1}", *_pos(node)
+                )
+            todo.append((node, True))
+            todo.extend((arg, False) for arg in reversed(node[1:]))
+    return done[0]
 
 
 def parse_solution(text: str) -> ParsedSolution:

@@ -16,7 +16,11 @@ from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_termi
 class SearchLimits:
     max_size: int = 12
     max_candidates: int = 5_000_000
-    timeout: float | None = None  # seconds of wall clock for the whole solve
+    # Seconds of wall clock for the whole solve.  The enumeration checks it
+    # every 4,096 constructed and every 4,096 re-scanned candidates, so a
+    # search overshoots by at most that much work; phase-2 routing and
+    # verification do not check it.
+    timeout: float | None = None
 
 
 @dataclass

@@ -77,14 +77,11 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
     for k in range(len(outs)):
         if k in tmap.assignment:
             continue
-        target = outs[k]
-
-        def accept(sig, _k=k, _t=target):
-            return sig[_k] == _t
-
         try:
             expr, sig = engine.enumerate_until(
-                accept, max_size=limits.max_size, max_candidates=limits.max_candidates
+                engine.example_equals(k, outs[k]),
+                max_size=limits.max_size,
+                max_candidates=limits.max_candidates,
             )
         except (NotFound, Exhausted) as exc:
             raise UnsolvableExample(k, str(exc)) from exc
@@ -111,16 +108,12 @@ def find_condition(
     signature; the example it evaluates to 1 on occupies the then-branch.
     """
     nt = condition_nonterminal(problem.grammar)
-
-    def accept(sig):
-        if (sig[a] == 1) == (sig[b] == 1):
-            return False
-        first = sig[0]
-        return any(v != first for v in sig)
-
     try:
         return engine.enumerate_until(
-            accept, max_size=limits.max_size, max_candidates=limits.max_candidates, nt=nt
+            engine.separates(a, b),
+            max_size=limits.max_size,
+            max_candidates=limits.max_candidates,
+            nt=nt,
         )
     except (NotFound, Exhausted) as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc

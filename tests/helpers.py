@@ -38,8 +38,8 @@ def engine_for(problem, deadline=None) -> EnumerationState:
 
 def events(engine: EnumerationState) -> Iterator[tuple]:
     """The engine's construction stream: one (nonterminal, size, expr,
-    signature) event per constructed expression, pruned ones included,
-    ending when the pruned language is exhausted."""
+    packed signature) event per constructed expression, pruned ones
+    included, ending when the pruned language is exhausted."""
     while (event := engine._next_event()) is not None:
         yield event
 

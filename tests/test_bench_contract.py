@@ -3,21 +3,27 @@
 These tests read ``perfbench/`` and change nothing in it, so a refactor that
 renames a traced entry point, stops calling it through the name the tracer
 wraps, or lets ``eval_expr`` drift from the benchmark's answer checker fails
-here rather than only in a benchmark run.
+here rather than only in a benchmark run.  Likewise a change to the
+generator pieces a workload is built from (``bvsynth.corpus``,
+``signature_of``) fails here before ``perfbench/run.py`` refuses to run.
 """
 
 from __future__ import annotations
 
 import gc
 import importlib
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import bvsynth
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import selftest  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 # Two terminals (x on even inputs, bvnot x on odd ones), so a solve runs
 # both phases and every traced entry point.
@@ -67,3 +73,11 @@ def test_traced_solve_reaches_every_entry_point(monkeypatch):
 
 def test_benchmark_checker_agrees_with_eval_expr():
     selftest.run(cases=50)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_generation_matches_pinned_fingerprint(name):
+    seed = workloads.CANARY_SEED
+    pinned = json.loads(workloads.FINGERPRINTS.read_text(encoding="utf-8"))[name][str(seed)]
+    texts = workloads.generate(workloads.WORKLOADS[name], seed)
+    assert workloads.fingerprint(texts) == pinned

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from itertools import islice
 
 import pytest
 
 from bvsynth.enumeration import EnumerationState, signature_of, size_splits
-from bvsynth.errors import Exhausted, NotFound
+from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
 from bvsynth.semantics import App, Var, app, const, subexpressions
 from bvsynth.solver import SearchLimits
 
@@ -86,7 +87,7 @@ def test_pruning_soundness_on_fixed_instance(max_size):
 def test_enumerate_until_identity():
     p = problem_of(grammar_of(["bvnot", "bvand"]), [(5, 5)])
     eng = engine_for(p)
-    found = eng.enumerate_until(lambda sig: sig[0] == 5, max_size=6, max_candidates=10_000)
+    found = eng.enumerate_until(eng.example_equals(0, 5), max_size=6, max_candidates=10_000)
     assert found.expr == Var("x")
     assert found.expr.size == 1
 
@@ -98,9 +99,8 @@ def test_enumerate_until_doubling_needs_size3():
         grammar, ("x",), rows_of(p), 64, lambda sig: sig[0] == 10, 5, exclude=frozenset({"if0"})
     )
     assert oracle is not None and oracle[0] == 3  # no size-1/2 solution exists
-    found = engine_for(p).enumerate_until(
-        lambda sig: sig[0] == 10, max_size=6, max_candidates=100_000
-    )
+    eng = engine_for(p)
+    found = eng.enumerate_until(eng.example_equals(0, 10), max_size=6, max_candidates=100_000)
     assert found.expr == app("bvadd", Var("x"), Var("x"))
 
 
@@ -116,6 +116,21 @@ def test_enumerate_until_not_found_on_candidate_budget():
     eng = engine_for(p)
     with pytest.raises(NotFound, match="candidate budget"):
         eng.enumerate_until(lambda sig: False, max_size=30, max_candidates=100)
+
+
+def test_deadline_checked_during_pool_rescan():
+    # The pools already hold layer 9, so the search below constructs
+    # nothing: only the re-scan of more than 4,096 entries can see the
+    # expired deadline.
+    grammar = grammar_of(["bvnot", "shr1", "bvand", "bvadd", "bvxor"])
+    p = problem_of(grammar, [(3, 1), (7, 2), (10, 5), (200, 9)])
+    eng = engine_for(p)
+    assert len(eng.retained("Start", 9)) > 4096
+    built = (eng.evaluations, eng.stored, eng.pruned)
+    eng.deadline = time.monotonic() - 1.0
+    with pytest.raises(TimeoutExceeded):
+        eng.enumerate_until(lambda sig: False, max_size=9, max_candidates=10**6)
+    assert (eng.evaluations, eng.stored, eng.pruned) == built
 
 
 def test_exhausted_when_pruned_language_is_finite():
@@ -158,10 +173,11 @@ def test_resumed_search_preserves_minimality():
     grammar = grammar_of(["bvnot", "shr1", "bvand", "bvadd"], width=8)
     p = problem_of(grammar, [(3, 6), (5, 0xFA)], width=8)
     eng = engine_for(p)
-    eng.enumerate_until(lambda sig: sig[0] == 6, max_size=8, max_candidates=10**6)
-    resumed = eng.enumerate_until(lambda sig: sig[1] == 0xFA, max_size=8, max_candidates=10**6)
-    fresh = engine_for(p).enumerate_until(
-        lambda sig: sig[1] == 0xFA, max_size=8, max_candidates=10**6
+    eng.enumerate_until(eng.example_equals(0, 6), max_size=8, max_candidates=10**6)
+    resumed = eng.enumerate_until(eng.example_equals(1, 0xFA), max_size=8, max_candidates=10**6)
+    fresh_eng = engine_for(p)
+    fresh = fresh_eng.enumerate_until(
+        fresh_eng.example_equals(1, 0xFA), max_size=8, max_candidates=10**6
     )
     assert resumed.expr.size == fresh.expr.size
     oracle = bruteforce.min_matching(
@@ -187,8 +203,9 @@ def test_minimality_matches_oracle_on_random_predicates():
             grammar, ("x",), rows, 8, lambda sig: sig == sig_target, 4, exclude=frozenset({"if0"})
         )
         assert oracle is not None
-        found = engine_for(p).enumerate_until(
-            lambda sig: sig == sig_target, max_size=4, max_candidates=10**6
+        eng = engine_for(p)
+        found = eng.enumerate_until(
+            lambda s: eng.lanes(s) == sig_target, max_size=4, max_candidates=10**6
         )
         assert found.expr.size == oracle[0], sig_target
 

@@ -349,3 +349,28 @@ def test_emit_then_parse_round_trip():
     assert parsed.params == ("x",)
     assert parsed.width == 64
     assert parsed.body == body
+
+
+def test_deeply_nested_solution_parses():
+    depth = 3000
+    body = "(bvnot " * depth + "x" + ")" * depth
+    parsed = parse_solution(f"(define-fun f ((x (BitVec 64))) (BitVec 64) {body})")
+    assert parsed.body.size == depth + 1
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # The first bad node in preorder, left to right, is the one reported.
+        ("(bvand y (bvfoo x))", "unknown symbol 'y' at 1:52"),
+        ("(bvand (bvfoo x) y)", "unknown operator 'bvfoo' at 1:52"),
+        ("(bvand x (bvnot x x))", "bvnot expects 1 operands, got 2 at 1:54"),
+        ("(bvnot (bvand x #x01))", "literal '#x01' has width 8, expected 64 at 1:61"),
+        ("(x)", "unknown operator 'x' at 1:45"),
+        ("()", "unknown operator None at 1:45"),
+    ],
+)
+def test_solution_term_errors_keep_message_and_position(body, message):
+    with pytest.raises(SygusSyntaxError) as err:
+        parse_solution(f"(define-fun f ((x (BitVec 64))) (BitVec 64) {body})")
+    assert str(err.value) == message
