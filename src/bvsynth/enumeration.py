@@ -12,6 +12,11 @@ still emitted as top-level candidates but never composed into anything
 larger.  The if0 production is never enumerated: all branching comes from
 the decision tree.
 
+The store keeps each expression as a node: a ``Var``/``Const`` terminal or
+an ``(op, child_node, ...)`` tuple over retained children.  :func:`expr_of`
+builds the ``App`` tree only for an accepted candidate and for
+:meth:`EnumerationState.retained`, never for a pruned or rejected one.
+
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
 size-splits are lexicographic, and pool entries are visited in insertion
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import operator
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import Exhausted, NotFound, TimeoutExceeded, UnboundVariable, WidthMismatch
 from .frontend import ConstTerminal, Grammar, OpRule, Problem, VarTerminal
@@ -30,14 +35,22 @@ from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators
 
 Signature = tuple[int, ...]
 Packed = int  # a signature with example i's value in lane i
+Node = Union[Var, Const, tuple]  # a terminal, or (op, child_node, ...)
 
-# nonterminal, size, expression, packed signature
-Event = tuple[str, int, Expr, Packed]
+# nonterminal, size, node (expand with expr_of), packed signature
+Event = tuple[str, int, Node, Packed]
 
 
 class SearchResult(NamedTuple):
     expr: Expr
     signature: Signature
+
+
+def expr_of(node: Node) -> Expr:
+    """The expression a store node spells; recursion depth is its size at most."""
+    if type(node) is tuple:
+        return App(node[0], tuple(map(expr_of, node[1:])))
+    return node
 
 
 def size_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -159,13 +172,13 @@ class EnumerationState:
         self._mask = (1 << width) - 1
         self._ones = lane_ones(width, len(self.rows))
         self._col = {name: i for i, name in enumerate(self.params)}
-        # pools[nt][size] lists retained (expr, signature) pairs; index 0 unused
-        self._pools: dict[str, list[list[tuple[Expr, Packed]]]] = {
+        # pools[nt][size] lists retained (node, signature) pairs; index 0 unused
+        self._pools: dict[str, list[list[tuple[Node, Packed]]]] = {
             nt: [[]] for nt in grammar.nonterminals
         }
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
         self.completed_size = 0
-        self.evaluations = 0  # every constructed (expr, signature), terminals included
+        self.evaluations = 0  # every constructed (node, signature), terminals included
         self.stored = 0
         self.pruned = 0
         self.inspected = 0  # candidates handed to acceptance predicates
@@ -189,7 +202,7 @@ class EnumerationState:
 
     # -- construction stream ------------------------------------------------
 
-    def _record(self, nt: str, size: int, expr: Expr, sig: Packed) -> Event:
+    def _record(self, nt: str, size: int, node: Node, sig: Packed) -> Event:
         self.evaluations += 1
         if self.deadline is not None and (self.evaluations & 4095) == 0:
             if time.monotonic() > self.deadline:
@@ -199,11 +212,11 @@ class EnumerationState:
             self.pruned += 1
         else:
             store.add(sig)
-            self._pools[nt][size].append((expr, sig))
+            self._pools[nt][size].append((node, sig))
             self.stored += 1
             if size > self._max_pooled:
                 self._max_pooled = size
-        return (nt, size, expr, sig)
+        return (nt, size, node, sig)
 
     def _event_stream(self) -> Iterator[Event]:
         grammar = self.grammar
@@ -244,17 +257,17 @@ class EnumerationState:
                                 continue
                             if arity == 1:
                                 for ea, sa in pools[0]:
-                                    yield self._record(nt, size, App(op, (ea,)), fn(sa))
+                                    yield self._record(nt, size, (op, ea), fn(sa))
                             elif arity == 2:
                                 for ea, sa in pools[0]:
                                     for eb, sb in pools[1]:
-                                        yield self._record(nt, size, App(op, (ea, eb)), fn(sa, sb))
+                                        yield self._record(nt, size, (op, ea, eb), fn(sa, sb))
                             else:
                                 for ea, sa in pools[0]:
                                     for eb, sb in pools[1]:
                                         for ec, sc in pools[2]:
                                             yield self._record(
-                                                nt, size, App(op, (ea, eb, ec)), fn(sa, sb, sc)
+                                                nt, size, (op, ea, eb, ec), fn(sa, sb, sc)
                                             )
             self.completed_size = size
             size += 1
@@ -266,6 +279,11 @@ class EnumerationState:
         return next(self._stream, None)
 
     # -- public surface -----------------------------------------------------
+
+    def close(self) -> None:
+        """End the construction stream, whose frame holds this state, so the
+        store is freed without a cyclic collection; pools and counters stay."""
+        self._stream.close()
 
     def lanes(self, sig: Packed) -> Signature:
         """The per-example tuple view of a packed signature."""
@@ -312,7 +330,7 @@ class EnumerationState:
         pools = self._pools[target]
         top = min(max_size, len(pools) - 1)
         for s in range(1, top + 1):
-            for expr, sig in pools[s]:
+            for node, sig in pools[s]:
                 used += 1
                 if used > max_candidates:
                     raise NotFound(f"candidate budget {max_candidates} exhausted")
@@ -323,7 +341,7 @@ class EnumerationState:
                         )
                 self.inspected += 1
                 if accept(sig):
-                    return SearchResult(expr, self.lanes(sig))
+                    return SearchResult(expr_of(node), self.lanes(sig))
         while True:
             event = self._next_event()
             if event is None:
@@ -331,7 +349,7 @@ class EnumerationState:
                     # the language continues past the size budget
                     raise NotFound(f"size budget {max_size} exhausted")
                 raise Exhausted("grammar language fully enumerated")
-            e_nt, e_size, expr, sig = event
+            e_nt, e_size, node, sig = event
             if e_size > max_size:
                 self._pending = event
                 raise NotFound(f"size budget {max_size} exhausted")
@@ -341,7 +359,7 @@ class EnumerationState:
             if e_nt == target:
                 self.inspected += 1
                 if accept(sig):
-                    return SearchResult(expr, self.lanes(sig))
+                    return SearchResult(expr_of(node), self.lanes(sig))
 
     def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
         """Every retained (expr, signature) pair at ``nt`` of size at most
@@ -355,4 +373,4 @@ class EnumerationState:
                 self._pending = event
                 break
         layers = self._pools[nt][: max_size + 1]
-        return [(expr, self.lanes(sig)) for layer in layers for expr, sig in layer]
+        return [(expr_of(node), self.lanes(sig)) for layer in layers for node, sig in layer]

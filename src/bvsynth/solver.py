@@ -75,17 +75,20 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     deadline = time.monotonic() + limits.timeout if limits.timeout is not None else None
     engine = EnumerationState.for_problem(problem, deadline=deadline)
 
-    t0 = time.perf_counter()
-    tmap = map_terminals(problem, engine, limits)
-    t1 = time.perf_counter()
+    try:
+        t0 = time.perf_counter()
+        tmap = map_terminals(problem, engine, limits)
+        t1 = time.perf_counter()
 
-    tree: Tree | None = None
-    if tmap.distinct() == 1:
-        solution = next(iter(tmap.registry))
-    else:
-        tree = build_tree(problem, engine, tmap, limits)
-        solution = tree_to_expr(tree, problem.grammar)
-    t2 = time.perf_counter()
+        tree: Tree | None = None
+        if tmap.distinct() == 1:
+            solution = next(iter(tmap.registry))
+        else:
+            tree = build_tree(problem, engine, tmap, limits)
+            solution = tree_to_expr(tree, problem.grammar)
+        t2 = time.perf_counter()
+    finally:
+        engine.close()
 
     verify_solution(problem, solution)
 

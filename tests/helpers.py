@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from bvsynth.enumeration import EnumerationState
+from bvsynth.enumeration import EnumerationState, expr_of
 from bvsynth.frontend import ConstTerminal, Example, Grammar, OpRule, Problem, VarTerminal
 from bvsynth.semantics import OPERATORS, BitVecValue, eval_expr
 from bvsynth.solver import SearchLimits
@@ -39,9 +39,11 @@ def engine_for(problem, deadline=None) -> EnumerationState:
 def events(engine: EnumerationState) -> Iterator[tuple]:
     """The engine's construction stream: one (nonterminal, size, expr,
     packed signature) event per constructed expression, pruned ones
-    included, ending when the pruned language is exhausted."""
+    included, ending when the pruned language is exhausted.  The engine's
+    events carry store nodes; each is expanded here with ``expr_of``."""
     while (event := engine._next_event()) is not None:
-        yield event
+        nt, size, node, sig = event
+        yield nt, size, expr_of(node), sig
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:

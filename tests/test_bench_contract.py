@@ -71,6 +71,34 @@ def test_traced_solve_reaches_every_entry_point(monkeypatch):
         assert path.rsplit(".", 1)[-1] in traced, path
 
 
+def test_closed_engine_keeps_counters_and_store_for_the_bench(monkeypatch):
+    # The bench child reads a solve's engine after solve_problem has closed
+    # it: its counters for the record, and its store for bytes_per_stored.
+    engines = []
+    for_problem = bvsynth.EnumerationState.for_problem.__func__
+
+    def capture(cls, *args, **kwargs):
+        engines.append(for_problem(cls, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(bvsynth.EnumerationState, "for_problem", classmethod(capture))
+    # This instance stores about 3,200 signatures, so the store outweighs
+    # everything else the engine holds.
+    text = workloads.generate(workloads.WORKLOADS["enum32"], workloads.CANARY_SEED)[6]
+    result = bvsynth.solve_problem(bvsynth.parse_problem(text))
+    (engine,) = engines
+    stats = result.stats
+    assert (engine.evaluations, engine.stored, engine.pruned, engine.inspected) == (
+        stats.evaluations,
+        stats.signatures_stored,
+        stats.pruned_duplicates,
+        stats.candidates,
+    )
+    pooled = [sig for layers in engine._pools.values() for layer in layers for _, sig in layer]
+    assert len(pooled) == engine.stored > 1000
+    assert spans.deep_size(engine) >= sum(map(sys.getsizeof, pooled))
+
+
 def test_benchmark_checker_agrees_with_eval_expr():
     selftest.run(cases=50)
 

@@ -232,3 +232,48 @@ def test_stats_counters_consistent():
     assert eng.stored + eng.pruned == eng.evaluations
     pools = eng._pools.values()
     assert eng.stored == sum(len(layer) for layer_list in pools for layer in layer_list)
+
+
+@pytest.fixture
+def apps_built(monkeypatch):
+    """A one-element list counting every ``App`` constructed from now on."""
+    built = [0]
+    post_init = App.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(App, "__post_init__", counting)
+    return built
+
+
+def _lazy_store_problem():
+    """Three width-64 examples whose outputs no expression below size 6 gives
+    on every lane, so a search for them builds thousands of candidates."""
+    grammar = grammar_of(["bvnot", "shl1", "shr1", "shr4", "bvand", "bvor", "bvxor", "bvadd"])
+    inputs = [(3,), (0x5A17,), (0xDEADBEEFC7,)]
+    target = app("bvadd", app("shr1", Var("x")), app("bvnot", app("shl1", Var("x"))))
+    outputs = signature_of(target, ("x",), inputs, 64)
+    return problem_of(grammar, [(i, o) for (i,), o in zip(inputs, outputs)]), outputs
+
+
+# Built before any test counts App constructions.
+LAZY_PROBLEM, LAZY_OUTPUTS = _lazy_store_problem()
+
+
+def test_failed_search_builds_no_expression(apps_built):
+    eng = engine_for(LAZY_PROBLEM)
+    with pytest.raises(NotFound):
+        eng.enumerate_until(lambda sig: False, max_size=5, max_candidates=10**6)
+    assert eng.evaluations > 1000
+    assert apps_built[0] == 0
+
+
+def test_successful_search_builds_only_the_accepted_expression(apps_built):
+    eng = engine_for(LAZY_PROBLEM)
+    result = eng.enumerate_until(
+        lambda sig: eng.lanes(sig) == LAZY_OUTPUTS, max_size=8, max_candidates=10**6
+    )
+    assert result.expr.size == 6 and eng.evaluations > 4000
+    assert 1 <= apps_built[0] <= result.expr.size

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import functools
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvsynth.errors import (
     InconsistentExamples,
     MissingIf0Rule,
     NotPBE,
+    ProblemFormatError,
     SygusSyntaxError,
     UnsupportedArity,
 )
-from bvsynth.frontend import Atom, emit_solution, parse_literal, parse_problem, parse_solution
+from bvsynth.frontend import (
+    Atom,
+    Problem,
+    emit_solution,
+    parse_literal,
+    parse_problem,
+    parse_solution,
+)
 from bvsynth.semantics import BitVecValue, Var, app, const
 
 from helpers import grammar_of, problem_of
@@ -374,3 +388,50 @@ def test_solution_term_errors_keep_message_and_position(body, message):
     with pytest.raises(SygusSyntaxError) as err:
         parse_solution(f"(define-fun f ((x (BitVec 64))) (BitVec 64) {body})")
     assert str(err.value) == message
+
+
+# -- hypothesis properties ----------------------------------------------------
+
+
+@functools.cache
+def enum32_texts() -> list[str]:
+    """The benchmark's ``enum32`` instances for seed 0."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads.generate(workloads.WORKLOADS["enum32"], 0)
+
+
+# Characters the s-expression reader and the literal parser act on, mixed
+# with arbitrary ones.
+SPLICE_CHARS = st.sampled_from("()#xb019af \n;|\"-") | st.characters()
+
+
+@st.composite
+def spliced_enum32(draw) -> str:
+    """An ``enum32`` instance with up to 8 characters replaced by up to 8 others."""
+    texts = enum32_texts()
+    text = texts[draw(st.integers(0, len(texts) - 1))]
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 8)))
+    return text[:start] + draw(st.text(SPLICE_CHARS, max_size=8)) + text[end:]
+
+
+def parses_or_reports(text: str) -> None:
+    try:
+        problem = parse_problem(text)
+    except ProblemFormatError:
+        return
+    assert isinstance(problem, Problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_parse_problem_on_arbitrary_text_raises_only_format_errors(text):
+    parses_or_reports(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spliced_enum32())
+def test_parse_problem_on_spliced_instance_raises_only_format_errors(text):
+    parses_or_reports(text)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import TimeoutExceeded, UnsolvableExample, VerificationFailed
 from bvsynth.semantics import App, Var, app, contains_op, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
@@ -138,3 +142,54 @@ def test_run_stats_lines_render():
     lines = solve_problem(p).stats.lines()
     assert any(line.startswith("candidates:") for line in lines)
     assert any(line.startswith("solution size:") for line in lines)
+
+
+@pytest.fixture
+def engine_refs(monkeypatch):
+    """Weak references to every engine a solve builds, with cyclic GC off,
+    so an engine stays alive exactly as long as something refers to it."""
+    refs: list = []
+    for_problem = EnumerationState.for_problem.__func__
+
+    def capture(cls, *args, **kwargs):
+        engine = for_problem(cls, *args, **kwargs)
+        refs.append(weakref.ref(engine))
+        return engine
+
+    monkeypatch.setattr(EnumerationState, "for_problem", classmethod(capture))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_engine_is_freed_when_solve_succeeds(engine_refs):
+    p = problem_of(grammar_of(BASE_OPS, width=8), [(0x0, 0x0), (0x2, 0x2), (0x1, 0xFE), (0x3, 0xFC)], width=8)
+    result = solve_problem(p)
+    assert result.stats.internal_nodes == 2
+    assert len(engine_refs) == 1 and engine_refs[0]() is None
+
+
+def test_engine_is_freed_when_an_example_is_unsolvable(engine_refs):
+    p = problem_of(grammar_of(BASE_OPS), [(0x1234, 0xDEADBEEF)])
+    try:
+        solve_problem(p, SearchLimits(max_size=4))
+    except UnsolvableExample:
+        pass
+    else:
+        pytest.fail("size budget 4 cannot reach the output")
+    assert len(engine_refs) == 1 and engine_refs[0]() is None
+
+
+def test_engine_is_freed_when_the_solve_times_out(engine_refs):
+    p = problem_of(grammar_of(BASE_OPS), [(0x1234, 0xDEADBEEF)])
+    try:
+        solve_problem(p, SearchLimits(max_size=30, timeout=0.0))
+    except TimeoutExceeded:
+        pass
+    else:
+        pytest.fail("a zero time budget must stop the search")
+    assert len(engine_refs) == 1 and engine_refs[0]() is None
