@@ -29,9 +29,9 @@ import operator
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import Exhausted, NotFound, TimeoutExceeded, UnboundVariable, WidthMismatch
+from .errors import Exhausted, NotFound, TimeoutExceeded
 from .frontend import ConstTerminal, Grammar, OpRule, Problem, VarTerminal
-from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators
+from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators, eval_columns
 
 Signature = tuple[int, ...]
 Packed = int  # a signature with example i's value in lane i
@@ -68,21 +68,8 @@ def signature_of(
     expr: Expr, params: Sequence[str], rows: Sequence[tuple[int, ...]], width: int
 ) -> Signature:
     """Evaluate ``expr`` on every input row; rows carry parameter bits in order."""
-    fns = bound_operators(width)
-    col = {name: i for i, name in enumerate(params)}
-
-    def ev(e: Expr, row: tuple[int, ...]) -> int:
-        if isinstance(e, Var):
-            if e.name not in col:
-                raise UnboundVariable(e.name)
-            return row[col[e.name]]
-        if isinstance(e, Const):
-            if e.value.width != width:
-                raise WidthMismatch(f"constant width {e.value.width}, expected {width}")
-            return e.value.bits
-        return fns[e.op](*(ev(a, row) for a in e.args))
-
-    return tuple(ev(expr, row) for row in rows)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(params)}
+    return tuple(eval_columns(expr, columns, width, len(rows)))
 
 
 def pack(values: Sequence[int], width: int) -> Packed:

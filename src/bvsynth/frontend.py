@@ -9,8 +9,9 @@ and ``if0`` in benchmark files).  Both LF and CRLF line endings are fine;
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import (
     InconsistentExamples,
@@ -38,8 +39,7 @@ from .semantics import (
 # S-expression reader
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     text: str
     line: int
     col: int
@@ -50,62 +50,39 @@ class SList(list):
 
     __slots__ = ("line", "col")
 
-    def __init__(self, line: int = 0, col: int = 0):
-        super().__init__()
+    def __init__(self, line: int = 0, col: int = 0):  # no list.__init__: nothing to add
         self.line = line
         self.col = col
 
 
 SExpr = Union[Atom, SList]
 
-_DELIMS = frozenset(" \t\r\n();")
-
-
-def _tokens(text: str) -> Iterator[tuple[str, str, int, int]]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            yield ("atom", text[start:i], line, start_col)
+# One match per token: group 1 is '(', 2 is ')', 3 an atom; a comment runs to
+# the end of the line.  Space, tab and '\r' only separate tokens.
+_TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r();]+)")
 
 
 def read_sexprs(text: str) -> list[SExpr]:
-    """Parse a whole document into top-level S-expressions."""
+    """Parse a whole document into top-level S-expressions; only LF ends a line."""
     root = SList()
     stack: list[SList] = [root]
-    for kind, tok, line, col in _tokens(text):
-        if kind == "(":
-            node = SList(line, col)
-            stack[-1].append(node)
-            stack.append(node)
-        elif kind == ")":
-            if len(stack) == 1:
-                raise SygusSyntaxError("unbalanced ')'", line, col)
-            stack.pop()
-        else:
-            stack[-1].append(Atom(tok, line, col))
+    top = root
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            kind = m.lastindex
+            if kind == 3:
+                top.append(Atom(m[3], line, m.start() + 1))
+            elif kind == 1:
+                top = SList(line, m.start() + 1)
+                stack[-1].append(top)
+                stack.append(top)
+            elif kind == 2:
+                if len(stack) == 1:
+                    raise SygusSyntaxError("unbalanced ')'", line, m.start() + 1)
+                stack.pop()
+                top = stack[-1]
     if len(stack) != 1:
-        raise SygusSyntaxError("unclosed '('", stack[-1].line, stack[-1].col)
+        raise SygusSyntaxError("unclosed '('", top.line, top.col)
     return list(root)
 
 
@@ -119,17 +96,20 @@ def _head(sx: SExpr) -> str | None:
     return None
 
 
+_HEX = "0123456789abcdefABCDEF"
+# literal radix letter -> (bits per digit, base, digits)
+_RADIX = {"x": (4, 16, _HEX), "X": (4, 16, _HEX), "b": (1, 2, "01"), "B": (1, 2, "01")}
+
+
 def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
     """Parse a ``#x``/``#b`` literal; None when ``sx`` is not a literal at all."""
-    if not isinstance(sx, Atom) or len(sx.text) < 2 or not sx.text.startswith("#"):
+    if not isinstance(sx, Atom) or not sx.text.startswith("#"):
         return None
+    radix = _RADIX.get(sx.text[1:2])
+    if radix is None:
+        return None
+    bits_per_digit, base, digits = radix
     body = sx.text[2:]
-    if sx.text[1] in "xX":
-        bits_per_digit, base, digits = 4, 16, "0123456789abcdefABCDEF"
-    elif sx.text[1] in "bB":
-        bits_per_digit, base, digits = 1, 2, "01"
-    else:
-        return None
     # int() alone also takes a sign, underscores, a 0x/0b prefix and
     # non-ASCII digits; strip() leaves something over for any of those
     if not body or body.strip(digits):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import UnboundVariable, WidthMismatch
 
@@ -180,11 +180,13 @@ def const(width: int, bits: int) -> Const:
 
 
 def subexpressions(expr: Expr) -> Iterator[Expr]:
-    """Preorder traversal, the expression itself included."""
-    yield expr
-    if isinstance(expr, App):
-        for arg in expr.args:
-            yield from subexpressions(arg)
+    """Preorder traversal, the expression itself included; iterative."""
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        yield e
+        if isinstance(e, App):
+            todo.extend(reversed(e.args))
 
 
 def contains_op(expr: Expr, name: str) -> bool:
@@ -203,6 +205,34 @@ def _infer_width(expr: Expr) -> int:
     raise UnboundVariable(first_var or "?")
 
 
+def eval_columns(expr: Expr, columns: Mapping[str, Sequence[int]], width: int, n: int) -> list[int]:
+    """The values of ``expr`` on ``n`` inputs; ``columns`` maps each variable
+    to its ``n`` values.  An iterative postorder walk applies each operator
+    across all inputs at once.  Leaves are met in preorder, left to right, so
+    the first error raised is the one a recursive evaluator would raise."""
+    fns = bound_operators(width)
+    done: list[Sequence[int]] = []
+    todo: list[tuple[Expr, bool]] = [(expr, False)]  # True once the operands are on done
+    while todo:
+        e, operands_done = todo.pop()
+        if operands_done:
+            values = list(map(fns[e.op], *done[-len(e.args) :]))
+            del done[-len(e.args) :]
+            done.append(values)
+        elif isinstance(e, App):
+            todo.append((e, True))
+            todo.extend((a, False) for a in reversed(e.args))
+        elif isinstance(e, Var):
+            if e.name not in columns:
+                raise UnboundVariable(e.name)
+            done.append(columns[e.name])
+        elif e.value.width != width:
+            raise WidthMismatch(f"constant {e.value} has width {e.value.width}, expected {width}")
+        else:
+            done.append([e.value.bits] * n)
+    return list(done[0])
+
+
 def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = None) -> BitVecValue:
     """Evaluate ``expr`` under ``env``.  Deterministic; total on in-range inputs."""
     if width is None:
@@ -210,30 +240,30 @@ def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = No
         if len(widths) > 1:
             raise WidthMismatch(f"mixed widths in environment: {sorted(widths)}")
         width = widths.pop() if widths else _infer_width(expr)
-    fns = bound_operators(width)
-
-    def ev(e: Expr) -> int:
-        if isinstance(e, Var):
-            try:
-                v = env[e.name]
-            except KeyError:
-                raise UnboundVariable(e.name) from None
-            if v.width != width:
-                raise WidthMismatch(f"variable {e.name} has width {v.width}, expected {width}")
-            return v.bits
-        if isinstance(e, Const):
-            if e.value.width != width:
-                raise WidthMismatch(f"constant {e.value} has width {e.value.width}, expected {width}")
-            return e.value.bits
-        return fns[e.op](*map(ev, e.args))
-
-    return BitVecValue(width, ev(expr))
+    # A variable of another width is left out, so it fails only where it occurs.
+    columns = {name: (v.bits,) for name, v in env.items() if v.width == width}
+    try:
+        return BitVecValue(width, eval_columns(expr, columns, width, 1)[0])
+    except UnboundVariable as exc:
+        if exc.name not in env:
+            raise
+        bad = env[exc.name].width
+        raise WidthMismatch(f"variable {exc.name} has width {bad}, expected {width}") from None
 
 
 def expr_to_sexpr(expr: Expr) -> str:
     """Canonical S-expression text; round-trips through the frontend reader."""
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Const):
-        return expr.value.literal()
-    return "({} {})".format(expr.op, " ".join(expr_to_sexpr(a) for a in expr.args))
+    parts: list[str] = []
+    todo: list[Union[Expr, str]] = [expr]  # expressions, and text to copy as is
+    while todo:
+        e = todo.pop()
+        if isinstance(e, App):
+            parts.append("(" + e.op)
+            todo.append(")")
+            for a in reversed(e.args):
+                todo += (a, " ")
+        elif isinstance(e, Var):
+            parts.append(e.name)
+        else:
+            parts.append(e if isinstance(e, str) else e.value.literal())
+    return "".join(parts)

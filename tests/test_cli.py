@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bvsynth.cli import main
 from bvsynth.corpus import CorpusSpec, generate_corpus
@@ -76,6 +81,31 @@ def test_solve_invalid_utf8_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# Bytes of the problem syntax, a byte that is never UTF-8, and a BOM, so that
+# random input also reaches the reader and the command checks.
+SYNTAX_BYTES = st.sampled_from(
+    [b"(", b")", b" ", b"\n", b"\r", b";", b"#x01", b"#b1", b"\xff", b"\xef\xbb\xbf"]
+    + [w.encode() for w in ("set-logic", "synth-fun", "constraint", "BitVec", "f", "x", "=")]
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.binary(max_size=300) | st.lists(SYNTAX_BYTES, max_size=40).map(b"".join))
+def test_solve_on_arbitrary_bytes_exits_with_one_line(tmp_path, data):
+    path = tmp_path / "bytes.sl"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
 def test_solve_budget_exhausted_exits_1(tmp_path, capsys):

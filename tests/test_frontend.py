@@ -25,9 +25,11 @@ from bvsynth.frontend import (
     parse_literal,
     parse_problem,
     parse_solution,
+    read_sexprs,
 )
-from bvsynth.semantics import BitVecValue, Var, app, const
+from bvsynth.semantics import BitVecValue, Var, app, const, eval_expr
 
+import reference_reader
 from helpers import grammar_of, problem_of
 
 W64_GRAMMAR = """((Start (BitVec 64) (x #x0000000000000000 #x0000000000000001
@@ -372,6 +374,17 @@ def test_deeply_nested_solution_parses():
     assert parsed.body.size == depth + 1
 
 
+def test_deeply_nested_solution_evaluates_and_emits():
+    depth = 3000
+    text = "(define-fun f ((x (BitVec 64))) (BitVec 64) {})".format(
+        "(bvnot " * depth + "x" + ")" * depth
+    )
+    body = parse_solution(text).body
+    # an even number of bvnots is the identity
+    assert eval_expr(body, {"x": BitVecValue(64, 0x1234)}) == BitVecValue(64, 0x1234)
+    assert emit_solution(identity_problem(), body) == text
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -435,3 +448,37 @@ def test_parse_problem_on_arbitrary_text_raises_only_format_errors(text):
 @given(spliced_enum32())
 def test_parse_problem_on_spliced_instance_raises_only_format_errors(text):
     parses_or_reports(text)
+
+
+def shape(forms: list) -> list:
+    """A reader's tree as plain data, with the position of every node."""
+    out: list = []
+    todo = [(forms, out)]
+    while todo:
+        nodes, into = todo.pop()
+        for node in nodes:
+            if isinstance(node, Atom):
+                into.append(("atom", node.text, node.line, node.col))
+            else:
+                children: list = []
+                into.append(("list", node.line, node.col, children))
+                todo.append((node, children))
+    return out
+
+
+def read_outcome(read, text: str):
+    try:
+        return shape(read(text))
+    except SygusSyntaxError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+# The reader's delimiters, the whitespace it does not treat as a delimiter
+# (form feed), a literal and a non-ASCII letter.
+READER_PIECES = st.sampled_from(["(", ")", ";", " ", "\t", "\r", "\n", "\f", "#x01", "é"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(READER_PIECES, max_size=60).map("".join))
+def test_reader_matches_reference_reader(text):
+    assert read_outcome(read_sexprs, text) == read_outcome(reference_reader.read_sexprs, text)

@@ -19,9 +19,12 @@ from bvsynth.semantics import (
     app,
     bound_operators,
     const,
+    eval_columns,
     eval_expr,
     expr_to_sexpr,
 )
+
+import bruteforce
 
 MASK64 = (1 << 64) - 1
 
@@ -86,6 +89,13 @@ def test_eval_mixed_width_rejected():
         eval_expr(app("bvand", Var("x"), const(8, 1)), {"x": bv64(1)})
     with pytest.raises(WidthMismatch):
         eval_expr(Var("x"), {"x": BitVecValue(8, 1), "y": bv64(1)})
+    # With the width given, a variable's width is checked only where it occurs.
+    env = {"x": BitVecValue(8, 0x81), "y": bv64(1)}
+    assert eval_expr(app("shl1", Var("x")), env, 8) == BitVecValue(8, 0x02)
+    with pytest.raises(WidthMismatch, match="variable y has width 64, expected 8"):
+        eval_expr(app("bvand", Var("x"), Var("y")), env, 8)
+    with pytest.raises(UnboundVariable):
+        eval_expr(app("bvand", Var("z"), Var("y")), env, 8)
 
 
 def test_shift_semantics_pinned():
@@ -161,6 +171,30 @@ def test_if0_branch_law(c, t, e, x):
     whole = eval_expr(App("if0", (c, t, e)), env)
     branch = t if eval_expr(c, env).bits == 1 else e
     assert whole == eval_expr(branch, env)
+
+
+def edge_values(width: int):
+    """Input values at the edges of the operators: shift amounts just below,
+    at and above the width, the sign bit, and all ones."""
+    mask = (1 << width) - 1
+    edges = {0, 1, width - 1, width, width + 1, 16, 1 << (width - 1), mask}
+    return st.sampled_from(sorted(v for v in edges if v <= mask)) | st.integers(0, mask)
+
+
+@st.composite
+def expr_on_columns(draw):
+    width = draw(st.sampled_from([1, 2, 5, 8, 16, 17, 63, 64]))
+    n = draw(st.integers(0, 6))
+    xs = draw(st.lists(edge_values(width), min_size=n, max_size=n))
+    return draw(exprs(width)), width, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=expr_on_columns())
+def test_eval_columns_matches_bruteforce_evaluator(case):
+    e, width, xs = case
+    want = [bruteforce.value_on(e, ("x",), (x,), width) for x in xs]
+    assert eval_columns(e, {"x": xs}, width, len(xs)) == want
 
 
 @settings(max_examples=200)

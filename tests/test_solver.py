@@ -75,10 +75,16 @@ def test_stats_counters_are_consistent():
 
 
 def test_verify_solution_raises_on_wrong_program():
-    p = problem_of(grammar_of(BASE_OPS), [(3, 6)])
-    with pytest.raises(VerificationFailed) as info:
-        verify_solution(p, Var("x"))
-    assert info.value.index == 0
+    cases = [
+        ([(3, 6)], 0),
+        # x is wrong on examples 2 and 4; the first one is reported
+        ([(1, 1), (2, 2), (3, 9), (4, 4), (5, 7)], 2),
+    ]
+    for pairs, first_wrong in cases:
+        p = problem_of(grammar_of(BASE_OPS), pairs)
+        with pytest.raises(VerificationFailed) as info:
+            verify_solution(p, Var("x"))
+        assert info.value.index == first_wrong
 
 
 def test_size_budget_maps_to_unsolvable_example():
