@@ -68,7 +68,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     try:
         paths = generate_corpus(spec, Path(args.out))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(paths)} instances to {args.out}")
@@ -156,14 +156,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: not a directory: {directory}", file=sys.stderr)
         return 2
     solutions_dir = Path(args.solutions) if args.solutions else None
-    rows = bench_directory(directory, _limits(args), solutions_dir)
-    _print_table(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(row.cells())
+    try:
+        rows = bench_directory(directory, _limits(args), solutions_dir)
+        _print_table(rows)
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(CSV_COLUMNS)
+                for row in rows:
+                    writer.writerow(row.cells())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -15,53 +15,31 @@ from typing import Callable
 
 from .enumeration import signature_of, size_splits
 from .frontend import ConstTerminal, Grammar, OpRule, Production, VarTerminal
-from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, Var, expr_to_sexpr
+from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPERATORS, Var
+from .semantics import expr_to_sexpr
 
 
-def _uniform_grammar(width: int, ops: list[tuple[str, int]]) -> Grammar:
+def _uniform_grammar(width: int, ops: list[str]) -> Grammar:
     prods: list[Production] = [
         VarTerminal("x"),
         ConstTerminal(BitVecValue(width, 0)),
         ConstTerminal(BitVecValue(width, 1)),
     ]
-    for name, arity in ops:
-        prods.append(OpRule(name, ("Start",) * arity))
+    for name in ops:
+        prods.append(OpRule(name, ("Start",) * OPERATORS[name].arity))
     return Grammar(("Start",), {"Start": tuple(prods)}, "Start")
 
 
 def _icfp_grammar(width: int) -> Grammar:
     return _uniform_grammar(
-        width,
-        [
-            ("bvnot", 1),
-            ("shl1", 1),
-            ("shr1", 1),
-            ("shr4", 1),
-            ("shr16", 1),
-            ("bvand", 2),
-            ("bvor", 2),
-            ("bvxor", 2),
-            ("bvadd", 2),
-            ("if0", 3),
-        ],
+        width, ["bvnot", "shl1", "shr1", "shr4", "shr16", "bvand", "bvor", "bvxor", "bvadd", "if0"]
     )
 
 
 def _core_grammar(width: int) -> Grammar:
     return _uniform_grammar(
         width,
-        [
-            ("bvnot", 1),
-            ("bvand", 2),
-            ("bvor", 2),
-            ("bvxor", 2),
-            ("bvadd", 2),
-            ("bvsub", 2),
-            ("bvshl", 2),
-            ("bvlshr", 2),
-            ("bvashr", 2),
-            ("if0", 3),
-        ],
+        ["bvnot", "bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvshl", "bvlshr", "bvashr", "if0"],
     )
 
 
@@ -101,9 +79,7 @@ class CorpusSpec:
             raise ValueError("not enough distinct inputs at this width")
 
 
-def derivable_size_table(
-    grammar: Grammar, max_size: int, exclude: frozenset[str] = frozenset()
-) -> dict[str, list[bool]]:
+def derivable_size_table(grammar: Grammar, max_size: int) -> dict[str, list[bool]]:
     """table[nt][s] is True when ``nt`` derives some expression of exactly size s."""
     table = {nt: [False] * (max_size + 1) for nt in grammar.nonterminals}
     for s in range(1, max_size + 1):
@@ -113,7 +89,7 @@ def derivable_size_table(
                     if s == 1:
                         table[nt][s] = True
                         break
-                elif prod.op not in exclude and s - 1 >= len(prod.operands):
+                elif s - 1 >= len(prod.operands):
                     if any(
                         all(table[o][p] for o, p in zip(prod.operands, split))
                         for split in size_splits(s - 1, len(prod.operands))
@@ -123,14 +99,9 @@ def derivable_size_table(
     return table
 
 
-def sample_expr(
-    grammar: Grammar,
-    rng: random.Random,
-    size: int,
-    exclude: frozenset[str] = frozenset(),
-) -> Expr:
+def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
     """Sample a random expression of exactly ``size`` nodes from the grammar."""
-    table = derivable_size_table(grammar, size, exclude)
+    table = derivable_size_table(grammar, size)
 
     def sample(nt: str, s: int) -> Expr:
         options: list[tuple[Production, list[tuple[int, ...]]]] = []
@@ -138,7 +109,7 @@ def sample_expr(
             if isinstance(prod, (VarTerminal, ConstTerminal)):
                 if s == 1:
                     options.append((prod, []))
-            elif prod.op not in exclude and s - 1 >= len(prod.operands):
+            elif s - 1 >= len(prod.operands):
                 splits = [
                     split
                     for split in size_splits(s - 1, len(prod.operands))

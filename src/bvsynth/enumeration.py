@@ -26,6 +26,7 @@ order.
 from __future__ import annotations
 
 import operator
+import sys
 import time
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
@@ -164,7 +165,6 @@ class EnumerationState:
             nt: [[]] for nt in grammar.nonterminals
         }
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
-        self.completed_size = 0
         self.evaluations = 0  # every constructed (node, signature), terminals included
         self.stored = 0
         self.pruned = 0
@@ -245,18 +245,10 @@ class EnumerationState:
                             if arity == 1:
                                 for ea, sa in pools[0]:
                                     yield self._record(nt, size, (op, ea), fn(sa))
-                            elif arity == 2:
+                            else:  # binary: if0, the one ternary operator, is skipped above
                                 for ea, sa in pools[0]:
                                     for eb, sb in pools[1]:
                                         yield self._record(nt, size, (op, ea, eb), fn(sa, sb))
-                            else:
-                                for ea, sa in pools[0]:
-                                    for eb, sb in pools[1]:
-                                        for ec, sc in pools[2]:
-                                            yield self._record(
-                                                nt, size, (op, ea, eb, ec), fn(sa, sb, sc)
-                                            )
-            self.completed_size = size
             size += 1
 
     def _next_event(self) -> Event | None:
@@ -350,14 +342,12 @@ class EnumerationState:
 
     def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
         """Every retained (expr, signature) pair at ``nt`` of size at most
-        ``max_size``, in stream order, once the stream has completed layer
-        ``max_size`` (or run out).  Signatures are per-example tuples."""
-        while self.completed_size < max_size:
-            event = self._next_event()
-            if event is None:
-                break
-            if event[1] > max_size:
-                self._pending = event
-                break
+        ``max_size``, in stream order.  A search that accepts nothing first
+        drives the stream until layer ``max_size`` is complete (or the stream
+        runs out).  Signatures are per-example tuples."""
+        try:
+            self.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
+        except (NotFound, Exhausted):
+            pass
         layers = self._pools[nt][: max_size + 1]
         return [(expr_of(node), self.lanes(sig)) for layer in layers for node, sig in layer]

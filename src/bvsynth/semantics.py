@@ -42,95 +42,29 @@ class BitVecValue:
 
 @dataclass(frozen=True)
 class Operator:
-    """A named total operation; ``bind(width)`` returns the int-level function."""
+    """A named total operation; ``bound_operators`` holds its int-level function."""
 
     name: str
     arity: int
-    bind: Callable[[int], Callable[..., int]]
-
-
-def _bvnot(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    return lambda a: ~a & mask
-
-
-def _bvand(width: int) -> Callable[..., int]:
-    return lambda a, b: a & b
-
-
-def _bvor(width: int) -> Callable[..., int]:
-    return lambda a, b: a | b
-
-
-def _bvxor(width: int) -> Callable[..., int]:
-    return lambda a, b: a ^ b
-
-
-def _bvadd(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    return lambda a, b: (a + b) & mask
-
-
-def _bvsub(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    return lambda a, b: (a - b) & mask
-
-
-def _bvshl(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    return lambda a, b: (a << b) & mask if b < width else 0
-
-
-def _bvlshr(width: int) -> Callable[..., int]:
-    return lambda a, b: a >> b if b < width else 0
-
-
-def _bvashr(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    sign = 1 << (width - 1)
-    top = width - 1
-
-    def ashr(a: int, b: int) -> int:
-        signed = a - (sign << 1) if a & sign else a
-        return (signed >> (b if b < width else top)) & mask
-
-    return ashr
-
-
-def _shl1(width: int) -> Callable[..., int]:
-    mask = (1 << width) - 1
-    return lambda a: (a << 1) & mask
-
-
-def _shr(amount: int) -> Callable[[int], Callable[..., int]]:
-    def build(width: int) -> Callable[..., int]:
-        return lambda a: a >> amount
-
-    return build
-
-
-def _if0(width: int) -> Callable[..., int]:
-    # The then-branch is taken exactly when the condition equals 1.
-    return lambda c, t, e: t if c == 1 else e
 
 
 OPERATORS: dict[str, Operator] = {
-    op.name: op
-    for op in (
-        Operator("bvnot", 1, _bvnot),
-        Operator("bvand", 2, _bvand),
-        Operator("bvor", 2, _bvor),
-        Operator("bvxor", 2, _bvxor),
-        Operator("bvadd", 2, _bvadd),
-        Operator("bvsub", 2, _bvsub),
-        Operator("bvshl", 2, _bvshl),
-        Operator("bvlshr", 2, _bvlshr),
-        Operator("bvashr", 2, _bvashr),
-        Operator("shl1", 1, _shl1),
-        Operator("shr1", 1, _shr(1)),
-        Operator("shr4", 1, _shr(4)),
-        Operator("shr16", 1, _shr(16)),
-        Operator("if0", 3, _if0),
+    name: Operator(name, arity)
+    for name, arity in (
+        ("bvnot", 1),
+        ("bvand", 2),
+        ("bvor", 2),
+        ("bvxor", 2),
+        ("bvadd", 2),
+        ("bvsub", 2),
+        ("bvshl", 2),
+        ("bvlshr", 2),
+        ("bvashr", 2),
+        ("shl1", 1),
+        ("shr1", 1),
+        ("shr4", 1),
+        ("shr16", 1),
+        ("if0", 3),
     )
 }
 
@@ -138,7 +72,30 @@ OPERATORS: dict[str, Operator] = {
 @lru_cache(maxsize=None)
 def bound_operators(width: int) -> dict[str, Callable[..., int]]:
     """Width-specialised implementations for every catalogue operator."""
-    return {name: op.bind(width) for name, op in OPERATORS.items()}
+    mask = (1 << width) - 1
+    sign = 1 << (width - 1)
+
+    def ashr(a: int, b: int) -> int:
+        signed = a - (sign << 1) if a & sign else a
+        return (signed >> (b if b < width else width - 1)) & mask
+
+    return {
+        "bvnot": lambda a: ~a & mask,
+        "bvand": lambda a, b: a & b,
+        "bvor": lambda a, b: a | b,
+        "bvxor": lambda a, b: a ^ b,
+        "bvadd": lambda a, b: (a + b) & mask,
+        "bvsub": lambda a, b: (a - b) & mask,
+        "bvshl": lambda a, b: (a << b) & mask if b < width else 0,
+        "bvlshr": lambda a, b: a >> b if b < width else 0,
+        "bvashr": ashr,
+        "shl1": lambda a: (a << 1) & mask,
+        "shr1": lambda a: a >> 1,
+        "shr4": lambda a: a >> 4,
+        "shr16": lambda a: a >> 16,
+        # The then-branch is taken exactly when the condition equals 1.
+        "if0": lambda c, t, e: t if c == 1 else e,
+    }
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     UnunifiablePair,
 )
 from .enumeration import EnumerationState, SearchResult, Signature
-from .frontend import ConstTerminal, Grammar, Problem, VarTerminal
+from .frontend import Grammar, OpRule, Problem, VarTerminal
 from .semantics import App, Const, Expr, Var
 
 
@@ -119,13 +119,6 @@ def find_condition(
         raise UnunifiablePair(a, b, str(exc)) from exc
 
 
-def _split(found: SearchResult, a: int, leaf_a: Leaf, other: Tree) -> Internal:
-    """An if0 node on ``found`` that sends example ``a`` to ``leaf_a``."""
-    if found.signature[a] == 1:
-        return Internal(found.expr, found.signature, leaf_a, other)
-    return Internal(found.expr, found.signature, other, leaf_a)
-
-
 def insert_example(
     problem: Problem,
     engine: EnumerationState,
@@ -141,118 +134,113 @@ def insert_example(
     separating the example from the leaf's lowest-index representative; any
     bucket member the new condition routes away is re-inserted.
     """
-    work: deque[tuple[int, Expr]] = deque([(index, tmap.assignment[index])])
+    work = deque([index])
     while work:
-        i, expr_i = work.popleft()
-        tree = _insert_one(problem, engine, limits, tree, i, expr_i, work)
-    return tree
+        i = work.popleft()
+        expr_i = tmap.assignment[i]
+        parent: Internal | None = None
+        node = tree
+        while isinstance(node, Internal):
+            parent = node
+            node = node.then_child if node.signature[i] == 1 else node.else_child
+        if node.expr == expr_i:
+            node.bucket.add(i)
+            continue
 
-
-def _insert_one(
-    problem: Problem,
-    engine: EnumerationState,
-    limits,
-    tree: Tree,
-    i: int,
-    expr_i: Expr,
-    work: deque,
-) -> Tree:
-    parent: Internal | None = None
-    node = tree
-    while isinstance(node, Internal):
-        parent = node
-        node = node.then_child if node.signature[i] == 1 else node.else_child
-
-    if node.expr == expr_i:
-        node.bucket.add(i)
-        return tree
-
-    representative = min(node.bucket)
-    found = find_condition(problem, engine, i, representative, limits)
-    replacement = _split(found, i, Leaf(expr_i, {i}), node)
-    # The pairwise condition constrains only the representative; any other
-    # bucket member it routes away from the representative must be
-    # re-inserted to keep every bucket sound.
-    sig = found.signature
-    for m in sorted(node.bucket):
-        if (sig[m] == 1) != (sig[representative] == 1):
-            node.bucket.discard(m)
-            work.append((m, node.expr))
-    if parent is None:
-        return replacement
-    if parent.signature[i] == 1:
-        parent.then_child = replacement
-    else:
-        parent.else_child = replacement
+        representative = min(node.bucket)
+        found = find_condition(problem, engine, i, representative, limits)
+        sig = found.signature
+        if sig[i] == 1:
+            replacement = Internal(found.expr, sig, Leaf(expr_i, {i}), node)
+        else:
+            replacement = Internal(found.expr, sig, node, Leaf(expr_i, {i}))
+        # The pairwise condition constrains only the representative; any other
+        # bucket member it routes away from the representative must be
+        # re-inserted to keep every bucket sound.
+        for m in sorted(node.bucket):
+            if (sig[m] == 1) != (sig[representative] == 1):
+                node.bucket.discard(m)
+                work.append(m)
+        if parent is None:
+            tree = replacement
+        elif parent.signature[i] == 1:
+            parent.then_child = replacement
+        else:
+            parent.else_child = replacement
     return tree
 
 
 def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, limits) -> Tree:
-    """Unify a terminal map with at least two distinct expressions."""
+    """Unify a terminal map with at least two distinct expressions: the first
+    example in rank order starts a leaf and every other one is inserted."""
     if tmap.distinct() < 2:
         raise ValueError("build_tree needs at least two distinct terminal expressions")
-    order = rank_examples(tmap)
-    first = order[0]
-    second = next(j for j in order if tmap.assignment[j] != tmap.assignment[first])
-    found = find_condition(problem, engine, first, second, limits)
-    tree: Tree = _split(
-        found, first, Leaf(tmap.assignment[first], {first}), Leaf(tmap.assignment[second], {second})
-    )
-    for index in order:
-        if index == first or index == second:
-            continue
+    first, *rest = rank_examples(tmap)
+    tree: Tree = Leaf(tmap.assignment[first], {first})
+    for index in rest:
         tree = insert_example(problem, engine, tmap, limits, tree, index)
     return tree
 
 
 def tree_to_expr(tree: Tree, grammar: Grammar) -> Expr:
     """Materialise the tree as nested if0 applications; must stay in-grammar."""
-
-    def compose(node: Tree) -> Expr:
+    done: list[Expr] = []
+    todo: list[tuple[Tree, bool]] = [(tree, False)]  # True once both branches are on done
+    while todo:
+        node, branches_done = todo.pop()
         if isinstance(node, Leaf):
-            return node.expr
-        return App("if0", (node.condition, compose(node.then_child), compose(node.else_child)))
-
-    expr = compose(tree)
+            done.append(node.expr)
+        elif branches_done:
+            then_expr, else_expr = done[-2:]
+            done[-2:] = [App("if0", (node.condition, then_expr, else_expr))]
+        else:
+            todo += ((node, True), (node.else_child, False), (node.then_child, False))
+    expr = done[0]
     if not derives(grammar, grammar.start, expr):
         raise GrammarViolation("assembled solution is not derivable from the grammar")
     return expr
 
 
-def derives(grammar: Grammar, nt: str, expr: Expr, _memo: dict | None = None) -> bool:
-    """Whether ``nt`` derives ``expr`` under the grammar."""
-    if _memo is None:
-        _memo = {}
-    key = (nt, expr)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    for prod in grammar.productions[nt]:
-        if isinstance(prod, VarTerminal):
-            if isinstance(expr, Var) and expr.name == prod.name:
-                result = True
-                break
-        elif isinstance(prod, ConstTerminal):
-            if isinstance(expr, Const) and expr.value == prod.value:
-                result = True
-                break
+def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
+    """Whether ``nt`` derives ``expr`` under the grammar.  An iterative
+    postorder walk finds, bottom-up, the set of nonterminals deriving each
+    node from the sets of its operands."""
+    leaf_nts: dict[Expr, set[str]] = {}
+    op_rules: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for owner, prods in grammar.productions.items():
+        for prod in prods:
+            if isinstance(prod, OpRule):
+                op_rules.setdefault(prod.op, []).append((owner, prod.operands))
+            else:
+                key = Var(prod.name) if isinstance(prod, VarTerminal) else Const(prod.value)
+                leaf_nts.setdefault(key, set()).add(owner)
+    done: list[set[str]] = []
+    todo: list[tuple[Expr, bool]] = [(expr, False)]  # True once the operands are on done
+    while todo:
+        e, operands_done = todo.pop()
+        if operands_done:
+            k = len(e.args)
+            args = done[-k:]
+            done[-k:] = [
+                {
+                    owner
+                    for owner, operands in op_rules.get(e.op, ())
+                    if len(operands) == k and all(o in a for o, a in zip(operands, args))
+                }
+            ]
+        elif isinstance(e, App):
+            todo.append((e, True))
+            todo.extend((a, False) for a in reversed(e.args))
         else:
-            if (
-                isinstance(expr, App)
-                and expr.op == prod.op
-                and len(expr.args) == len(prod.operands)
-                and all(
-                    derives(grammar, o, a, _memo) for o, a in zip(prod.operands, expr.args)
-                )
-            ):
-                result = True
-                break
-    _memo[key] = result
-    return result
+            done.append(leaf_nts.get(e, set()))
+    return nt in done[0]
 
 
 def internal_node_count(tree: Tree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + internal_node_count(tree.then_child) + internal_node_count(tree.else_child)
+    count, todo = 0, [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Internal):
+            count += 1
+            todo += (node.then_child, node.else_child)
+    return count

@@ -143,3 +143,36 @@ def min_condition(
     return min_matching(
         grammar, params, rows, width, pred, max_size, exclude=frozenset({"if0"}), nt=nt
     )
+
+
+def derives(grammar: Grammar, nt: str, expr: Expr, _memo: dict | None = None) -> bool:
+    """Reference for ``unify.derives``: recursive, memoised on (nt, expr)."""
+    if _memo is None:
+        _memo = {}
+    key = (nt, expr)
+    cached = _memo.get(key)
+    if cached is not None:
+        return cached
+    result = False
+    for prod in grammar.productions[nt]:
+        if isinstance(prod, VarTerminal):
+            if isinstance(expr, Var) and expr.name == prod.name:
+                result = True
+                break
+        elif isinstance(prod, ConstTerminal):
+            if isinstance(expr, Const) and expr.value == prod.value:
+                result = True
+                break
+        else:
+            if (
+                isinstance(expr, App)
+                and expr.op == prod.op
+                and len(expr.args) == len(prod.operands)
+                and all(
+                    derives(grammar, o, a, _memo) for o, a in zip(prod.operands, expr.args)
+                )
+            ):
+                result = True
+                break
+    _memo[key] = result
+    return result

@@ -11,6 +11,7 @@ generator pieces a workload is built from (``bvsynth.corpus``,
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
 import json
 import sys
@@ -109,3 +110,27 @@ def test_workload_generation_matches_pinned_fingerprint(name):
     pinned = json.loads(workloads.FINGERPRINTS.read_text(encoding="utf-8"))[name][str(seed)]
     texts = workloads.generate(workloads.WORKLOADS[name], seed)
     assert workloads.fingerprint(texts) == pinned
+
+
+# The emitted solutions and the engine counters (built, stored, pruned,
+# inspected) of all 300 enum32 and the first 60 wide200 instances of the canary
+# seed, hashed together.  A refactor that keeps solving behaviour identical
+# keeps this hash.  A change that alters solutions or counters on purpose
+# says which and why, and re-pins it.
+IDENTITY_SLICE = {"enum32": 300, "wide200": 60}
+IDENTITY_SHA256 = "d886dc1fd4cacb289a0b6ba80eeef78a2293ee68ce995ee6aa68509789ebea63"
+
+
+def test_solutions_and_counters_match_pinned_identity():
+    digest = hashlib.sha256()
+    for name, count in IDENTITY_SLICE.items():
+        workload = workloads.WORKLOADS[name]
+        limits = bvsynth.SearchLimits(max_size=workload.max_size)
+        for text in workloads.generate(workload, workloads.CANARY_SEED)[:count]:
+            problem = bvsynth.parse_problem(text)
+            result = bvsynth.solve_problem(problem, limits)
+            s = result.stats
+            counters = (s.evaluations, s.signatures_stored, s.pruned_duplicates, s.candidates)
+            line = f"{bvsynth.emit_solution(problem, result.solution)}\t{counters}\n"
+            digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == IDENTITY_SHA256

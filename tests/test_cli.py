@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +203,32 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
         for ex in problem.examples:
             env = dict(zip(parsed.params, ex.inputs))
             assert eval_expr(parsed.body, env, problem.width) == ex.output
+
+
+GEN_ONE = [
+    "gen", "--count", "1", "--seed", "3", "--size-min", "2", "--size-max", "3",
+    "--examples", "3", "--width", "8",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda corpus, taken: ["bench", str(corpus), "--solutions", str(taken)],
+        lambda corpus, taken: ["bench", str(corpus), "--csv", str(corpus)],
+        lambda corpus, taken: GEN_ONE + ["--out", str(taken)],
+    ],
+    ids=["bench-solutions-is-a-file", "bench-csv-is-a-directory", "gen-out-is-a-file"],
+)
+def test_unwritable_output_path_exits_2_with_one_line(tmp_path, capsys, argv):
+    corpus = tmp_path / "corpus"
+    assert main(GEN_ONE + ["--out", str(corpus)]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv(corpus, taken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_entry_via_python_m(tmp_path):

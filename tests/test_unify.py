@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
-from bvsynth.frontend import ConstTerminal, Grammar, OpRule, VarTerminal
-from bvsynth.semantics import BitVecValue, Const, Var, app, const, contains_op, eval_expr
-from bvsynth.solver import SearchLimits
+from bvsynth.frontend import ConstTerminal, Grammar, OpRule, VarTerminal, emit_solution
+from bvsynth.semantics import App, BitVecValue, Var, app, const, contains_op, eval_expr
+from bvsynth.solver import SearchLimits, verify_solution
 from bvsynth.unify import (
     Internal,
     Leaf,
@@ -28,6 +31,16 @@ from helpers import conditions, engine_for, grammar_of, leaves, problem_of, rout
 
 LIMITS = SearchLimits()
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
+# Conditions come from Cond, and both if0 branches from Term.
+START_COND_TERM = Grammar(
+    ("Start", "Cond", "Term"),
+    {
+        "Start": (OpRule("if0", ("Cond", "Term", "Term")), VarTerminal("x")),
+        "Cond": (VarTerminal("x"), ConstTerminal(BitVecValue(8, 1))),
+        "Term": (ConstTerminal(BitVecValue(8, 0)),),
+    },
+    "Start",
+)
 
 
 def assert_tree_sound(problem, tree, tmap):
@@ -168,17 +181,7 @@ def test_find_condition_ununifiable_when_language_runs_out():
 
 def test_condition_nonterminal_is_if0_first_operand():
     assert condition_nonterminal(grammar_of(BASE_OPS)) == "Start"
-    w = 8
-    grammar = Grammar(
-        ("Start", "Cond", "Term"),
-        {
-            "Start": (OpRule("if0", ("Cond", "Term", "Term")), VarTerminal("x")),
-            "Cond": (VarTerminal("x"), ConstTerminal(BitVecValue(w, 1))),
-            "Term": (ConstTerminal(BitVecValue(w, 0)),),
-        },
-        "Start",
-    )
-    assert condition_nonterminal(grammar) == "Cond"
+    assert condition_nonterminal(START_COND_TERM) == "Cond"
 
 
 # -- route / insert -----------------------------------------------------------
@@ -334,20 +337,10 @@ def test_tree_to_expr_composes_if0():
 
 
 def test_tree_to_expr_grammar_violation():
-    w = 8
-    grammar = Grammar(
-        ("Start", "Cond", "Term"),
-        {
-            "Start": (OpRule("if0", ("Cond", "Term", "Term")), VarTerminal("x")),
-            "Cond": (VarTerminal("x"), ConstTerminal(BitVecValue(w, 1))),
-            "Term": (ConstTerminal(BitVecValue(w, 0)),),
-        },
-        "Start",
-    )
     # The leaf x is not derivable from Term, the if0 branch nonterminal.
-    tree = Internal(Var("x"), (1, 0), Leaf(Var("x"), {0}), Leaf(Const(BitVecValue(w, 0)), {1}))
+    tree = Internal(Var("x"), (1, 0), Leaf(Var("x"), {0}), Leaf(const(8, 0), {1}))
     with pytest.raises(GrammarViolation):
-        tree_to_expr(tree, grammar)
+        tree_to_expr(tree, START_COND_TERM)
 
 
 def test_derives_respects_nonterminal_structure():
@@ -356,3 +349,74 @@ def test_derives_respects_nonterminal_structure():
     assert derives(g, "Start", app("if0", Var("x"), const(64, 0), Var("x")))
     assert not derives(g, "Start", app("bvadd", Var("x"), Var("x")))  # bvadd not in grammar
     assert not derives(g, "Start", const(64, 7))  # constant 7 is not a terminal
+
+
+# Expressions over x, y and the constants 0-2 at width 8, and grammars whose
+# nonterminals each take a random set of terminals (all but the constant 2)
+# and of operator rules over random operand nonterminals.
+ARITY = {"bvnot": 1, "shr1": 1, "bvand": 2, "bvadd": 2, "if0": 3}
+TERMINALS = [
+    VarTerminal("x"),
+    VarTerminal("y"),
+    ConstTerminal(BitVecValue(8, 0)),
+    ConstTerminal(BitVecValue(8, 1)),
+]
+
+
+@st.composite
+def grammars(draw):
+    nts = ("Start", "A", "B")[: draw(st.integers(2, 3))]
+    rule = st.one_of(
+        st.sampled_from(TERMINALS),
+        st.sampled_from(sorted(ARITY)).flatmap(
+            lambda op: st.tuples(*[st.sampled_from(nts)] * ARITY[op]).map(
+                lambda operands: OpRule(op, operands)
+            )
+        ),
+    )
+    productions = {
+        nt: tuple(draw(st.lists(rule, min_size=1, max_size=6, unique=True))) for nt in nts
+    }
+    return Grammar(nts, productions, "Start")
+
+
+def expressions():
+    leaves = st.sampled_from([Var("x"), Var("y"), const(8, 0), const(8, 1), const(8, 2)])
+    return st.recursive(
+        leaves,
+        lambda args: st.sampled_from(sorted(ARITY)).flatmap(
+            lambda op: st.tuples(*[args] * ARITY[op]).map(lambda a: App(op, a))
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_derives_matches_recursive_reference(data):
+    grammar = data.draw(st.one_of(st.just(START_COND_TERM), grammars()))
+    exprs = [data.draw(expressions())]
+    # ... and one derivable expression, when the start symbol derives any.
+    table = derivable_size_table(grammar, 7)
+    sizes = [s for s in range(1, 8) if table[grammar.start][s]]
+    if sizes:
+        rng = data.draw(st.randoms(use_true_random=False))
+        exprs.append(sample_expr(grammar, rng, rng.choice(sizes)))
+        assert derives(grammar, grammar.start, exprs[-1])
+    for expr in exprs:
+        for nt in grammar.nonterminals:
+            assert derives(grammar, nt, expr) == bruteforce.derives(grammar, nt, expr), (nt, expr)
+
+
+def test_deep_tree_walks_are_iterative():
+    # A chain of 3,000 if0 nodes whose conditions are the constant 0, so
+    # every example takes each else-branch down to the leaf x.
+    p = problem_of(grammar_of(BASE_OPS, width=8), [(5, 5), (9, 9)], width=8)
+    tree = Leaf(Var("x"), {0, 1})
+    for _ in range(3000):
+        tree = Internal(const(8, 0), (0, 0), Leaf(const(8, 0), set()), tree)
+    assert internal_node_count(tree) == 3000
+    solution = tree_to_expr(tree, p.grammar)
+    assert solution.size == 3 * 3000 + 1
+    verify_solution(p, solution)
+    assert emit_solution(p, solution).count("(if0 #x00 #x00 ") == 3000
