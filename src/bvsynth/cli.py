@@ -11,6 +11,7 @@ import csv
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,14 +158,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     solutions_dir = Path(args.solutions) if args.solutions else None
     try:
-        rows = bench_directory(directory, _limits(args), solutions_dir)
-        _print_table(rows)
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
+        # opened before the first solve, so an unwritable path fails at once
+        csv_file = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else nullcontext()
+        with csv_file as handle:
+            rows = bench_directory(directory, _limits(args), solutions_dir)
+            _print_table(rows)
+            if handle is not None:
                 writer = csv.writer(handle)
                 writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    writer.writerow(row.cells())
+                writer.writerows(row.cells() for row in rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,16 +14,16 @@ from pathlib import Path
 from typing import Callable
 
 from .enumeration import signature_of, size_splits
-from .frontend import ConstTerminal, Grammar, OpRule, Production, VarTerminal
+from .frontend import Grammar, OpRule, Production
 from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPERATORS, Var
 from .semantics import expr_to_sexpr
 
 
 def _uniform_grammar(width: int, ops: list[str]) -> Grammar:
     prods: list[Production] = [
-        VarTerminal("x"),
-        ConstTerminal(BitVecValue(width, 0)),
-        ConstTerminal(BitVecValue(width, 1)),
+        Var("x"),
+        Const(BitVecValue(width, 0)),
+        Const(BitVecValue(width, 1)),
     ]
     for name in ops:
         prods.append(OpRule(name, ("Start",) * OPERATORS[name].arity))
@@ -85,7 +85,7 @@ def derivable_size_table(grammar: Grammar, max_size: int) -> dict[str, list[bool
     for s in range(1, max_size + 1):
         for nt in grammar.nonterminals:
             for prod in grammar.productions[nt]:
-                if isinstance(prod, (VarTerminal, ConstTerminal)):
+                if not isinstance(prod, OpRule):
                     if s == 1:
                         table[nt][s] = True
                         break
@@ -106,7 +106,7 @@ def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
     def sample(nt: str, s: int) -> Expr:
         options: list[tuple[Production, list[tuple[int, ...]]]] = []
         for prod in grammar.productions[nt]:
-            if isinstance(prod, (VarTerminal, ConstTerminal)):
+            if not isinstance(prod, OpRule):
                 if s == 1:
                     options.append((prod, []))
             elif s - 1 >= len(prod.operands):
@@ -120,10 +120,8 @@ def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
         if not options:
             raise ValueError(f"nonterminal {nt!r} derives nothing of size {s}")
         prod, splits = rng.choice(options)
-        if isinstance(prod, VarTerminal):
-            return Var(prod.name)
-        if isinstance(prod, ConstTerminal):
-            return Const(prod.value)
+        if not isinstance(prod, OpRule):
+            return prod
         split = rng.choice(splits)
         return App(prod.op, tuple(sample(o, p) for o, p in zip(prod.operands, split)))
 
@@ -136,11 +134,9 @@ def render_grammar_block(grammar: Grammar, width: int, indent: str = "    ") -> 
     """The inline v1 grammar block of a synth-fun, one production per line."""
 
     def prod_text(prod: Production) -> str:
-        if isinstance(prod, VarTerminal):
-            return prod.name
-        if isinstance(prod, ConstTerminal):
-            return prod.value.literal()
-        return "({} {})".format(prod.op, " ".join(prod.operands))
+        if isinstance(prod, OpRule):
+            return "({} {})".format(prod.op, " ".join(prod.operands))
+        return expr_to_sexpr(prod)
 
     nt_blocks = []
     for nt in grammar.nonterminals:

@@ -31,7 +31,7 @@ import time
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import Exhausted, NotFound, TimeoutExceeded
-from .frontend import ConstTerminal, Grammar, OpRule, Problem, VarTerminal
+from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators, eval_columns
 
 Signature = tuple[int, ...]
@@ -219,15 +219,14 @@ class EnumerationState:
                 self._pools[nt].append([])
             for nt in grammar.nonterminals:
                 for prod in grammar.productions[nt]:
-                    if isinstance(prod, VarTerminal):
+                    if isinstance(prod, Var):
                         if size == 1:
                             column = self._col[prod.name]
                             sig = pack([row[column] for row in rows], self.width)
-                            yield self._record(nt, 1, Var(prod.name), sig)
-                    elif isinstance(prod, ConstTerminal):
+                            yield self._record(nt, 1, prod, sig)
+                    elif isinstance(prod, Const):
                         if size == 1:
-                            sig = prod.value.bits * self._ones
-                            yield self._record(nt, 1, Const(prod.value), sig)
+                            yield self._record(nt, 1, prod, prod.value.bits * self._ones)
                     else:
                         if prod.op == "if0":
                             continue

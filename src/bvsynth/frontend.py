@@ -128,22 +128,12 @@ def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
 
 
 @dataclass(frozen=True)
-class VarTerminal:
-    name: str
-
-
-@dataclass(frozen=True)
-class ConstTerminal:
-    value: BitVecValue
-
-
-@dataclass(frozen=True)
 class OpRule:
     op: str
     operands: tuple[str, ...]
 
 
-Production = Union[VarTerminal, ConstTerminal, OpRule]
+Production = Union[Var, Const, OpRule]  # a leaf is the expression it derives
 
 
 @dataclass
@@ -201,17 +191,6 @@ def _parse_sort_width(sx: SExpr) -> int:
     raise SygusSyntaxError("expected sort '(BitVec N)'", *_pos(sx))
 
 
-def _parse_params(sx: SExpr) -> list[tuple[str, int]]:
-    if not isinstance(sx, SList):
-        raise SygusSyntaxError("expected parameter list", *_pos(sx))
-    params = []
-    for item in sx:
-        if not (isinstance(item, SList) and len(item) == 2 and isinstance(item[0], Atom)):
-            raise SygusSyntaxError("expected '(name sort)' parameter", *_pos(item))
-        params.append((item[0].text, _parse_sort_width(item[1])))
-    return params
-
-
 def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar:
     if not isinstance(block, SList) or not block:
         raise SygusSyntaxError("expected a non-empty grammar block", *_pos(block))
@@ -241,24 +220,17 @@ def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar
             if isinstance(p, Atom):
                 lit = parse_literal(p, width)
                 if lit is not None:
-                    prods.append(ConstTerminal(lit))
+                    prods.append(Const(lit))
                 elif p.text in param_set:
-                    prods.append(VarTerminal(p.text))
+                    prods.append(Var(p.text))
                 elif p.text in nts:
                     raise SygusSyntaxError(f"unit production {p.text!r} is not supported", p.line, p.col)
                 else:
                     raise SygusSyntaxError(f"unknown grammar symbol {p.text!r}", p.line, p.col)
             else:
-                op_name = _head(p)
-                if op_name is None:
+                if _head(p) is None:
                     raise SygusSyntaxError("expected '(op Nonterminal...)'", *_pos(p))
-                operator = OPERATORS.get(op_name)
-                if operator is None:
-                    raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(p))
-                if len(p) - 1 != operator.arity:
-                    raise SygusSyntaxError(
-                        f"{op_name} expects {operator.arity} operands, got {len(p) - 1}", *_pos(p)
-                    )
+                op_name = _operator(p)
                 operands = []
                 for o in p[1:]:
                     if not (isinstance(o, Atom) and o.text in nts):
@@ -285,9 +257,7 @@ def _check_productive(grammar: Grammar) -> None:
             if nt in productive:
                 continue
             for prod in grammar.productions[nt]:
-                if isinstance(prod, (VarTerminal, ConstTerminal)) or all(
-                    o in productive for o in prod.operands
-                ):
+                if not isinstance(prod, OpRule) or all(o in productive for o in prod.operands):
                     productive.add(nt)
                     changed = True
                     break
@@ -296,29 +266,38 @@ def _check_productive(grammar: Grammar) -> None:
         raise SygusSyntaxError(f"nonterminal {vacuous[0]!r} derives no finite expression")
 
 
-def _parse_synth_fun(form: SList) -> tuple[str, tuple[str, ...], int, Grammar]:
-    if len(form) == 6:
+def _operator(sx: SList) -> str:
+    """The operator heading ``sx``, once it is known and given its arity."""
+    op_name = _head(sx)
+    operator = OPERATORS.get(op_name)
+    if operator is None:
+        raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(sx))
+    if len(sx) - 1 != operator.arity:
         raise SygusSyntaxError(
-            "SyGuS v2 grammar syntax (separate nonterminal declaration list) is not supported",
-            *_pos(form),
+            f"{op_name} expects {operator.arity} operands, got {len(sx) - 1}", *_pos(sx)
         )
-    if len(form) != 5:
-        raise SygusSyntaxError("expected '(synth-fun name (params) sort (grammar))'", *_pos(form))
-    if not isinstance(form[1], Atom):
-        raise SygusSyntaxError("expected function name", *_pos(form[1]))
-    name = form[1].text
-    params = _parse_params(form[2])
-    if len(params) != 1:
-        raise UnsupportedArity(f"synth-fun {name!r} must be unary, got {len(params)} parameters")
-    ret_width = _parse_sort_width(form[3])
-    for p_name, p_width in params:
-        if p_width != ret_width:
+    return op_name
+
+
+def _parse_fun(form: SList) -> tuple[str, tuple[str, ...], int]:
+    """Name, parameter names and width of ``(head name ((p sort)...) sort body)``."""
+    if len(form) != 5 or not isinstance(form[1], Atom):
+        raise SygusSyntaxError(f"malformed {form[0].text}", *_pos(form))
+    if not isinstance(form[2], SList):
+        raise SygusSyntaxError("expected parameter list", *_pos(form[2]))
+    params = []
+    for item in form[2]:
+        if not (isinstance(item, SList) and len(item) == 2 and isinstance(item[0], Atom)):
+            raise SygusSyntaxError("expected '(name sort)' parameter", *_pos(item))
+        params.append((item, _parse_sort_width(item[1])))
+    width = _parse_sort_width(form[3])
+    for item, p_width in params:
+        if p_width != width:
             raise SygusSyntaxError(
-                f"parameter {p_name!r} has width {p_width}, return sort has width {ret_width}"
+                f"parameter {item[0].text!r} has width {p_width}, return sort has width {width}",
+                *_pos(item),
             )
-    param_names = tuple(p for p, _ in params)
-    grammar = _parse_grammar(form[4], param_names, ret_width)
-    return name, param_names, ret_width, grammar
+    return form[1].text, tuple(item[0].text for item, _ in params), width
 
 
 def _check_define_fun(form: SList) -> None:
@@ -369,7 +348,15 @@ def parse_problem(text: str) -> Problem:
 
     if synth is None:
         raise SygusSyntaxError("missing synth-fun")
-    name, params, width, grammar = _parse_synth_fun(synth)
+    if len(synth) == 6:
+        raise SygusSyntaxError(
+            "SyGuS v2 grammar syntax (separate nonterminal declaration list) is not supported",
+            *_pos(synth),
+        )
+    name, params, width = _parse_fun(synth)
+    if len(params) != 1:
+        raise UnsupportedArity(f"synth-fun {name!r} must be unary, got {len(params)} parameters")
+    grammar = _parse_grammar(synth[4], params, width)
     if grammar.first_if0() is None:
         raise MissingIf0Rule(f"grammar of {name!r} has no production named if0")
     for var, var_width in declared.items():
@@ -384,86 +371,58 @@ def parse_problem(text: str) -> Problem:
 # PBE detection
 
 
-def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom) and sx[0].text == fname:
-        return list(sx[1:])
-    return None
-
-
-def _direct_example(
-    term: SExpr, fname: str, width: int
-) -> tuple[list[BitVecValue], BitVecValue] | None:
-    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "="):
-        return None
-    for call, lit in ((term[1], term[2]), (term[2], term[1])):
-        args = _app_args(call, fname)
-        if args is None:
-            continue
-        output = parse_literal(lit, width)
-        if output is None:
-            continue
-        inputs = [parse_literal(a, width) for a in args]
-        if any(v is None for v in inputs):
-            return None
-        return inputs, output  # type: ignore[return-value]
-    return None
-
-
-def _implication_example(
+def _example_of(
     term: SExpr, fname: str, width: int, declared: Mapping[str, int]
 ) -> tuple[list[BitVecValue], BitVecValue] | None:
-    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "=>"):
-        return None
-    antecedent, consequent = term[1], term[2]
-    equalities = list(antecedent[1:]) if _head(antecedent) == "and" else [antecedent]
+    """The inputs and output of an example constraint; None for any other term.
 
-    pinned: dict[str, BitVecValue] = {}
+    Direct form: ``(= (f lit...) lit)``, either way round.  Implication:
+    ``(=> (and (= v lit)... (= o (f arg...))) (= o lit))``, where the antecedent
+    pins declared variables and binds ``o`` to the one call, and each
+    argument is a literal or a pinned variable.
+    """
+    call: SList | None = None
     out_var: str | None = None
-    call_args: list[SExpr] | None = None
-    for eq in equalities:
-        if not (isinstance(eq, SList) and len(eq) == 3 and _head(eq) == "="):
-            return None
-        matched = False
-        for var_side, other in ((eq[1], eq[2]), (eq[2], eq[1])):
-            if not (isinstance(var_side, Atom) and var_side.text in declared):
-                continue
-            lit = parse_literal(other, width)
-            if lit is not None:
-                pinned[var_side.text] = lit
-                matched = True
-                break
-            args = _app_args(other, fname)
-            if args is not None:
-                if out_var is not None:
-                    return None
-                out_var = var_side.text
-                call_args = args
-                matched = True
-                break
-        if not matched:
-            return None
-    if out_var is None or call_args is None:
-        return None
-
-    if not (isinstance(consequent, SList) and len(consequent) == 3 and _head(consequent) == "="):
-        return None
-    output: BitVecValue | None = None
-    for var_side, other in ((consequent[1], consequent[2]), (consequent[2], consequent[1])):
-        if isinstance(var_side, Atom) and var_side.text == out_var:
-            output = parse_literal(other, width)
-            break
-    if output is None:
-        return None
-
-    inputs: list[BitVecValue] = []
-    for a in call_args:
-        lit = parse_literal(a, width)
-        if lit is None:
-            if isinstance(a, Atom) and a.text in pinned:
-                lit = pinned[a.text]
+    pinned: dict[str, BitVecValue] = {}
+    head = _head(term)
+    if head == "=>" and len(term) == 3:
+        antecedent, term = term[1], term[2]
+        for eq in antecedent[1:] if _head(antecedent) == "and" else [antecedent]:
+            if _head(eq) != "=" or len(eq) != 3:
+                return None
+            for var, other in ((eq[1], eq[2]), (eq[2], eq[1])):
+                if isinstance(var, Atom) and var.text in declared:
+                    lit = parse_literal(other, width)
+                    if lit is not None:
+                        pinned[var.text] = lit
+                        break
+                    if _head(other) == fname:
+                        if call is not None:
+                            return None  # a second call
+                        call, out_var = other, var.text
+                        break
             else:
                 return None
-        inputs.append(lit)
+        if call is None:
+            return None
+        head = _head(term)
+    if head != "=" or len(term) != 3:
+        return None
+    for side, lit in ((term[1], term[2]), (term[2], term[1])):
+        if out_var is None and _head(side) == fname:
+            call = side
+        elif not (isinstance(side, Atom) and side.text == out_var):
+            continue
+        output = parse_literal(lit, width)
+        if output is not None:
+            break
+    else:
+        return None
+    # every argument is parsed before any is rejected
+    args = call[1:]
+    inputs = [parse_literal(a, width) or isinstance(a, Atom) and pinned.get(a.text) for a in args]
+    if not all(inputs):
+        return None
     return inputs, output
 
 
@@ -481,9 +440,7 @@ def detect_pbe(
     examples: list[Example] = []
     seen: dict[tuple[int, ...], tuple[int, BitVecValue]] = {}
     for i, term in enumerate(constraints):
-        parsed = _direct_example(term, fname, width) or _implication_example(
-            term, fname, width, declared
-        )
+        parsed = _example_of(term, fname, width, declared)
         if parsed is None:
             raise NotPBE(f"not a PBE task: constraint {i} is not an input/output example")
         inputs, output = parsed
@@ -553,14 +510,7 @@ def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
             else:
                 raise SygusSyntaxError(f"unknown symbol {node.text!r}", node.line, node.col)
         else:
-            op_name = _head(node)
-            operator = OPERATORS.get(op_name) if op_name else None
-            if operator is None:
-                raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(node))
-            if len(node) - 1 != operator.arity:
-                raise SygusSyntaxError(
-                    f"{op_name} expects {operator.arity} operands, got {len(node) - 1}", *_pos(node)
-                )
+            _operator(node)
             todo.append((node, True))
             todo.extend((arg, False) for arg in reversed(node[1:]))
     return done[0]
@@ -571,14 +521,5 @@ def parse_solution(text: str) -> ParsedSolution:
     forms = read_sexprs(text)
     if len(forms) != 1 or _head(forms[0]) != "define-fun":
         raise SygusSyntaxError("expected a single define-fun")
-    form = forms[0]
-    if len(form) != 5 or not isinstance(form[1], Atom):
-        raise SygusSyntaxError("malformed define-fun", *_pos(form))
-    params = _parse_params(form[2])
-    width = _parse_sort_width(form[3])
-    for p_name, p_width in params:
-        if p_width != width:
-            raise SygusSyntaxError(f"parameter {p_name!r} width differs from return width")
-    names = tuple(p for p, _ in params)
-    body = parse_term(form[4], names, width)
-    return ParsedSolution(form[1].text, names, width, body)
+    name, params, width = _parse_fun(forms[0])
+    return ParsedSolution(name, params, width, parse_term(forms[0][4], params, width))

@@ -112,9 +112,14 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
+    """An operator application.  Hashing and equality never recurse: the hash
+    is computed at construction from the operands' hashes, and ``==`` walks
+    both trees with an explicit stack."""
+
     op: str
     args: "tuple[Expr, ...]"
     size: int = field(init=False, compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         operator = OPERATORS.get(self.op)
@@ -123,6 +128,27 @@ class App:
         if len(self.args) != operator.arity:
             raise ValueError(f"{self.op} expects {operator.arity} operands, got {len(self.args)}")
         object.__setattr__(self, "size", 1 + sum(a.size for a in self.args))
+        object.__setattr__(self, "_hash", hash((self.op, *map(hash, self.args))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, App):
+            return NotImplemented
+        todo: list[tuple[Expr, Expr]] = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not App or type(b) is not App:
+                if a != b:  # a leaf: Var or Const
+                    return False
+            elif a._hash != b._hash or a.op != b.op:
+                return False
+            else:
+                todo.extend(zip(a.args, b.args))
+        return True
 
 
 Expr = Union[Var, Const, App]

@@ -25,8 +25,8 @@ from .errors import (
     UnunifiablePair,
 )
 from .enumeration import EnumerationState, SearchResult, Signature
-from .frontend import Grammar, OpRule, Problem, VarTerminal
-from .semantics import App, Const, Expr, Var
+from .frontend import Grammar, OpRule, Problem
+from .semantics import App, Expr
 
 
 @dataclass
@@ -212,8 +212,7 @@ def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
             if isinstance(prod, OpRule):
                 op_rules.setdefault(prod.op, []).append((owner, prod.operands))
             else:
-                key = Var(prod.name) if isinstance(prod, VarTerminal) else Const(prod.value)
-                leaf_nts.setdefault(key, set()).add(owner)
+                leaf_nts.setdefault(prod, set()).add(owner)
     done: list[set[str]] = []
     todo: list[tuple[Expr, bool]] = [(expr, False)]  # True once the operands are on done
     while todo:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from bvsynth.frontend import ConstTerminal, Grammar, VarTerminal
+from bvsynth.frontend import Grammar
 from bvsynth.semantics import App, Const, Expr, Var, bound_operators
 
 
@@ -38,10 +38,10 @@ def exprs_of_size(
         return _memo[key]
     out: list[Expr] = []
     for prod in grammar.productions[nt]:
-        if isinstance(prod, VarTerminal):
+        if isinstance(prod, Var):
             if size == 1:
                 out.append(Var(prod.name))
-        elif isinstance(prod, ConstTerminal):
+        elif isinstance(prod, Const):
             if size == 1:
                 out.append(Const(prod.value))
         else:
@@ -155,11 +155,11 @@ def derives(grammar: Grammar, nt: str, expr: Expr, _memo: dict | None = None) ->
         return cached
     result = False
     for prod in grammar.productions[nt]:
-        if isinstance(prod, VarTerminal):
+        if isinstance(prod, Var):
             if isinstance(expr, Var) and expr.name == prod.name:
                 result = True
                 break
-        elif isinstance(prod, ConstTerminal):
+        elif isinstance(prod, Const):
             if isinstance(expr, Const) and expr.value == prod.value:
                 result = True
                 break

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from bvsynth.enumeration import EnumerationState, expr_of
-from bvsynth.frontend import ConstTerminal, Example, Grammar, OpRule, Problem, VarTerminal
-from bvsynth.semantics import OPERATORS, BitVecValue, eval_expr
+from bvsynth.frontend import Example, Grammar, OpRule, Problem
+from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import SearchLimits
 from bvsynth.unify import Internal, Leaf, Tree
 
@@ -15,8 +15,8 @@ LIMITS = SearchLimits()
 
 def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
     """Single-nonterminal grammar: x, the given constants, then ``ops`` in order."""
-    prods = [VarTerminal("x")]
-    prods += [ConstTerminal(BitVecValue(width, c)) for c in consts]
+    prods = [Var("x")]
+    prods += [Const(BitVecValue(width, c)) for c in consts]
     for name in ops:
         prods.append(OpRule(name, ("Start",) * OPERATORS[name].arity))
     if with_if0 and "if0" not in ops:

@@ -1,16 +1,23 @@
-"""The character-by-character s-expression reader, kept as a test oracle.
+"""Earlier versions of two frontend pieces, kept as test oracles.
 
-It walks the text one character at a time and counts lines and columns by
-hand, so it checks the frontend's regex reader from the outside: both must
-give the same tree, the same position on every node, and the same error.
+The character-by-character s-expression reader walks the text one character
+at a time and counts lines and columns by hand, so it checks the frontend's
+regex reader from the outside: both must give the same tree, the same
+position on every node, and the same error.
+
+The example matcher has one function per constraint shape (direct and
+implication), where the frontend shares one consequent loop and one argument
+resolution between them: both must accept the same examples and reject the
+same terms.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from bvsynth.errors import SygusSyntaxError
-from bvsynth.frontend import Atom, SExpr, SList
+from bvsynth.frontend import Atom, SExpr, SList, parse_literal
+from bvsynth.semantics import BitVecValue
 
 _DELIMS = frozenset(" \t\r\n();")
 
@@ -61,3 +68,101 @@ def read_sexprs(text: str) -> list[SExpr]:
     if len(stack) != 1:
         raise SygusSyntaxError("unclosed '('", stack[-1].line, stack[-1].col)
     return list(root)
+
+
+def _head(sx: SExpr) -> str | None:
+    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom):
+        return sx[0].text
+    return None
+
+
+def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
+    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom) and sx[0].text == fname:
+        return list(sx[1:])
+    return None
+
+
+def _direct_example(
+    term: SExpr, fname: str, width: int
+) -> tuple[list[BitVecValue], BitVecValue] | None:
+    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "="):
+        return None
+    for call, lit in ((term[1], term[2]), (term[2], term[1])):
+        args = _app_args(call, fname)
+        if args is None:
+            continue
+        output = parse_literal(lit, width)
+        if output is None:
+            continue
+        inputs = [parse_literal(a, width) for a in args]
+        if any(v is None for v in inputs):
+            return None
+        return inputs, output  # type: ignore[return-value]
+    return None
+
+
+def _implication_example(
+    term: SExpr, fname: str, width: int, declared: Mapping[str, int]
+) -> tuple[list[BitVecValue], BitVecValue] | None:
+    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "=>"):
+        return None
+    antecedent, consequent = term[1], term[2]
+    equalities = list(antecedent[1:]) if _head(antecedent) == "and" else [antecedent]
+
+    pinned: dict[str, BitVecValue] = {}
+    out_var: str | None = None
+    call_args: list[SExpr] | None = None
+    for eq in equalities:
+        if not (isinstance(eq, SList) and len(eq) == 3 and _head(eq) == "="):
+            return None
+        matched = False
+        for var_side, other in ((eq[1], eq[2]), (eq[2], eq[1])):
+            if not (isinstance(var_side, Atom) and var_side.text in declared):
+                continue
+            lit = parse_literal(other, width)
+            if lit is not None:
+                pinned[var_side.text] = lit
+                matched = True
+                break
+            args = _app_args(other, fname)
+            if args is not None:
+                if out_var is not None:
+                    return None
+                out_var = var_side.text
+                call_args = args
+                matched = True
+                break
+        if not matched:
+            return None
+    if out_var is None or call_args is None:
+        return None
+
+    if not (isinstance(consequent, SList) and len(consequent) == 3 and _head(consequent) == "="):
+        return None
+    output: BitVecValue | None = None
+    for var_side, other in ((consequent[1], consequent[2]), (consequent[2], consequent[1])):
+        if isinstance(var_side, Atom) and var_side.text == out_var:
+            output = parse_literal(other, width)
+            break
+    if output is None:
+        return None
+
+    inputs: list[BitVecValue] = []
+    for a in call_args:
+        lit = parse_literal(a, width)
+        if lit is None:
+            if isinstance(a, Atom) and a.text in pinned:
+                lit = pinned[a.text]
+            else:
+                return None
+        inputs.append(lit)
+    return inputs, output
+
+
+def example_of(
+    term: SExpr, fname: str, width: int, declared: Mapping[str, int]
+) -> tuple[list[BitVecValue], BitVecValue] | None:
+    """The matcher ``detect_pbe`` used before the two shapes shared one."""
+    return _direct_example(term, fname, width) or _implication_example(
+        term, fname, width, declared
+    )

@@ -17,14 +17,12 @@ from bvsynth.cli import main as cli_main
 from bvsynth.enumeration import EnumerationState, signature_of
 from bvsynth.errors import MissingIf0Rule, UnsupportedArity
 from bvsynth.frontend import (
-    ConstTerminal,
     Grammar,
     OpRule,
-    VarTerminal,
     parse_problem,
     parse_solution,
 )
-from bvsynth.semantics import OPERATORS, BitVecValue, contains_op, eval_expr
+from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, contains_op, eval_expr
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.unify import internal_node_count, map_terminals
@@ -129,14 +127,14 @@ MULTI_NT_GRAMMARS = [
         ("Start", "Cond"),
         {
             "Start": (
-                VarTerminal("x"),
-                ConstTerminal(BitVecValue(8, 0)),
+                Var("x"),
+                Const(BitVecValue(8, 0)),
                 OpRule("bvadd", ("Start", "Start")),
                 OpRule("if0", ("Cond", "Start", "Start")),
             ),
             "Cond": (
-                VarTerminal("x"),
-                ConstTerminal(BitVecValue(8, 1)),
+                Var("x"),
+                Const(BitVecValue(8, 1)),
                 OpRule("bvand", ("Cond", "Cond")),
             ),
         },
@@ -146,12 +144,12 @@ MULTI_NT_GRAMMARS = [
         ("Start", "Aux"),
         {
             "Start": (
-                VarTerminal("x"),
+                Var("x"),
                 OpRule("bvxor", ("Start", "Aux")),
                 OpRule("if0", ("Aux", "Start", "Start")),
             ),
             "Aux": (
-                ConstTerminal(BitVecValue(8, 1)),
+                Const(BitVecValue(8, 1)),
                 OpRule("shr1", ("Aux",)),
                 OpRule("bvnot", ("Start",)),
             ),

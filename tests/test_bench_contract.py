@@ -134,3 +134,33 @@ def test_solutions_and_counters_match_pinned_identity():
             line = f"{bvsynth.emit_solution(problem, result.solution)}\t{counters}\n"
             digest.update(line.encode("utf-8"))
     assert digest.hexdigest() == IDENTITY_SHA256
+
+
+# The budget verdicts of all 10 exhaust7 instances of the canary seed: each
+# solve's error text and its engine's counters (built, stored, pruned,
+# inspected), hashed together.  IDENTITY_SHA256 covers only solves that
+# succeed; this covers the path that builds the whole store and gives up.
+VERDICT_SHA256 = "60aa228abd4819bdf1686bcede7279e91cf9f6de45a7ab5f4b8e5d0eaf2f4a4e"
+
+
+def test_budget_verdicts_and_counters_match_pinned_identity(monkeypatch):
+    engines = []
+    for_problem = bvsynth.EnumerationState.for_problem.__func__
+
+    def capture(cls, *args, **kwargs):
+        engines.append(for_problem(cls, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(bvsynth.EnumerationState, "for_problem", classmethod(capture))
+    workload = workloads.WORKLOADS["exhaust7"]
+    limits = bvsynth.SearchLimits(max_size=workload.max_size)
+    digest = hashlib.sha256()
+    for text in workloads.generate(workload, workloads.CANARY_SEED):
+        engines.clear()
+        with pytest.raises(bvsynth.errors.SynthesisFailure) as verdict:
+            bvsynth.solve_problem(bvsynth.parse_problem(text), limits)
+        (engine,) = engines
+        counters = (engine.evaluations, engine.stored, engine.pruned, engine.inspected)
+        line = f"{type(verdict.value).__name__}: {verdict.value}\t{counters}\n"
+        digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == VERDICT_SHA256

@@ -227,8 +227,9 @@ def test_unwritable_output_path_exits_2_with_one_line(tmp_path, capsys, argv):
     taken.write_text("", encoding="utf-8")
     capsys.readouterr()
     assert main(argv(corpus, taken)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""  # nothing is solved before the failure
 
 
 def test_console_entry_via_python_m(tmp_path):

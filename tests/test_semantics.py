@@ -225,3 +225,25 @@ def test_expr_size_is_node_count():
     assert app("bvadd", Var("x"), Var("x")).size == 3
     nested = app("if0", Var("x"), app("bvnot", Var("x")), const(64, 1))
     assert nested.size == 5
+
+
+def test_deep_app_hashes_and_compares_without_recursion():
+    depth = 3000
+    built = []
+    for leaf in (Var("x"), Var("x"), Var("y")):
+        e = leaf
+        for _ in range(depth):
+            e = app("bvnot", e)
+        built.append(e)
+    body, copy, other = built
+    assert body is not copy and hash(body) == hash(copy)
+    assert body == copy and {body: 1}[copy] == 1
+    assert body != other and other != body
+
+
+@given(a=exprs(8), b=exprs(8))
+def test_app_equality_and_hash_follow_the_text(a, b):
+    assert (a == b) == (expr_to_sexpr(a) == expr_to_sexpr(b))
+    assert a == parse_term(read_sexprs(expr_to_sexpr(a))[0], ("x",), 8)
+    if a == b:
+        assert hash(a) == hash(b)

@@ -105,24 +105,24 @@ def test_grammar_violation_surfaces_from_solve():
     # Terminal search draws from Start, but the if0 branch nonterminal can
     # only derive the zero constant, so the assembled tree leaves the grammar.
     from bvsynth.errors import GrammarViolation
-    from bvsynth.frontend import ConstTerminal, Example, Grammar, OpRule, Problem, VarTerminal
-    from bvsynth.semantics import BitVecValue
+    from bvsynth.frontend import Example, Grammar, OpRule, Problem
+    from bvsynth.semantics import BitVecValue, Const, Var
 
     w = 8
     grammar = Grammar(
         ("Start", "Cond", "Term"),
         {
             "Start": (
-                VarTerminal("x"),
-                ConstTerminal(BitVecValue(w, 1)),
+                Var("x"),
+                Const(BitVecValue(w, 1)),
                 OpRule("if0", ("Cond", "Term", "Term")),
             ),
             "Cond": (
-                VarTerminal("x"),
-                ConstTerminal(BitVecValue(w, 1)),
+                Var("x"),
+                Const(BitVecValue(w, 1)),
                 OpRule("bvand", ("Cond", "Cond")),
             ),
-            "Term": (ConstTerminal(BitVecValue(w, 0)),),
+            "Term": (Const(BitVecValue(w, 0)),),
         },
         "Start",
     )

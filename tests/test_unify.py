@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
-from bvsynth.frontend import ConstTerminal, Grammar, OpRule, VarTerminal, emit_solution
-from bvsynth.semantics import App, BitVecValue, Var, app, const, contains_op, eval_expr
+from bvsynth.frontend import Grammar, OpRule, emit_solution
+from bvsynth.semantics import App, BitVecValue, Const, Var, app, const, contains_op, eval_expr
 from bvsynth.solver import SearchLimits, verify_solution
 from bvsynth.unify import (
     Internal,
@@ -35,9 +35,9 @@ BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 START_COND_TERM = Grammar(
     ("Start", "Cond", "Term"),
     {
-        "Start": (OpRule("if0", ("Cond", "Term", "Term")), VarTerminal("x")),
-        "Cond": (VarTerminal("x"), ConstTerminal(BitVecValue(8, 1))),
-        "Term": (ConstTerminal(BitVecValue(8, 0)),),
+        "Start": (OpRule("if0", ("Cond", "Term", "Term")), Var("x")),
+        "Cond": (Var("x"), Const(BitVecValue(8, 1))),
+        "Term": (Const(BitVecValue(8, 0)),),
     },
     "Start",
 )
@@ -356,10 +356,10 @@ def test_derives_respects_nonterminal_structure():
 # and of operator rules over random operand nonterminals.
 ARITY = {"bvnot": 1, "shr1": 1, "bvand": 2, "bvadd": 2, "if0": 3}
 TERMINALS = [
-    VarTerminal("x"),
-    VarTerminal("y"),
-    ConstTerminal(BitVecValue(8, 0)),
-    ConstTerminal(BitVecValue(8, 1)),
+    Var("x"),
+    Var("y"),
+    Const(BitVecValue(8, 0)),
+    Const(BitVecValue(8, 1)),
 ]
 
 
