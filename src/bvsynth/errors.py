@@ -27,11 +27,13 @@ class ProblemFormatError(BvSynthError):
 
 
 class SygusSyntaxError(ProblemFormatError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    """``offset`` locates the error in its document; the frontend adds the
+    1-based ``line`` and ``col`` of that offset before the error leaves it."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None, offset=None):
         loc = f" at {line}:{col}" if line is not None else ""
         super().__init__(f"{message}{loc}")
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col, self.offset = message, line, col, offset
 
 
 class UnsupportedArity(ProblemFormatError):

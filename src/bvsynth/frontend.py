@@ -5,10 +5,15 @@ Accepted commands: ``set-logic``, ``synth-fun`` with an inline v1 grammar,
 whose name is a catalogue operator (the usual spelling of the fixed shifts
 and ``if0`` in benchmark files).  Both LF and CRLF line endings are fine;
 ``;`` starts a comment that runs to the end of the line.
+
+Parsed nodes keep the character offset where they start.  A syntax error
+leaves ``read_sexprs``, ``parse_problem`` and ``parse_solution`` with the
+1-based line and column of its offset, derived then; only LF ends a line.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
@@ -41,71 +46,83 @@ from .semantics import (
 
 class Atom(NamedTuple):
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 class SList(list):
-    """A parsed list node that remembers where its '(' was."""
+    """A parsed list node; ``offset`` is where its '(' is."""
 
-    __slots__ = ("line", "col")
-
-    def __init__(self, line: int = 0, col: int = 0):  # no list.__init__: nothing to add
-        self.line = line
-        self.col = col
+    __slots__ = ("offset",)
 
 
 SExpr = Union[Atom, SList]
 
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``; only LF ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _error(message: str, sx: SExpr) -> SygusSyntaxError:
+    return SygusSyntaxError(message, offset=sx.offset)
+
+
+def _reports_positions(parse):
+    """``parse(text)``, where a syntax error's offset leaves as a line and column."""
+
+    @functools.wraps(parse)
+    def parse_text(text: str):
+        try:
+            return parse(text)
+        except SygusSyntaxError as err:
+            if err.offset is None or err.line is not None:
+                raise
+            raise SygusSyntaxError(err.message, *position(text, err.offset), err.offset) from err
+
+    return parse_text
+
+
 # One match per token: group 1 is '(', 2 is ')', 3 an atom; a comment runs to
-# the end of the line.  Space, tab and '\r' only separate tokens.
-_TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r();]+)")
+# the end of the line.  Space, tab, '\r' and '\n' only separate tokens.
+_TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r\n();]+)")
 
 
+@_reports_positions
 def read_sexprs(text: str) -> list[SExpr]:
-    """Parse a whole document into top-level S-expressions; only LF ends a line."""
-    root = SList()
-    stack: list[SList] = [root]
-    top = root
-    for line, chars in enumerate(text.split("\n"), 1):
-        for m in _TOKEN.finditer(chars):
-            kind = m.lastindex
-            if kind == 3:
-                top.append(Atom(m[3], line, m.start() + 1))
-            elif kind == 1:
-                top = SList(line, m.start() + 1)
-                stack[-1].append(top)
-                stack.append(top)
-            elif kind == 2:
-                if len(stack) == 1:
-                    raise SygusSyntaxError("unbalanced ')'", line, m.start() + 1)
-                stack.pop()
-                top = stack[-1]
-    if len(stack) != 1:
-        raise SygusSyntaxError("unclosed '('", top.line, top.col)
+    """Parse a whole document into top-level S-expressions."""
+    new_tuple = tuple.__new__  # builds an Atom without its Python-level __new__
+    top = root = SList()
+    stack: list[SList] = []  # the lists that enclose ``top``
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 3:
+            top.append(new_tuple(Atom, (m[3], m.start())))
+        elif kind == 1:
+            stack.append(top)
+            top = SList()
+            top.offset = m.start()
+            stack[-1].append(top)
+        elif kind == 2:
+            if not stack:
+                raise SygusSyntaxError("unbalanced ')'", offset=m.start())
+            top = stack.pop()
+    if stack:
+        raise _error("unclosed '('", top)
     return list(root)
 
 
-def _pos(sx: SExpr) -> tuple[int, int]:
-    return sx.line, sx.col
-
-
 def _head(sx: SExpr) -> str | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom):
-        return sx[0].text
-    return None
+    return sx[0].text if isinstance(sx, SList) and sx and isinstance(sx[0], Atom) else None
 
 
 _HEX = "0123456789abcdefABCDEF"
-# literal radix letter -> (bits per digit, base, digits)
-_RADIX = {"x": (4, 16, _HEX), "X": (4, 16, _HEX), "b": (1, 2, "01"), "B": (1, 2, "01")}
+# literal prefix -> (bits per digit, base, digits)
+_RADIX = {"#x": (4, 16, _HEX), "#X": (4, 16, _HEX), "#b": (1, 2, "01"), "#B": (1, 2, "01")}
 
 
 def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
     """Parse a ``#x``/``#b`` literal; None when ``sx`` is not a literal at all."""
-    if not isinstance(sx, Atom) or not sx.text.startswith("#"):
-        return None
-    radix = _RADIX.get(sx.text[1:2])
+    radix = _RADIX.get(sx.text[:2]) if isinstance(sx, Atom) else None
     if radix is None:
         return None
     bits_per_digit, base, digits = radix
@@ -113,14 +130,11 @@ def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
     # int() alone also takes a sign, underscores, a 0x/0b prefix and
     # non-ASCII digits; strip() leaves something over for any of those
     if not body or body.strip(digits):
-        raise SygusSyntaxError(f"malformed literal {sx.text!r}", sx.line, sx.col)
-    value = int(body, base)
+        raise _error(f"malformed literal {sx.text!r}", sx)
     literal_width = len(body) * bits_per_digit
     if literal_width != width:
-        raise SygusSyntaxError(
-            f"literal {sx.text!r} has width {literal_width}, expected {width}", sx.line, sx.col
-        )
-    return BitVecValue(width, value)
+        raise _error(f"literal {sx.text!r} has width {literal_width}, expected {width}", sx)
+    return BitVecValue(width, int(body, base))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +157,8 @@ class Grammar:
     start: str
 
     def first_if0(self) -> OpRule | None:
-        for nt in self.nonterminals:
-            for p in self.productions[nt]:
-                if isinstance(p, OpRule) and p.op == "if0":
-                    return p
-        return None
+        rules = (p for nt in self.nonterminals for p in self.productions[nt])
+        return next((p for p in rules if isinstance(p, OpRule) and p.op == "if0"), None)
 
 
 @dataclass(frozen=True)
@@ -171,43 +182,30 @@ class Problem:
 
 
 def _parse_sort_width(sx: SExpr) -> int:
-    if isinstance(sx, SList) and len(sx) == 3 and isinstance(sx[0], Atom) and sx[0].text == "_":
-        raise SygusSyntaxError("SMT-LIB '(_ BitVec N)' sort is v2 syntax; use '(BitVec N)'", *_pos(sx))
-    if (
-        isinstance(sx, SList)
-        and len(sx) == 2
-        and isinstance(sx[0], Atom)
-        and sx[0].text == "BitVec"
-        and isinstance(sx[1], Atom)
-        and sx[1].text.isascii()
-        and sx[1].text.isdigit()
-    ):
-        width = int(sx[1].text)
-        if not MIN_WIDTH <= width <= MAX_WIDTH:
-            raise SygusSyntaxError(
-                f"unsupported width {width}; must be within [{MIN_WIDTH}, {MAX_WIDTH}]", *_pos(sx)
-            )
-        return width
-    raise SygusSyntaxError("expected sort '(BitVec N)'", *_pos(sx))
+    head = _head(sx)
+    if head == "_" and len(sx) == 3:
+        raise _error("SMT-LIB '(_ BitVec N)' sort is v2 syntax; use '(BitVec N)'", sx)
+    digits = sx[1].text if head == "BitVec" and len(sx) == 2 and isinstance(sx[1], Atom) else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise _error("expected sort '(BitVec N)'", sx)
+    width = int(digits)
+    if not MIN_WIDTH <= width <= MAX_WIDTH:
+        raise _error(f"unsupported width {width}; must be within [{MIN_WIDTH}, {MAX_WIDTH}]", sx)
+    return width
 
 
 def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar:
     if not isinstance(block, SList) or not block:
-        raise SygusSyntaxError("expected a non-empty grammar block", *_pos(block))
+        raise _error("expected a non-empty grammar block", block)
     names: list[str] = []
     bodies: list[SList] = []
     for nt_def in block:
-        if not (
-            isinstance(nt_def, SList)
-            and len(nt_def) == 3
-            and isinstance(nt_def[0], Atom)
-            and isinstance(nt_def[2], SList)
-        ):
-            raise SygusSyntaxError("expected '(Name sort (productions...))'", *_pos(nt_def))
+        if _head(nt_def) is None or len(nt_def) != 3 or not isinstance(nt_def[2], SList):
+            raise _error("expected '(Name sort (productions...))'", nt_def)
         if _parse_sort_width(nt_def[1]) != width:
-            raise SygusSyntaxError(f"nonterminal sort must be (BitVec {width})", *_pos(nt_def[1]))
+            raise _error(f"nonterminal sort must be (BitVec {width})", nt_def[1])
         if nt_def[0].text in names:
-            raise SygusSyntaxError(f"duplicate nonterminal {nt_def[0].text!r}", *_pos(nt_def[0]))
+            raise _error(f"duplicate nonterminal {nt_def[0].text!r}", nt_def[0])
         names.append(nt_def[0].text)
         bodies.append(nt_def[2])
 
@@ -224,19 +222,17 @@ def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar
                 elif p.text in param_set:
                     prods.append(Var(p.text))
                 elif p.text in nts:
-                    raise SygusSyntaxError(f"unit production {p.text!r} is not supported", p.line, p.col)
+                    raise _error(f"unit production {p.text!r} is not supported", p)
                 else:
-                    raise SygusSyntaxError(f"unknown grammar symbol {p.text!r}", p.line, p.col)
+                    raise _error(f"unknown grammar symbol {p.text!r}", p)
             else:
                 if _head(p) is None:
-                    raise SygusSyntaxError("expected '(op Nonterminal...)'", *_pos(p))
+                    raise _error("expected '(op Nonterminal...)'", p)
                 op_name = _operator(p)
                 operands = []
                 for o in p[1:]:
                     if not (isinstance(o, Atom) and o.text in nts):
-                        raise SygusSyntaxError(
-                            "production operands must be nonterminals", *_pos(o)
-                        )
+                        raise _error("production operands must be nonterminals", o)
                     operands.append(o.text)
                 prods.append(OpRule(op_name, tuple(operands)))
         if not prods:
@@ -254,13 +250,12 @@ def _check_productive(grammar: Grammar) -> None:
     while changed:
         changed = False
         for nt in grammar.nonterminals:
-            if nt in productive:
-                continue
-            for prod in grammar.productions[nt]:
-                if not isinstance(prod, OpRule) or all(o in productive for o in prod.operands):
-                    productive.add(nt)
-                    changed = True
-                    break
+            if nt not in productive and any(
+                not isinstance(p, OpRule) or all(o in productive for o in p.operands)
+                for p in grammar.productions[nt]
+            ):
+                productive.add(nt)
+                changed = True
     vacuous = [nt for nt in grammar.nonterminals if nt not in productive]
     if vacuous:
         raise SygusSyntaxError(f"nonterminal {vacuous[0]!r} derives no finite expression")
@@ -271,31 +266,28 @@ def _operator(sx: SList) -> str:
     op_name = _head(sx)
     operator = OPERATORS.get(op_name)
     if operator is None:
-        raise SygusSyntaxError(f"unknown operator {op_name!r}", *_pos(sx))
+        raise _error(f"unknown operator {op_name!r}", sx)
     if len(sx) - 1 != operator.arity:
-        raise SygusSyntaxError(
-            f"{op_name} expects {operator.arity} operands, got {len(sx) - 1}", *_pos(sx)
-        )
+        raise _error(f"{op_name} expects {operator.arity} operands, got {len(sx) - 1}", sx)
     return op_name
 
 
 def _parse_fun(form: SList) -> tuple[str, tuple[str, ...], int]:
     """Name, parameter names and width of ``(head name ((p sort)...) sort body)``."""
     if len(form) != 5 or not isinstance(form[1], Atom):
-        raise SygusSyntaxError(f"malformed {form[0].text}", *_pos(form))
+        raise _error(f"malformed {form[0].text}", form)
     if not isinstance(form[2], SList):
-        raise SygusSyntaxError("expected parameter list", *_pos(form[2]))
+        raise _error("expected parameter list", form[2])
     params = []
     for item in form[2]:
         if not (isinstance(item, SList) and len(item) == 2 and isinstance(item[0], Atom)):
-            raise SygusSyntaxError("expected '(name sort)' parameter", *_pos(item))
+            raise _error("expected '(name sort)' parameter", item)
         params.append((item, _parse_sort_width(item[1])))
     width = _parse_sort_width(form[3])
     for item, p_width in params:
         if p_width != width:
-            raise SygusSyntaxError(
-                f"parameter {item[0].text!r} has width {p_width}, return sort has width {width}",
-                *_pos(item),
+            raise _error(
+                f"parameter {item[0].text!r} has width {p_width}, return sort has width {width}", item
             )
     return form[1].text, tuple(item[0].text for item, _ in params), width
 
@@ -305,17 +297,16 @@ def _check_define_fun(form: SList) -> None:
     # functions; those names are already in the catalogue, so the body is
     # not interpreted.  Anything else has no semantics here.
     if len(form) != 5 or not isinstance(form[1], Atom):
-        raise SygusSyntaxError("malformed define-fun", *_pos(form))
+        raise _error("malformed define-fun", form)
     name = form[1].text
     operator = OPERATORS.get(name)
     if operator is None:
-        raise SygusSyntaxError(f"define-fun {name!r} is not a catalogue operator", *_pos(form[1]))
+        raise _error(f"define-fun {name!r} is not a catalogue operator", form[1])
     if not isinstance(form[2], SList) or len(form[2]) != operator.arity:
-        raise SygusSyntaxError(
-            f"define-fun {name!r} must take {operator.arity} parameters", *_pos(form[2])
-        )
+        raise _error(f"define-fun {name!r} must take {operator.arity} parameters", form[2])
 
 
+@_reports_positions
 def parse_problem(text: str) -> Problem:
     """Parse and validate one SyGuS problem document."""
     synth: SList | None = None
@@ -324,34 +315,31 @@ def parse_problem(text: str) -> Problem:
     for form in read_sexprs(text):
         head = _head(form)
         if head is None:
-            raise SygusSyntaxError("expected a command", *_pos(form))
-        if head == "set-logic":
+            raise _error("expected a command", form)
+        if head in ("set-logic", "check-synth"):
             continue
         if head == "define-fun":
             _check_define_fun(form)
         elif head == "declare-var":
             if len(form) != 3 or not isinstance(form[1], Atom):
-                raise SygusSyntaxError("expected '(declare-var name sort)'", *_pos(form))
+                raise _error("expected '(declare-var name sort)'", form)
             declared[form[1].text] = _parse_sort_width(form[2])
         elif head == "synth-fun":
             if synth is not None:
-                raise SygusSyntaxError("multiple synth-fun forms", *_pos(form))
+                raise _error("multiple synth-fun forms", form)
             synth = form
         elif head == "constraint":
             if len(form) != 2:
-                raise SygusSyntaxError("expected '(constraint term)'", *_pos(form))
+                raise _error("expected '(constraint term)'", form)
             constraints.append(form[1])
-        elif head == "check-synth":
-            continue
         else:
-            raise SygusSyntaxError(f"unsupported command {head!r}", *_pos(form))
+            raise _error(f"unsupported command {head!r}", form)
 
     if synth is None:
         raise SygusSyntaxError("missing synth-fun")
     if len(synth) == 6:
-        raise SygusSyntaxError(
-            "SyGuS v2 grammar syntax (separate nonterminal declaration list) is not supported",
-            *_pos(synth),
+        raise _error(
+            "SyGuS v2 grammar syntax (separate nonterminal declaration list) is not supported", synth
         )
     name, params, width = _parse_fun(synth)
     if len(params) != 1:
@@ -448,13 +436,10 @@ def detect_pbe(
             raise NotPBE(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
-        key = tuple(v.bits for v in inputs)
-        if key in seen and seen[key][1].bits != output.bits:
-            raise InconsistentExamples(
-                f"examples {seen[key][0]} and {i} share inputs but disagree on output"
-            )
-        seen.setdefault(key, (i, output))
-        examples.append(Example(inputs=tuple(inputs), output=output, index=i))
+        j, output_j = seen.setdefault(tuple([v.bits for v in inputs]), (i, output))
+        if output_j.bits != output.bits:
+            raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
+        examples.append(Example(tuple(inputs), output, i))
     return examples
 
 
@@ -464,17 +449,13 @@ def detect_pbe(
 
 def emit_solution(problem: Problem, solution: Expr) -> str:
     """Render a solved problem as a single define-fun S-expression."""
-    for e in _free_vars(solution):
-        if e not in problem.params:
-            raise UnboundVariable(e)
+    for e in subexpressions(solution):
+        if isinstance(e, Var) and e.name not in problem.params:
+            raise UnboundVariable(e.name)
     params = " ".join(f"({p} (BitVec {problem.width}))" for p in problem.params)
     return "(define-fun {} ({}) (BitVec {}) {})".format(
         problem.name, params, problem.width, expr_to_sexpr(solution)
     )
-
-
-def _free_vars(expr: Expr) -> set[str]:
-    return {e.name for e in subexpressions(expr) if isinstance(e, Var)}
 
 
 class ParsedSolution(NamedTuple):
@@ -508,7 +489,7 @@ def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
             elif node.text in params:
                 done.append(Var(node.text))
             else:
-                raise SygusSyntaxError(f"unknown symbol {node.text!r}", node.line, node.col)
+                raise _error(f"unknown symbol {node.text!r}", node)
         else:
             _operator(node)
             todo.append((node, True))
@@ -516,6 +497,7 @@ def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
     return done[0]
 
 
+@_reports_positions
 def parse_solution(text: str) -> ParsedSolution:
     """Parse a define-fun produced by :func:`emit_solution`."""
     forms = read_sexprs(text)

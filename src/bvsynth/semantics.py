@@ -112,9 +112,9 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
-    """An operator application.  Hashing and equality never recurse: the hash
-    is computed at construction from the operands' hashes, and ``==`` walks
-    both trees with an explicit stack."""
+    """An operator application.  Hashing, equality and repr never recurse:
+    the hash is computed at construction from the operands' hashes, and
+    ``==`` and ``repr`` walk the trees with an explicit stack."""
 
     op: str
     args: "tuple[Expr, ...]"
@@ -149,6 +149,20 @@ class App:
             else:
                 todo.extend(zip(a.args, b.args))
         return True
+
+    def __repr__(self) -> str:  # the text of the dataclass repr
+        parts: list[str] = []
+        todo: list[Union[Expr, str]] = [self]  # expressions, and text to copy as is
+        while todo:
+            e = todo.pop()
+            if type(e) is App:
+                parts.append(f"App(op={e.op!r}, args=(")
+                todo.append(f"{',' * (len(e.args) == 1)}), size={e.size})")
+                for i, a in enumerate(reversed(e.args)):
+                    todo += (", ", a) if i else (a,)
+            else:
+                parts.append(e if isinstance(e, str) else repr(e))
+        return "".join(parts)
 
 
 Expr = Union[Var, Const, App]

@@ -3,7 +3,8 @@
 The character-by-character s-expression reader walks the text one character
 at a time and counts lines and columns by hand, so it checks the frontend's
 regex reader from the outside: both must give the same tree, the same
-position on every node, and the same error.
+position on every node, and the same error.  Its nodes keep their own line
+and column, where the frontend's keep an offset and derive both on demand.
 
 The example matcher has one function per constraint shape (direct and
 implication), where the frontend shares one consequent loop and one argument
@@ -13,13 +14,27 @@ same terms.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from bvsynth.errors import SygusSyntaxError
 from bvsynth.frontend import Atom, SExpr, SList, parse_literal
 from bvsynth.semantics import BitVecValue
 
 _DELIMS = frozenset(" \t\r\n();")
+
+
+class LineAtom(NamedTuple):
+    text: str
+    line: int
+    col: int
+
+
+class LineList(list):
+    """A list node that remembers the line and column of its '('."""
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
 
 
 def _tokens(text: str) -> Iterator[tuple[str, str, int, int]]:
@@ -50,13 +65,13 @@ def _tokens(text: str) -> Iterator[tuple[str, str, int, int]]:
             yield ("atom", text[start:i], line, start_col)
 
 
-def read_sexprs(text: str) -> list[SExpr]:
+def read_sexprs(text: str) -> list[Union[LineAtom, LineList]]:
     """Parse a whole document into top-level S-expressions."""
-    root = SList()
-    stack: list[SList] = [root]
+    root = LineList()
+    stack: list[LineList] = [root]
     for kind, tok, line, col in _tokens(text):
         if kind == "(":
-            node = SList(line, col)
+            node = LineList(line, col)
             stack[-1].append(node)
             stack.append(node)
         elif kind == ")":
@@ -64,7 +79,7 @@ def read_sexprs(text: str) -> list[SExpr]:
                 raise SygusSyntaxError("unbalanced ')'", line, col)
             stack.pop()
         else:
-            stack[-1].append(Atom(tok, line, col))
+            stack[-1].append(LineAtom(tok, line, col))
     if len(stack) != 1:
         raise SygusSyntaxError("unclosed '('", stack[-1].line, stack[-1].col)
     return list(root)

@@ -1,0 +1,75 @@
+"""``tools/bench_pairs.py`` pairs saved benchmark runs and scores the change."""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+
+def run_output(workload: str, seed: int, solve_s: float, rss: float, sha: str = "a") -> str:
+    report = {
+        "workload": workload,
+        "seed": seed,
+        "traced_passes": 0,
+        "fingerprint": "f",
+        "solutions_sha256": sha,
+        "built": 1,
+        "stored": 1,
+        "inspected": 1,
+        "solution_nodes": 1,
+    }
+    final = {
+        "correct": True,
+        "attempted": 1,
+        "failed": 0,
+        "metrics": {
+            "solve_norm_s": {"value": solve_s, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+    lines = [f"workload {workload}", f"  solve_norm_s {solve_s}", "report " + json.dumps(report)]
+    return "\n".join(lines + [json.dumps(final)]) + "\n"
+
+
+def write_runs(tmp_path: Path, side: str, runs: list[tuple]) -> list[Path]:
+    paths = []
+    for i, args in enumerate(runs):
+        path = tmp_path / f"{side}{i}.out"
+        path.write_text(run_output(*args), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def test_pairs_by_workload_and_seed_and_counts_wins(tmp_path):
+    # The change is faster on 9 of 10 seeds and uses the same memory.
+    parent = write_runs(tmp_path, "p", [("wide200", s, 1.0 + s / 100, 30.0) for s in range(10)])
+    change = [("wide200", s, 0.8 if s else 1.5, 30.0) for s in range(10)]
+    change = write_runs(tmp_path, "c", list(reversed(change)))  # order does not matter
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["wide200"]
+    assert entry["pair_count"] == 10 and entry["same_identity"] and entry["all_correct"]
+    solve = entry["metrics"]["solve_norm_s"]
+    assert solve["change_wins"] == "9/10" and solve["claimable"]
+    assert solve["parent"]["median"] == pytest.approx(1.045) and solve["change"]["median"] == 0.8
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == "0/10" and not rss["claimable"]
+
+
+def test_a_changed_solution_shows_in_the_identity(tmp_path):
+    parent = write_runs(tmp_path, "p", [("enum32", 3, 1.0, 30.0)])
+    change = write_runs(tmp_path, "c", [("enum32", 3, 0.5, 30.0, "b")])
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", str(parent[0]), "--change", str(change[0]), "--out", str(out)])
+    entry = json.loads(out.read_text(encoding="utf-8"))["enum32"]
+    assert not entry["same_identity"]
+    # one pair won is no claim: a claim needs ten
+    solve = entry["metrics"]["solve_norm_s"]
+    assert solve["change_wins"] == "1/1" and not solve["claimable"]

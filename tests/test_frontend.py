@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import random
 import sys
 from pathlib import Path
 from unittest import mock
@@ -28,9 +30,10 @@ from bvsynth.frontend import (
     parse_literal,
     parse_problem,
     parse_solution,
+    position,
     read_sexprs,
 )
-from bvsynth.semantics import BitVecValue, Var, app, const, eval_expr
+from bvsynth.semantics import BitVecValue, Const, Var, app, const, eval_expr
 
 import reference_reader
 from helpers import grammar_of, problem_of
@@ -315,7 +318,7 @@ def test_sort_width_must_be_ascii_digits(digits):
 )
 def test_literal_digits_must_match_the_radix(text, width):
     with pytest.raises(SygusSyntaxError, match="malformed literal"):
-        parse_literal(Atom(text, 3, 7), width)
+        parse_literal(Atom(text, 7), width)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +326,25 @@ def test_literal_digits_must_match_the_radix(text, width):
     [("#x0b1", 12, 0x0B1), ("#XaBf", 12, 0xABF), ("#b0110", 4, 6), ("#B1", 1, 1)],
 )
 def test_literal_digits_of_the_radix_accepted(text, width, bits):
-    assert parse_literal(Atom(text, 3, 7), width) == BitVecValue(width, bits)
+    assert parse_literal(Atom(text, 7), width) == BitVecValue(width, bits)
+
+
+def test_zero_literals_parse_to_zero():
+    # #x00 is a falsy int: a matcher that tests a parsed value for truth
+    # rather than for None would drop it.
+    text = (
+        "(set-logic BV)\n"
+        "(synth-fun f ((x (BitVec 8))) (BitVec 8)\n"
+        "  ((Start (BitVec 8) (x #x00 (bvnot Start) (if0 Start Start Start)))))\n"
+        "(declare-var v (BitVec 8))\n"
+        "(declare-var o (BitVec 8))\n"
+        "(constraint (= (f #x00) #x00))\n"
+        "(constraint (=> (and (= v #x00) (= o (f v))) (= o #x00)))\n"
+        "(check-synth)\n"
+    )
+    p = parse_problem(text)
+    assert [(e.inputs[0].bits, e.output.bits) for e in p.examples] == [(0, 0), (0, 0)]
+    assert Const(BitVecValue(8, 0)) in p.grammar.productions["Start"]
 
 
 def test_signed_literal_in_constraint_rejected():
@@ -447,12 +468,12 @@ def test_solution_header_errors_keep_message_and_position(text, message):
 
 
 @functools.cache
-def enum32_texts() -> list[str]:
-    """The benchmark's ``enum32`` instances for seed 0."""
+def canary_texts(name: str) -> list[str]:
+    """The benchmark's instances of workload ``name`` for its canary seed."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
-    return workloads.generate(workloads.WORKLOADS["enum32"], 0)
+    return workloads.generate(workloads.WORKLOADS[name], workloads.CANARY_SEED)
 
 
 # Characters the s-expression reader and the literal parser act on, mixed
@@ -463,7 +484,7 @@ SPLICE_CHARS = st.sampled_from("()#xb019af \n;|\"-") | st.characters()
 @st.composite
 def spliced_enum32(draw) -> str:
     """An ``enum32`` instance with up to 8 characters replaced by up to 8 others."""
-    texts = enum32_texts()
+    texts = canary_texts("enum32")
     text = texts[draw(st.integers(0, len(texts) - 1))]
     start = draw(st.integers(0, len(text)))
     end = draw(st.integers(start, min(len(text), start + 8)))
@@ -490,38 +511,74 @@ def test_parse_problem_on_spliced_instance_raises_only_format_errors(text):
     parses_or_reports(text)
 
 
-def shape(forms: list) -> list:
-    """A reader's tree as plain data, with the position of every node."""
+# What a one-character edit puts in: the reader's delimiters, a line ending
+# and the whitespace that is not a delimiter, a malformed and a short literal,
+# a comment, a non-ASCII letter, an unknown operator, a nonterminal and a
+# variable.
+EDIT_PIECES = ["(", ")", "#xZZ", "#x0", "\r\n", "\t", "é", "\f", ";(", "bvfoo", "Start", "x", " "]
+# The outcome of every edit below, "ok" or "Type: message", hashed together.
+# Pinned before the reader kept offsets instead of positions: any change to
+# a message or a position changes it.
+ERRORS_SHA256 = "76d466840053e8e8795554a13081ddc9c7c485deac81938e1b42a7fd5a2ccddf"
+
+
+def test_format_errors_match_pinned_digest():
+    rng = random.Random(8)
+    texts = canary_texts("enum32")[:40] + canary_texts("wide200")[:10]
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        text = rng.choice(texts)
+        at = rng.randrange(len(text))
+        kind = rng.choice(("delete", "insert", "replace"))
+        piece = "" if kind == "delete" else rng.choice(EDIT_PIECES)
+        text = text[:at] + piece + text[at + (kind != "insert") :]
+        try:
+            parse_problem(text)
+            outcome = "ok"
+        except ProblemFormatError as err:
+            outcome = f"{type(err).__name__}: {err}"
+        digest.update(f"{outcome}\n".encode("utf-8"))
+    assert digest.hexdigest() == ERRORS_SHA256
+
+
+def shape(forms: list, pos) -> list:
+    """A reader's tree as plain data, with the (line, col) ``pos`` gives each node."""
     out: list = []
     todo = [(forms, out)]
     while todo:
         nodes, into = todo.pop()
         for node in nodes:
-            if isinstance(node, Atom):
-                into.append(("atom", node.text, node.line, node.col))
-            else:
+            if isinstance(node, list):
                 children: list = []
-                into.append(("list", node.line, node.col, children))
+                into.append(("list", *pos(node), children))
                 todo.append((node, children))
+            else:
+                into.append(("atom", node.text, *pos(node)))
     return out
 
 
-def read_outcome(read, text: str):
+def read_outcome(read, text: str, pos):
     try:
-        return shape(read(text))
+        return shape(read(text), pos)
     except SygusSyntaxError as err:
         return ("error", str(err), err.line, err.col)
 
 
-# The reader's delimiters, the whitespace it does not treat as a delimiter
-# (form feed), a literal and a non-ASCII letter.
-READER_PIECES = st.sampled_from(["(", ")", ";", " ", "\t", "\r", "\n", "\f", "#x01", "é"])
+# The reader's delimiters, CRLF, the whitespace it does not treat as a
+# delimiter (form feed, vertical tab, the Unicode line separator), a literal,
+# a word and a non-ASCII letter.
+READER_PIECES = st.sampled_from(
+    ["(", ")", ";", " ", "\t", "\r", "\n", "\r\n", "\f", "\v", "\u2028", "#x01", "bvnot", "é"]
+)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(READER_PIECES, max_size=60).map("".join))
 def test_reader_matches_reference_reader(text):
-    assert read_outcome(read_sexprs, text) == read_outcome(reference_reader.read_sexprs, text)
+    # The frontend's positions are read through the view its errors use.
+    assert read_outcome(read_sexprs, text, lambda node: position(text, node.offset)) == (
+        read_outcome(reference_reader.read_sexprs, text, lambda node: (node.line, node.col))
+    )
 
 
 # -- the example matcher against the reference ----------------------------------
@@ -570,10 +627,11 @@ def test_matcher_rejects_what_is_not_an_example(term):
 def test_matcher_parses_every_call_argument_before_rejecting_one():
     # The reference stops at the unpinned w; every argument is parsed now.
     term = "(=> (= o (f w #xZZ)) (= o #x01))"
-    assert outcome_key(pbe_outcome(read_sexprs(term))) == (
-        "SygusSyntaxError",
-        "malformed literal '#xZZ' at 1:15",
-    )
+    # Nodes keep offsets, so detect_pbe's error has one; parse_problem would
+    # report it as 1:15.
+    err = pbe_outcome(read_sexprs(term))
+    assert outcome_key(err) == ("SygusSyntaxError", "malformed literal '#xZZ'")
+    assert position(term, err.offset) == (1, 15)
     assert isinstance(reference_pbe_outcome(read_sexprs(term)), NotPBE)
 
 
@@ -625,17 +683,17 @@ def match_terms(draw) -> str:
     return f"(=> {antecedent} {consequent})"
 
 
-def parent_chain(forms: list, line: int, col: int) -> list:
-    """The lists from a top-level form down to the parent of the atom at (line, col)."""
+def parent_chain(forms: list, offset: int) -> list:
+    """The lists from a top-level form down to the parent of the atom at ``offset``."""
     todo = [(form, [form]) for form in forms if isinstance(form, list)]
     while todo:
         node, chain = todo.pop()
         for child in node:
-            if isinstance(child, Atom) and (child.line, child.col) == (line, col):
+            if isinstance(child, Atom) and child.offset == offset:
                 return chain
             if isinstance(child, list):
                 todo.append((child, chain + [child]))
-    raise AssertionError(f"no atom at {line}:{col}")
+    raise AssertionError(f"no atom at {offset}")
 
 
 # The generator seldom builds the one allowed difference, so these run it:
@@ -656,9 +714,9 @@ def test_matcher_agrees_with_reference_matcher(text):
         # Each such literal is mended in place and the two compared again,
         # until they agree.
         assert isinstance(new, SygusSyntaxError) and isinstance(old, NotPBE), (new, old)
-        chain = parent_chain(terms, new.line, new.col)
+        chain = parent_chain(terms, new.offset)
         term, call = chain[0], chain[-1]
         assert term[0].text == "=>" and len(chain) >= 3 and chain[1] is term[1], new
-        index = next(i for i, a in enumerate(call) if (a.line, a.col) == (new.line, new.col))
+        index = next(i for i, a in enumerate(call) if a.offset == new.offset)
         assert call[0].text == "f" and index > 1, new
-        call[index] = Atom("#x00", new.line, new.col)
+        call[index] = Atom("#x00", new.offset)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -239,6 +240,33 @@ def test_deep_app_hashes_and_compares_without_recursion():
     assert body is not copy and hash(body) == hash(copy)
     assert body == copy and {body: 1}[copy] == 1
     assert body != other and other != body
+
+
+def test_deep_app_repr_without_recursion():
+    e = Var("x")
+    for _ in range(3000):
+        e = app("bvnot", e)
+    tail = "".join(f",), size={size})" for size in range(2, 3002))
+    assert repr(e) == "App(op='bvnot', args=(" * 3000 + "Var(name='x', size=1)" + tail
+
+
+# App's repr fields, with the repr the dataclass decorator generates.
+DataclassApp = dataclasses.make_dataclass("App", ["op", "args", "size"])
+
+
+def as_dataclass(e):
+    if isinstance(e, App):
+        return DataclassApp(e.op, tuple(map(as_dataclass, e.args)), e.size)
+    return e
+
+
+@given(exprs(8))
+def test_app_repr_is_the_dataclass_repr(e):
+    assert repr(e) == repr(as_dataclass(e))
+    assert repr(app("bvadd", Var("x"), const(8, 1))) == (
+        "App(op='bvadd', args=(Var(name='x', size=1), "
+        "Const(value=BitVecValue(width=8, bits=1), size=1)), size=3)"
+    )
 
 
 @given(a=exprs(8), b=exprs(8))
