@@ -108,6 +108,10 @@ def bench_directory(
         try:
             problem = parse_problem(_read_text(path))
             result = solve_problem(problem, limits)
+            millis = int((time.perf_counter() - started) * 1000)
+            if solutions_dir is not None:  # an unwritable file is this row's error
+                text = emit_solution(problem, result.solution) + "\n"
+                (solutions_dir / f"{path.stem}.sol").write_text(text, encoding="utf-8", newline="\n")
         except SynthesisFailure:
             millis = int((time.perf_counter() - started) * 1000)
             rows.append(BenchRow(path.name, "budget", millis))
@@ -117,7 +121,6 @@ def bench_directory(
             rows.append(BenchRow(path.name, "error", millis))
             print(f"{path.name}: {exc}", file=sys.stderr)
             continue
-        millis = int((time.perf_counter() - started) * 1000)
         rows.append(
             BenchRow(
                 path.name,
@@ -128,9 +131,6 @@ def bench_directory(
                 candidates=result.stats.candidates,
             )
         )
-        if solutions_dir is not None:
-            out = solutions_dir / (path.stem + ".sol")
-            out.write_text(emit_solution(problem, result.solution) + "\n", encoding="utf-8", newline="\n")
     return rows
 
 

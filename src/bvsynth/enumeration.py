@@ -12,10 +12,14 @@ still emitted as top-level candidates but never composed into anything
 larger.  The if0 production is never enumerated: all branching comes from
 the decision tree.
 
-The store keeps each expression as a node: a ``Var``/``Const`` terminal or
-an ``(op, child_node, ...)`` tuple over retained children.  :func:`expr_of`
-builds the ``App`` tree only for an accepted candidate and for
-:meth:`EnumerationState.retained`, never for a pruned or rejected one.
+One generator is both the construction stream and the search over it:
+:meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
+sends the generator its search, which runs until it must stop (see there).
+Each construction computes its signature, is deduplicated by one set
+insertion, and builds its node (a ``Var``/``Const`` terminal or an ``(op,
+child_node, ...)`` tuple over retained children) only when the signature is
+new or the candidate is accepted.  :func:`expr_of` builds the ``App`` tree
+only for an accepted candidate and for ``retained``.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
@@ -28,18 +32,20 @@ from __future__ import annotations
 import operator
 import sys
 import time
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence, Union
 
 from .errors import Exhausted, NotFound, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
-from .semantics import App, Const, Expr, OPERATORS, Var, bound_operators, eval_columns
+from .semantics import App, Const, Expr, Var, bound_operators, eval_columns
 
 Signature = tuple[int, ...]
 Packed = int  # a signature with example i's value in lane i
 Node = Union[Var, Const, tuple]  # a terminal, or (op, child_node, ...)
 
-# nonterminal, size, node (expand with expr_of), packed signature
-Event = tuple[str, int, Node, Packed]
+Search = tuple[Callable[[Packed], bool], str, int, int, int]  # accept, nt, budgets, re-scanned
+Hit = tuple[int, Node, Packed]  # an accepted candidate's size, node and signature
+_UNIT = [(None, 0)]  # the second operand list of a terminal or a unary block
+_first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
 
 
 class SearchResult(NamedTuple):
@@ -95,7 +101,8 @@ def unpack(sig: Packed, width: int, n: int) -> Signature:
 def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
     """Every enumerable operator on ``n``-lane packed signatures: lane ``i``
     of the result is the ``bound_operators`` function applied to lane ``i``
-    of the operands (Warren, *Hacker's Delight*, ch. 2)."""
+    of the operands (Warren, *Hacker's Delight*, ch. 2).  A unary operator
+    also takes, and ignores, a second operand: the search loop passes two."""
     ones = lane_ones(width, n)
     full = ones * ((1 << width) - 1)
     high = ones << (width - 1)  # the top bit of every lane
@@ -103,16 +110,14 @@ def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
     fns = bound_operators(width)
 
     def shr(k: int) -> Callable[[Packed], Packed]:
-        if k >= width:
-            return lambda a: 0
-        keep = ones * ((1 << (width - k)) - 1)
-        return lambda a: (a >> k) & keep
+        keep = ones * ((1 << (width - k)) - 1) if k < width else 0
+        return lambda a, _=0: (a >> k) & keep
 
     def lanewise(fn: Callable[[int, int], int]) -> Callable[[Packed, Packed], Packed]:
         return lambda a, b: pack(tuple(map(fn, unpack(a, width, n), unpack(b, width, n))), width)
 
     return {
-        "bvnot": lambda a: a ^ full,
+        "bvnot": lambda a, _=0: a ^ full,
         "bvand": operator.and_,
         "bvor": operator.or_,
         "bvxor": operator.xor,
@@ -125,7 +130,7 @@ def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
         "bvshl": lanewise(fns["bvshl"]),
         "bvlshr": lanewise(fns["bvlshr"]),
         "bvashr": lanewise(fns["bvashr"]),
-        "shl1": lambda a: (a & low) << 1,
+        "shl1": lambda a, _=0: (a & low) << 1,
         "shr1": shr(1),
         "shr4": shr(4),
         "shr16": shr(16),
@@ -159,108 +164,114 @@ class EnumerationState:
         self._fns = packed_operators(width, len(self.rows))
         self._mask = (1 << width) - 1
         self._ones = lane_ones(width, len(self.rows))
-        self._col = {name: i for i, name in enumerate(self.params)}
+        self._vars = {x: pack([r[i] for r in self.rows], width) for i, x in enumerate(self.params)}
         # pools[nt][size] lists retained (node, signature) pairs; index 0 unused
         self._pools: dict[str, list[list[tuple[Node, Packed]]]] = {
             nt: [[]] for nt in grammar.nonterminals
         }
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
-        self.evaluations = 0  # every constructed (node, signature), terminals included
-        self.stored = 0
-        self.pruned = 0
-        self.inspected = 0  # candidates handed to acceptance predicates
         self._max_pooled = 0
-        self._max_arity = max(
-            (
-                OPERATORS[p.op].arity
-                for nt in grammar.nonterminals
-                for p in grammar.productions[nt]
-                if isinstance(p, OpRule) and p.op != "if0"
-            ),
-            default=0,
-        )
-        self._stream = self._event_stream()
-        self._pending: Event | None = None
+        self._stream = self._search_loop()
+        next(self._stream)  # sets the counters to 0 and waits for the first search
 
     @classmethod
     def for_problem(cls, problem: Problem, *, deadline: float | None = None) -> "EnumerationState":
         rows = [tuple(v.bits for v in ex.inputs) for ex in problem.examples]
         return cls(problem.grammar, problem.params, rows, problem.width, deadline=deadline)
 
-    # -- construction stream ------------------------------------------------
+    # -- the search loop ----------------------------------------------------
 
-    def _record(self, nt: str, size: int, node: Node, sig: Packed) -> Event:
-        self.evaluations += 1
-        if self.deadline is not None and (self.evaluations & 4095) == 0:
-            if time.monotonic() > self.deadline:
-                raise TimeoutExceeded(f"wall clock expired after {self.evaluations} evaluations")
-        store = self._store[nt]
-        if sig in store:
-            self.pruned += 1
-        else:
-            store.add(sig)
-            self._pools[nt][size].append((node, sig))
-            self.stored += 1
-            if size > self._max_pooled:
-                self._max_pooled = size
-        return (nt, size, node, sig)
-
-    def _event_stream(self) -> Iterator[Event]:
-        grammar = self.grammar
-        rows = self.rows
+    def _blocks(self) -> Iterator[tuple]:
+        """Every block of constructions in stream order, as ``(size, nt, op,
+        arity, fn, first, second)`` with ``second = [(None, 0)]`` for terminal
+        and unary blocks, until the pruned language is exhausted."""
+        nonterminals, pools = self.grammar.nonterminals, self._pools
+        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
+        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
         size = 1
-        while True:
-            # Once a full layer cannot contain any composition (all operand
-            # sizes are bounded by the largest pooled size), nothing larger
-            # can exist either: the pruned language is exhausted.
-            if size > 1 and size > self._max_arity * self._max_pooled + 1:
-                return
-            for nt in grammar.nonterminals:
-                self._pools[nt].append([])
-            for nt in grammar.nonterminals:
-                for prod in grammar.productions[nt]:
-                    if isinstance(prod, Var):
-                        if size == 1:
-                            column = self._col[prod.name]
-                            sig = pack([row[column] for row in rows], self.width)
-                            yield self._record(nt, 1, prod, sig)
-                    elif isinstance(prod, Const):
-                        if size == 1:
-                            yield self._record(nt, 1, prod, prod.value.bits * self._ones)
-                    else:
-                        if prod.op == "if0":
-                            continue
-                        arity = len(prod.operands)
-                        if size - 1 < arity:
-                            continue
-                        fn = self._fns[prod.op]
-                        op = prod.op
-                        for split in size_splits(size - 1, arity):
-                            pools = [
-                                self._pools[o][s] for o, s in zip(prod.operands, split)
-                            ]
-                            if not all(pools):
-                                continue
-                            if arity == 1:
-                                for ea, sa in pools[0]:
-                                    yield self._record(nt, size, (op, ea), fn(sa))
-                            else:  # binary: if0, the one ternary operator, is skipped above
-                                for ea, sa in pools[0]:
-                                    for eb, sb in pools[1]:
-                                        yield self._record(nt, size, (op, ea, eb), fn(sa, sb))
+        # Once no composition fits a full layer, nothing larger can exist either.
+        while size == 1 or size <= max_arity * self._max_pooled + 1:
+            for nt in nonterminals:
+                pools[nt].append([])
+            for nt in nonterminals:
+                for prod in self.grammar.productions[nt]:
+                    if size == 1 and isinstance(prod, Var):
+                        yield 1, nt, None, 0, _first, [(prod, self._vars[prod.name])], _UNIT
+                    elif size == 1 and isinstance(prod, Const):
+                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self._ones)], _UNIT
+                    elif isinstance(prod, OpRule) and prod.op != "if0":
+                        for split in size_splits(size - 1, len(prod.operands)):
+                            lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
+                            if all(lists):
+                                yield size, nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
+            if any(pools[nt][size] for nt in nonterminals):
+                self._max_pooled = size
             size += 1
 
-    def _next_event(self) -> Event | None:
-        if self._pending is not None:
-            event, self._pending = self._pending, None
-            return event
-        return next(self._stream, None)
+    def _publish(self, count: int, inspected: int) -> None:
+        self.stored = sum(map(len, self._store.values()))  # every new signature is stored
+        self.evaluations, self.inspected, self.pruned = count, inspected, count - self.stored
+
+    def _stop(self, out: Hit | str, count: int, inspected: int, size: int, nt: str, offered=0):
+        """Publish the counters, yield ``out`` and return the next search as the loop keeps
+        it: ``limit`` is its last construction count, ``due`` the count at which budgets and
+        deadline are next checked.  ``offered`` is 1 if it is offered the last construction."""
+        self._publish(count, inspected)
+        accept, target, max_size, max_candidates, used = yield out
+        limit = count - offered + max_candidates - used
+        due = count + 1 if size > max_size else min(limit, count | 4095) + 1
+        return accept, target, nt == target, max_size, limit, due, self.inspected
+
+    def _search_loop(self) -> Generator[Hit | str, Search, None]:
+        count = 0  # constructions so far: the evaluations counter
+        search = yield from self._stop("", count, 0, 1, "")
+        accept, target, looking, max_size, limit, due, inspected = search
+        for size, nt, op, arity, fn, first, second in self._blocks():
+            layer, store, looking = self._pools[nt][size], self._store[nt], nt == target
+            add = store.add
+            if size > max_size:
+                due = count + 1
+            for ea, sa in first:
+                for eb, sb in second:
+                    sig = fn(sa, sb)
+                    n = len(store)
+                    add(sig)
+                    if len(store) != n:
+                        node = (op, ea, eb) if arity == 2 else (op, ea) if arity else ea
+                        layer.append((node, sig))
+                    count += 1
+                    if count >= due:
+                        if not count & 4095:
+                            self._publish(count, inspected)
+                            self._check_deadline(f"{count} evaluations")
+                        while size > max_size:  # the next search allowing it is offered it
+                            search = yield from self._stop("size", count, inspected, size, nt, 1)
+                            accept, target, looking, max_size, limit, due, inspected = search
+                        if count > limit:
+                            search = yield from self._stop("candidates", count, inspected, size, nt)
+                            accept, target, looking, max_size, limit, due, inspected = search
+                            continue
+                        due = min(limit, count | 4095) + 1
+                    if looking:
+                        inspected += 1
+                        if accept(sig):
+                            node = (op, ea, eb) if arity == 2 else (op, ea) if arity else ea
+                            hit = size, node, sig
+                            search = yield from self._stop(hit, count, inspected, size, nt)
+                            accept, target, looking, max_size, limit, due, inspected = search
+        yield from self._stop("exhausted", count, inspected, 0, "")
+        while True:
+            yield "exhausted"
+
+    def _check_deadline(self, spent: str) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutExceeded(f"wall clock expired after {spent}")
 
     # -- public surface -----------------------------------------------------
 
     def close(self) -> None:
-        """End the construction stream, whose frame holds this state, so the
-        store is freed without a cyclic collection; pools and counters stay."""
+        """End the search loop, whose frame holds this state, so the store is
+        freed without a cyclic collection; pools and counters stay."""
         self._stream.close()
 
     def lanes(self, sig: Packed) -> Signature:
@@ -269,16 +280,16 @@ class EnumerationState:
 
     def example_equals(self, k: int, value: int) -> Callable[[Packed], bool]:
         """Acceptance predicate: the signature's value on example ``k`` is ``value``."""
-        shift, mask = k * self.width, self._mask
-        return lambda sig: ((sig >> shift) & mask) == value
+        lane, want = self._mask << k * self.width, value << k * self.width
+        return lambda sig: (sig & lane) == want
 
     def separates(self, a: int, b: int) -> Callable[[Packed], bool]:
         """Acceptance predicate: the signature is 1 on exactly one of examples
         ``a`` and ``b``, and not the same value on every example."""
-        shift_a, shift_b, mask, ones = a * self.width, b * self.width, self._mask, self._ones
+        w, mask, ones = self.width, self._mask, self._ones
+        lane_a, one_a, lane_b, one_b = mask << a * w, 1 << a * w, mask << b * w, 1 << b * w
         return lambda sig: (
-            (((sig >> shift_a) & mask) == 1) != (((sig >> shift_b) & mask) == 1)
-            and sig != (sig & mask) * ones
+            ((sig & lane_a) == one_a) != ((sig & lane_b) == one_b) and sig != (sig & mask) * ones
         )
 
     def enumerate_until(
@@ -299,45 +310,34 @@ class EnumerationState:
         therefore the minimum size of any grammar-derivable expression
         satisfying ``accept``.
 
-        The candidate budget counts pool re-scans plus every subexpression
-        constructed while this search drives the stream.  The deadline is
-        checked every 4,096 re-scanned and every 4,096 constructed candidates.
+        Then the search is sent to the stream's generator, which yields only on an accepted
+        candidate, at the first construction of a layer above the size budget (offered first to
+        the next search allowing its size), or when the candidate budget (the re-scan plus every
+        construction) runs out.  A construction's node is built only if its signature is new or
+        it is accepted.  The deadline is checked every 4,096 re-scanned and every 4,096
+        constructed candidates.
         """
         target = nt if nt is not None else self.grammar.start
         used = 0
-        pools = self._pools[target]
-        top = min(max_size, len(pools) - 1)
-        for s in range(1, top + 1):
-            for node, sig in pools[s]:
+        for layer in self._pools[target][1 : max_size + 1]:
+            for node, sig in layer:
                 used += 1
                 if used > max_candidates:
                     raise NotFound(f"candidate budget {max_candidates} exhausted")
-                if (used & 4095) == 0 and self.deadline is not None:
-                    if time.monotonic() > self.deadline:
-                        raise TimeoutExceeded(
-                            f"wall clock expired after {used} re-scanned candidates"
-                        )
+                if (used & 4095) == 0:
+                    self._check_deadline(f"{used} re-scanned candidates")
                 self.inspected += 1
                 if accept(sig):
                     return SearchResult(expr_of(node), self.lanes(sig))
-        while True:
-            event = self._next_event()
-            if event is None:
-                if self._max_pooled > max_size:
-                    # the language continues past the size budget
-                    raise NotFound(f"size budget {max_size} exhausted")
-                raise Exhausted("grammar language fully enumerated")
-            e_nt, e_size, node, sig = event
-            if e_size > max_size:
-                self._pending = event
-                raise NotFound(f"size budget {max_size} exhausted")
-            used += 1
-            if used > max_candidates:
-                raise NotFound(f"candidate budget {max_candidates} exhausted")
-            if e_nt == target:
-                self.inspected += 1
-                if accept(sig):
-                    return SearchResult(expr_of(node), self.lanes(sig))
+        stream, search = self._stream, (accept, target, max_size, max_candidates, used)
+        out = stream.send(search) if stream.gi_frame else "exhausted"  # closed or timed out
+        if type(out) is tuple:
+            return SearchResult(expr_of(out[1]), self.lanes(out[2]))
+        if out == "candidates":
+            raise NotFound(f"candidate budget {max_candidates} exhausted")
+        if out == "exhausted" and self._max_pooled <= max_size:
+            raise Exhausted("grammar language fully enumerated")
+        raise NotFound(f"size budget {max_size} exhausted")  # or the language goes on past it
 
     def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
         """Every retained (expr, signature) pair at ``nt`` of size at most

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 from bvsynth.enumeration import EnumerationState, expr_of
@@ -37,13 +38,18 @@ def engine_for(problem, deadline=None) -> EnumerationState:
 
 
 def events(engine: EnumerationState) -> Iterator[tuple]:
-    """The engine's construction stream: one (nonterminal, size, expr,
-    packed signature) event per constructed expression, pruned ones
-    included, ending when the pruned language is exhausted.  The engine's
-    events carry store nodes; each is expanded here with ``expr_of``."""
-    while (event := engine._next_event()) is not None:
-        nt, size, node, sig = event
-        yield nt, size, expr_of(node), sig
+    """The engine's construction stream at the start nonterminal: one
+    (nonterminal, size, expr, packed signature) event per constructed
+    expression, pruned ones included, ending when the pruned language is
+    exhausted.  It drives the engine's search loop with a search that
+    accepts every candidate and has no budgets, so each construction comes
+    back as a hit, ``(size, node, signature)``; the node is expanded here
+    with ``expr_of``."""
+    start = engine.grammar.start
+    search = (lambda sig: True, start, sys.maxsize, sys.maxsize, 0)
+    while type(hit := engine._stream.send(search)) is tuple:
+        size, node, sig = hit
+        yield start, size, expr_of(node), sig
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:

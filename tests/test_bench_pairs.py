@@ -12,10 +12,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
 
-def run_output(workload: str, seed: int, solve_s: float, rss: float, sha: str = "a") -> str:
+def run_output(
+    workload: str, seed: int, solve_s: float, rss: float, sha: str = "a", passes: int = 30
+) -> str:
     report = {
         "workload": workload,
         "seed": seed,
+        "passes": passes,
         "traced_passes": 0,
         "fingerprint": "f",
         "solutions_sha256": sha,
@@ -47,9 +50,11 @@ def write_runs(tmp_path: Path, side: str, runs: list[tuple]) -> list[Path]:
 
 
 def test_pairs_by_workload_and_seed_and_counts_wins(tmp_path):
-    # The change is faster on 9 of 10 seeds and uses the same memory.
-    parent = write_runs(tmp_path, "p", [("wide200", s, 1.0 + s / 100, 30.0) for s in range(10)])
-    change = [("wide200", s, 0.8 if s else 1.5, 30.0) for s in range(10)]
+    # The change is faster on 9 of 10 seeds and uses the same memory, in
+    # more passes.
+    parent = [("wide200", s, 1.0 + s / 100, 30.0, "a", 30 + s) for s in range(10)]
+    parent = write_runs(tmp_path, "p", parent)
+    change = [("wide200", s, 0.8 if s else 1.5, 30.0, "a", 40 + s) for s in range(10)]
     change = write_runs(tmp_path, "c", list(reversed(change)))  # order does not matter
     out = tmp_path / "BENCH.json"
     argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
@@ -61,6 +66,8 @@ def test_pairs_by_workload_and_seed_and_counts_wins(tmp_path):
     assert solve["parent"]["median"] == pytest.approx(1.045) and solve["change"]["median"] == 0.8
     rss = entry["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == "0/10" and not rss["claimable"]
+    # each side's pass counts, in the pairs' (seed) order
+    assert entry["passes"] == {"parent": list(range(30, 40)), "change": list(range(40, 50))}
 
 
 def test_a_changed_solution_shows_in_the_identity(tmp_path):

@@ -205,6 +205,27 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
             assert eval_expr(parsed.body, env, problem.width) == ex.output
 
 
+def test_bench_unwritable_solution_file_is_an_error_row(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    spec = CorpusSpec(count=3, size_min=2, size_max=3, examples=4, width=64, seed=9)
+    generate_corpus(spec, corpus)
+    sols = tmp_path / "sols"
+    (sols / "instance_0000.sol").mkdir(parents=True)  # this solution cannot be written
+    csv_path = tmp_path / "results.csv"
+    argv = ["bench", str(corpus), "--solutions", str(sols), "--csv", str(csv_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("instance_0000.sl: ") and err.count("\n") == 1
+    assert "solved 2/3" in out
+    with open(csv_path, newline="") as handle:
+        status = {r["file"]: r["status"] for r in csv.DictReader(handle)}
+    assert status == {"instance_0000.sl": "error", "instance_0001.sl": "solved",
+                      "instance_0002.sl": "solved"}
+    assert sorted(p.name for p in sols.iterdir() if p.is_file()) == [
+        "instance_0001.sol", "instance_0002.sol",
+    ]
+
+
 GEN_ONE = [
     "gen", "--count", "1", "--seed", "3", "--size-min", "2", "--size-max", "3",
     "--examples", "3", "--width", "8",

@@ -9,6 +9,7 @@ import pytest
 
 from bvsynth.enumeration import EnumerationState, signature_of, size_splits
 from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
+from bvsynth.frontend import Grammar
 from bvsynth.semantics import App, Var, app, const, subexpressions
 from bvsynth.solver import SearchLimits
 
@@ -131,6 +132,75 @@ def test_deadline_checked_during_pool_rescan():
     with pytest.raises(TimeoutExceeded):
         eng.enumerate_until(lambda sig: False, max_size=9, max_candidates=10**6)
     assert (eng.evaluations, eng.stored, eng.pruned) == built
+
+
+def counters(eng):
+    return eng.evaluations, eng.stored, eng.pruned, eng.inspected
+
+
+def test_deadline_stops_the_stream_with_published_counters():
+    # An expired deadline is seen at the 4,096th construction, which is
+    # stored or pruned like any other but not inspected.
+    eng = engine_for(LAZY_PROBLEM, deadline=time.monotonic() - 1.0)
+    with pytest.raises(TimeoutExceeded, match="after 4096 evaluations"):
+        eng.enumerate_until(lambda sig: False, max_size=8, max_candidates=10**6)
+    assert eng.evaluations == eng.stored + eng.pruned == 4096
+    assert eng.inspected == 4095
+    # The stream has ended; a later search fails like a search of an exhausted one.
+    with pytest.raises((NotFound, Exhausted)):
+        eng.enumerate_until(lambda sig: False, max_size=8, max_candidates=10**6)
+
+
+def test_size_stop_offers_its_construction_to_the_next_search():
+    # Layer 2 holds 5 retained expressions (shl1(#x00) repeats #x00), and the
+    # first construction of layer 3 is shl1(shl1(x)).  It is built and stored
+    # before the size-2 search stops, so the size-3 search finds it at the end
+    # of its re-scan.  It is still offered live to the next search that allows
+    # size 3, which therefore builds only one more construction, the one that
+    # trips its candidate budget.
+    p = problem_of(grammar_of(["shl1", "bvnot", "bvand"], width=8), [(3, 0), (5, 0)], width=8)
+    eng = engine_for(p)
+    with pytest.raises(NotFound, match="size budget 2"):
+        eng.enumerate_until(lambda sig: False, max_size=2, max_candidates=10**6)
+    assert counters(eng) == (10, 9, 1, 9)
+    stopping = app("shl1", app("shl1", Var("x")))
+    target = signature_of(stopping, ("x",), rows_of(p), 8)
+    found = eng.enumerate_until(
+        lambda sig: eng.lanes(sig) == target, max_size=3, max_candidates=10**6
+    )
+    assert found.expr == stopping and found.signature == target
+    assert counters(eng) == (10, 9, 1, 18)
+    # 9 re-scanned, then the stopping construction live: the 10th candidate
+    with pytest.raises(NotFound, match="candidate budget 10"):
+        eng.enumerate_until(lambda sig: False, max_size=3, max_candidates=10)
+    assert counters(eng) == (11, 10, 1, 28)
+
+
+def test_candidate_budgeted_searches_share_one_stream():
+    # The searches target a nonterminal that has no productions, so none of
+    # them re-scans anything or inspects anything: each uses its 7 candidates
+    # on the next 7 constructions and stops on building the 8th.  Until the
+    # last, stopped by the size budget, they build what one unbudgeted search
+    # builds, in the same order.
+    base = grammar_of(["shl1", "bvnot", "bvand"], width=8)
+    grammar = Grammar(
+        base.nonterminals + ("Never",), {**base.productions, "Never": ()}, "Start"
+    )
+    p = problem_of(grammar, [(3, 0), (5, 0)], width=8)
+    eng = engine_for(p)
+    built = []
+    while True:
+        try:
+            eng.enumerate_until(lambda sig: False, max_size=4, max_candidates=7, nt="Never")
+        except NotFound as exc:
+            built.append(eng.evaluations)
+            if "size budget" in str(exc):
+                break
+    assert built == [8, 16, 24, 32, 40, 48, 56, 64, 71]
+    assert counters(eng) == (71, 27, 44, 0)
+    fresh = engine_for(p)
+    assert fresh.retained("Start", 4) == eng.retained("Start", 4)
+    assert counters(fresh)[:3] == counters(eng)[:3] == (71, 27, 44)
 
 
 def test_exhausted_when_pruned_language_is_finite():

@@ -8,7 +8,9 @@ Each input file is the standard output of one ``perfbench/run.py`` run: its
 JSON object with the metrics.  A parent run and a change run of the same
 workload, seed and trace setting form a pair.  For every workload and metric
 the output holds each side's median and quartiles, and how many pairs the
-change won; the direction of "better" comes from ``BENCHMARK.json``.  A gain
+change won; the direction of "better" comes from ``BENCHMARK.json``.  Each
+side's pass counts are listed in pair order, since ``peak_rss_mb`` grows
+with the number of passes a run makes.  A gain
 is ``claimable`` only over at least ten pairs, when the change wins at least
 nine in ten and the medians differ by more than the parent's interquartile
 range.
@@ -83,6 +85,10 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         entry["same_identity"] = all(
             p["report"][k] == c["report"][k] for p, c in pairs for k in IDENTITY
         )
+        entry["passes"] = {
+            side: [run["report"]["passes"] for run in runs]
+            for side, runs in zip(("parent", "change"), zip(*pairs))
+        }
         for name in pairs[0][0]["metrics"]:
             base = [p["metrics"][name] for p, _ in pairs]
             new = [c["metrics"][name] for _, c in pairs]
@@ -134,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(render(summary), encoding="utf-8")
     for key, entry in summary.items():
         print(f"{key}: {entry['pair_count']} pairs, identity "
-              f"{'same' if entry['same_identity'] else 'DIFFERS'}")
+              f"{'same' if entry['same_identity'] else 'DIFFERS'}, passes "
+              f"{entry['passes']['parent']} -> {entry['passes']['change']}")
         for name, m in entry["metrics"].items():
             wins = m.get("change_wins", "-")
             print(f"  {name:<28} {m['parent']['median']:12.4f} -> {m['change']['median']:12.4f} "
