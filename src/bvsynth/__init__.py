@@ -6,14 +6,7 @@ if0 conditions.
 """
 
 from .semantics import App, BitVecValue, Const, Expr, OPERATORS, Var, eval_expr, expr_to_sexpr
-from .frontend import (
-    Example,
-    Grammar,
-    Problem,
-    emit_solution,
-    parse_problem,
-    parse_solution,
-)
+from .frontend import Example, Grammar, Problem, emit_solution, parse_problem, parse_solution
 from .enumeration import EnumerationState, Signature, signature_of
 from .solver import RunStats, SearchLimits, SolveResult, solve_problem
 

@@ -86,15 +86,8 @@ class BenchRow:
     candidates: int | None = None
 
     def cells(self) -> list[str]:
-        opt = lambda v: "" if v is None else str(v)
-        return [
-            self.file,
-            self.status,
-            str(self.millis),
-            opt(self.solution_size),
-            opt(self.internal_nodes),
-            opt(self.candidates),
-        ]
+        opt = (self.solution_size, self.internal_nodes, self.candidates)
+        return [self.file, self.status, str(self.millis), *("" if v is None else str(v) for v in opt)]
 
 
 def bench_directory(
@@ -173,11 +166,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget(convert, ok):
+    """An argparse type: the flag's text as ``convert`` reads it, when ``ok`` holds for it."""
+
+    def budget(text: str):
+        if not ok(value := convert(text)):
+            raise ValueError(text)  # argparse exits 2: "invalid budget value: ..."
+        return value
+
+    return budget
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timeout", type=float, default=None, help="wall-clock seconds per solve")
-    parser.add_argument("--max-size", type=int, default=12, help="largest expression size searched")
+    count = _budget(int, lambda n: n >= 0)
+    seconds = _budget(float, lambda t: 0 < t < float("inf"))  # neither nan nor inf
+    parser.add_argument("--timeout", type=seconds, default=None, help="wall-clock seconds per solve")
+    parser.add_argument("--max-size", type=count, default=12, help="largest expression size searched")
     parser.add_argument(
-        "--max-candidates", type=int, default=5_000_000, help="candidate budget per search"
+        "--max-candidates", type=count, default=5_000_000, help="candidate budget per search"
     )
 
 

@@ -176,7 +176,7 @@ class EnumerationState:
 
     @classmethod
     def for_problem(cls, problem: Problem, *, deadline: float | None = None) -> "EnumerationState":
-        rows = [tuple(v.bits for v in ex.inputs) for ex in problem.examples]
+        rows = [ex.inputs for ex in problem.examples]
         return cls(problem.grammar, problem.params, rows, problem.width, deadline=deadline)
 
     # -- the search loop ----------------------------------------------------

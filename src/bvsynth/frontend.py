@@ -120,8 +120,8 @@ _HEX = "0123456789abcdefABCDEF"
 _RADIX = {"#x": (4, 16, _HEX), "#X": (4, 16, _HEX), "#b": (1, 2, "01"), "#B": (1, 2, "01")}
 
 
-def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
-    """Parse a ``#x``/``#b`` literal; None when ``sx`` is not a literal at all."""
+def parse_literal(sx: SExpr, width: int) -> int | None:
+    """A ``#x``/``#b`` literal's value, an int in ``[0, 2**width)``; None for a non-literal."""
     radix = _RADIX.get(sx.text[:2]) if isinstance(sx, Atom) else None
     if radix is None:
         return None
@@ -134,7 +134,7 @@ def parse_literal(sx: SExpr, width: int) -> BitVecValue | None:
     literal_width = len(body) * bits_per_digit
     if literal_width != width:
         raise _error(f"literal {sx.text!r} has width {literal_width}, expected {width}", sx)
-    return BitVecValue(width, int(body, base))
+    return int(body, base)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +163,10 @@ class Grammar:
 
 @dataclass(frozen=True)
 class Example:
-    inputs: tuple[BitVecValue, ...]
-    output: BitVecValue
+    """Inputs and output are ints in ``[0, 2**width)``; ``index`` is the constraint's number."""
+
+    inputs: tuple[int, ...]
+    output: int
     index: int
 
 
@@ -216,9 +218,9 @@ def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar
         prods: list[Production] = []
         for p in body:
             if isinstance(p, Atom):
-                lit = parse_literal(p, width)
-                if lit is not None:
-                    prods.append(Const(lit))
+                bits = parse_literal(p, width)
+                if bits is not None:
+                    prods.append(Const(BitVecValue(width, bits)))
                 elif p.text in param_set:
                     prods.append(Var(p.text))
                 elif p.text in nts:
@@ -361,7 +363,7 @@ def parse_problem(text: str) -> Problem:
 
 def _example_of(
     term: SExpr, fname: str, width: int, declared: Mapping[str, int]
-) -> tuple[list[BitVecValue], BitVecValue] | None:
+) -> tuple[tuple[int, ...], int] | None:
     """The inputs and output of an example constraint; None for any other term.
 
     Direct form: ``(= (f lit...) lit)``, either way round.  Implication:
@@ -371,7 +373,7 @@ def _example_of(
     """
     call: SList | None = None
     out_var: str | None = None
-    pinned: dict[str, BitVecValue] = {}
+    pinned: dict[str, int] = {}
     head = _head(term)
     if head == "=>" and len(term) == 3:
         antecedent, term = term[1], term[2]
@@ -406,12 +408,13 @@ def _example_of(
             break
     else:
         return None
-    # every argument is parsed before any is rejected
-    args = call[1:]
-    inputs = [parse_literal(a, width) or isinstance(a, Atom) and pinned.get(a.text) for a in args]
-    if not all(inputs):
+    inputs = []
+    for a in call[1:]:  # every argument is parsed before any is rejected
+        value = parse_literal(a, width)
+        inputs.append(pinned.get(a.text) if value is None and isinstance(a, Atom) else value)
+    if None in inputs:  # 0 is a value, so no test for truth
         return None
-    return inputs, output
+    return tuple(inputs), output
 
 
 def detect_pbe(
@@ -426,7 +429,7 @@ def detect_pbe(
     if not constraints:
         raise NotPBE("not a PBE task: no constraints")
     examples: list[Example] = []
-    seen: dict[tuple[int, ...], tuple[int, BitVecValue]] = {}
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
     for i, term in enumerate(constraints):
         parsed = _example_of(term, fname, width, declared)
         if parsed is None:
@@ -436,10 +439,10 @@ def detect_pbe(
             raise NotPBE(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
-        j, output_j = seen.setdefault(tuple([v.bits for v in inputs]), (i, output))
-        if output_j.bits != output.bits:
+        j, output_j = seen.setdefault(inputs, (i, output))
+        if output_j != output:
             raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
-        examples.append(Example(tuple(inputs), output, i))
+        examples.append(Example(inputs, output, i))
     return examples
 
 
@@ -483,9 +486,9 @@ def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
             del done[-arity:]
             done.append(App(node[0].text, args))
         elif isinstance(node, Atom):
-            lit = parse_literal(node, width)
-            if lit is not None:
-                done.append(Const(lit))
+            bits = parse_literal(node, width)
+            if bits is not None:
+                done.append(Const(BitVecValue(width, bits)))
             elif node.text in params:
                 done.append(Var(node.text))
             else:

@@ -186,10 +186,6 @@ def subexpressions(expr: Expr) -> Iterator[Expr]:
             todo.extend(reversed(e.args))
 
 
-def contains_op(expr: Expr, name: str) -> bool:
-    return any(isinstance(e, App) and e.op == name for e in subexpressions(expr))
-
-
 def _infer_width(expr: Expr) -> int:
     first_var = None
     for e in subexpressions(expr):

@@ -61,10 +61,10 @@ class SolveResult:
 def verify_solution(problem: Problem, solution: Expr) -> None:
     """Concrete verification oracle: evaluate the solution once on all examples."""
     examples = problem.examples
-    columns = {p: [ex.inputs[i].bits for ex in examples] for i, p in enumerate(problem.params)}
+    columns = {p: [ex.inputs[i] for ex in examples] for i, p in enumerate(problem.params)}
     values = eval_columns(solution, columns, problem.width, len(examples))
     for example, value in zip(examples, values):
-        if value != example.output.bits:
+        if value != example.output:
             raise VerificationFailed(example.index)
 
 

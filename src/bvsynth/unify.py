@@ -72,7 +72,7 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
     assigned to every other still-unmapped example it happens to satisfy.
     Enumeration resumes across searches instead of restarting.
     """
-    outs = [ex.output.bits for ex in problem.examples]
+    outs = [ex.output for ex in problem.examples]
     tmap = TerminalMap()
     for k in range(len(outs)):
         if k in tmap.assignment:

@@ -7,7 +7,7 @@ from typing import Iterator
 
 from bvsynth.enumeration import EnumerationState, expr_of
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
-from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr
+from bvsynth.semantics import OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits
 from bvsynth.unify import Internal, Leaf, Tree
 
@@ -26,10 +26,8 @@ def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
 
 
 def problem_of(grammar, pairs, width=64, name="f") -> Problem:
-    examples = tuple(
-        Example((BitVecValue(width, i),), BitVecValue(width, o), k)
-        for k, (i, o) in enumerate(pairs)
-    )
+    mask = (1 << width) - 1
+    examples = tuple(Example((i & mask,), o & mask, k) for k, (i, o) in enumerate(pairs))
     return Problem(name=name, params=("x",), width=width, grammar=grammar, examples=examples)
 
 
@@ -53,14 +51,19 @@ def events(engine: EnumerationState) -> Iterator[tuple]:
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:
-    return [tuple(v.bits for v in ex.inputs) for ex in problem.examples]
+    return [ex.inputs for ex in problem.examples]
+
+
+def env_of(params, width: int, inputs) -> dict[str, BitVecValue]:
+    """An ``eval_expr`` environment binding ``params`` to an example's int ``inputs``."""
+    return {p: BitVecValue(width, v) for p, v in zip(params, inputs)}
 
 
 def route(problem, tree: Tree, example: Example) -> tuple[Leaf, tuple[bool, ...]]:
     """Follow the tree for one example, evaluating every condition with
     ``eval_expr`` rather than reading its stored signature.  Path entries
     are True for then-branches."""
-    env = dict(zip(problem.params, example.inputs))
+    env = env_of(problem.params, problem.width, example.inputs)
     node = tree
     path: list[bool] = []
     while isinstance(node, Internal):
@@ -84,3 +87,7 @@ def conditions(tree: Tree) -> Iterator[Internal]:
         yield tree
         yield from conditions(tree.then_child)
         yield from conditions(tree.else_child)
+
+
+def contains_op(expr: Expr, name: str) -> bool:
+    return any(isinstance(e, App) and e.op == name for e in subexpressions(expr))

@@ -18,7 +18,6 @@ from typing import Iterator, Mapping, NamedTuple, Union
 
 from bvsynth.errors import SygusSyntaxError
 from bvsynth.frontend import Atom, SExpr, SList, parse_literal
-from bvsynth.semantics import BitVecValue
 
 _DELIMS = frozenset(" \t\r\n();")
 
@@ -99,7 +98,7 @@ def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
 
 def _direct_example(
     term: SExpr, fname: str, width: int
-) -> tuple[list[BitVecValue], BitVecValue] | None:
+) -> tuple[tuple[int, ...], int] | None:
     if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "="):
         return None
     for call, lit in ((term[1], term[2]), (term[2], term[1])):
@@ -112,19 +111,19 @@ def _direct_example(
         inputs = [parse_literal(a, width) for a in args]
         if any(v is None for v in inputs):
             return None
-        return inputs, output  # type: ignore[return-value]
+        return tuple(inputs), output  # type: ignore[return-value]
     return None
 
 
 def _implication_example(
     term: SExpr, fname: str, width: int, declared: Mapping[str, int]
-) -> tuple[list[BitVecValue], BitVecValue] | None:
+) -> tuple[tuple[int, ...], int] | None:
     if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "=>"):
         return None
     antecedent, consequent = term[1], term[2]
     equalities = list(antecedent[1:]) if _head(antecedent) == "and" else [antecedent]
 
-    pinned: dict[str, BitVecValue] = {}
+    pinned: dict[str, int] = {}
     out_var: str | None = None
     call_args: list[SExpr] | None = None
     for eq in equalities:
@@ -154,7 +153,7 @@ def _implication_example(
 
     if not (isinstance(consequent, SList) and len(consequent) == 3 and _head(consequent) == "="):
         return None
-    output: BitVecValue | None = None
+    output: int | None = None
     for var_side, other in ((consequent[1], consequent[2]), (consequent[2], consequent[1])):
         if isinstance(var_side, Atom) and var_side.text == out_var:
             output = parse_literal(other, width)
@@ -162,7 +161,7 @@ def _implication_example(
     if output is None:
         return None
 
-    inputs: list[BitVecValue] = []
+    inputs: list[int] = []
     for a in call_args:
         lit = parse_literal(a, width)
         if lit is None:
@@ -171,12 +170,12 @@ def _implication_example(
             else:
                 return None
         inputs.append(lit)
-    return inputs, output
+    return tuple(inputs), output
 
 
 def example_of(
     term: SExpr, fname: str, width: int, declared: Mapping[str, int]
-) -> tuple[list[BitVecValue], BitVecValue] | None:
+) -> tuple[tuple[int, ...], int] | None:
     """The matcher ``detect_pbe`` used before the two shapes shared one."""
     return _direct_example(term, fname, width) or _implication_example(
         term, fname, width, declared

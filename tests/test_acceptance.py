@@ -22,13 +22,22 @@ from bvsynth.frontend import (
     parse_problem,
     parse_solution,
 )
-from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, contains_op, eval_expr
+from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
-from helpers import conditions, grammar_of, leaves, problem_of, route, rows_of
+from helpers import (
+    conditions,
+    contains_op,
+    env_of,
+    grammar_of,
+    leaves,
+    problem_of,
+    route,
+    rows_of,
+)
 
 GEN_ARGS = [
     "gen", "--count", "200", "--seed", "1", "--size-min", "3", "--size-max", "7",
@@ -72,8 +81,8 @@ def test_criterion_1_round_trip_corpus(run_a):
         assert parsed.width == problem.width
         assert parsed.body.size == int(row["solution_size"])
         for ex in problem.examples:
-            env = dict(zip(parsed.params, ex.inputs))
-            assert eval_expr(parsed.body, env, problem.width) == ex.output
+            env = env_of(parsed.params, problem.width, ex.inputs)
+            assert eval_expr(parsed.body, env, problem.width).bits == ex.output
     print("criterion 1 (round-trip corpus, 200/200 solved+verified): PASS")
 
 
@@ -207,8 +216,8 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
                 example = problem.examples[i]
                 reached, _ = route(problem, tree, example)
                 assert reached is leaf  # (c)
-                env = dict(zip(problem.params, example.inputs))
-                assert eval_expr(leaf.expr, env, problem.width) == example.output
+                env = env_of(problem.params, problem.width, example.inputs)
+                assert eval_expr(leaf.expr, env, problem.width).bits == example.output
         covered = set().union(*buckets)
         assert covered == set(range(n))
         assert sum(len(b) for b in buckets) == n

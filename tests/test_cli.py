@@ -15,6 +15,8 @@ from bvsynth.corpus import CorpusSpec, generate_corpus
 from bvsynth.frontend import parse_problem, parse_solution
 from bvsynth.semantics import eval_expr
 
+from helpers import env_of
+
 IDENTITY = """(set-logic BV)
 (synth-fun f ((x (BitVec 64))) (BitVec 64)
   ((Start (BitVec 64) (x #x0000000000000000 #x0000000000000001
@@ -118,6 +120,42 @@ def test_solve_budget_exhausted_exits_1(tmp_path, capsys):
     assert "unsolved" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-size", "-1"),
+        ("--max-candidates", "-5"),
+        ("--timeout", "-1"),
+        ("--timeout", "0"),
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "-inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_invalid_budget_flags_exit_2_at_the_parser(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "identity.sl"
+    path.write_text(IDENTITY, encoding="utf-8")
+    target = str(path) if command == "solve" else str(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, target, f"{flag}={value}"])  # "=" keeps "-inf" from reading as a flag
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid budget value: '{value}'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-size", "0"], ["--max-candidates", "0"], ["--timeout", "1e-9"]]
+)
+def test_boundary_budget_flags_are_accepted(tmp_path, capsys, flags):
+    path = tmp_path / "hard.sl"
+    path.write_text(HARD, encoding="utf-8")
+    assert main(["solve", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unsolved" in captured.err
+
+
 def test_solve_crlf_file(tmp_path, capsys):
     path = tmp_path / "crlf.sl"
     path.write_bytes(IDENTITY.replace("\n", "\r\n").encode())
@@ -201,8 +239,8 @@ def test_bench_directory_with_mixed_outcomes(tmp_path, capsys):
         parsed = parse_solution(sol_path.read_text(encoding="utf-8"))
         problem = parse_problem((corpus / row["file"]).read_text(encoding="utf-8"))
         for ex in problem.examples:
-            env = dict(zip(parsed.params, ex.inputs))
-            assert eval_expr(parsed.body, env, problem.width) == ex.output
+            env = env_of(parsed.params, problem.width, ex.inputs)
+            assert eval_expr(parsed.body, env, problem.width).bits == ex.output
 
 
 def test_bench_unwritable_solution_file_is_an_error_row(tmp_path, capsys):

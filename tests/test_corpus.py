@@ -17,6 +17,8 @@ from bvsynth.frontend import parse_problem
 from bvsynth.semantics import eval_expr
 from bvsynth.solver import solve_problem
 
+from helpers import env_of
+
 
 def read(path):
     return path.read_bytes()
@@ -37,7 +39,7 @@ def test_generated_files_reparse_with_expected_example_count(tmp_path):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         assert len(problem.examples) == 6
         assert problem.width == 64
-        inputs = [e.inputs[0].bits for e in problem.examples]
+        inputs = [e.inputs[0] for e in problem.examples]
         assert len(set(inputs)) == len(inputs)
 
 
@@ -60,8 +62,8 @@ def test_core_template_and_width8(tmp_path):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         result = solve_problem(problem)
         for ex in problem.examples:
-            env = dict(zip(problem.params, ex.inputs))
-            assert eval_expr(result.solution, env, problem.width) == ex.output
+            env = env_of(problem.params, problem.width, ex.inputs)
+            assert eval_expr(result.solution, env, problem.width).bits == ex.output
 
 
 def test_width_not_divisible_by_four_uses_binary_literals(tmp_path):
@@ -73,8 +75,8 @@ def test_width_not_divisible_by_four_uses_binary_literals(tmp_path):
         assert problem.width == 7
         result = solve_problem(problem)
         for ex in problem.examples:
-            env = dict(zip(problem.params, ex.inputs))
-            assert eval_expr(result.solution, env, problem.width) == ex.output
+            env = env_of(problem.params, problem.width, ex.inputs)
+            assert eval_expr(result.solution, env, problem.width).bits == ex.output
 
 
 def test_generated_instances_solve_and_verify(tmp_path):
@@ -83,8 +85,8 @@ def test_generated_instances_solve_and_verify(tmp_path):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         result = solve_problem(problem)
         for ex in problem.examples:
-            env = dict(zip(problem.params, ex.inputs))
-            assert eval_expr(result.solution, env, problem.width) == ex.output
+            env = env_of(problem.params, problem.width, ex.inputs)
+            assert eval_expr(result.solution, env, problem.width).bits == ex.output
 
 
 @pytest.mark.parametrize(

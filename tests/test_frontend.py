@@ -24,6 +24,7 @@ from bvsynth.errors import (
 from bvsynth import frontend
 from bvsynth.frontend import (
     Atom,
+    Example,
     Problem,
     detect_pbe,
     emit_solution,
@@ -61,7 +62,7 @@ def test_direct_example_both_argument_orders():
         f"(constraint (= {lit64(10)} (f {lit64(5)})))"
     )
     p = parse_problem(text)
-    assert [(e.inputs[0].bits, e.output.bits, e.index) for e in p.examples] == [
+    assert [(e.inputs[0], e.output, e.index) for e in p.examples] == [
         (3, 6, 0),
         (5, 10, 1),
     ]
@@ -79,7 +80,7 @@ def test_implication_form_is_canonicalized():
         "(check-synth)\n"
     )
     p = parse_problem(text)
-    assert [(e.inputs[0].bits, e.output.bits) for e in p.examples] == [(1, 2), (7, 9)]
+    assert [(e.inputs[0], e.output) for e in p.examples] == [(1, 2), (7, 9)]
 
 
 def test_implication_with_literal_argument():
@@ -91,7 +92,7 @@ def test_implication_with_literal_argument():
         "(check-synth)\n"
     )
     p = parse_problem(text)
-    assert [(e.inputs[0].bits, e.output.bits) for e in p.examples] == [(4, 8)]
+    assert [(e.inputs[0], e.output) for e in p.examples] == [(4, 8)]
 
 
 def test_crlf_and_lf_parse_to_equal_problems():
@@ -283,7 +284,7 @@ def test_binary_literals_accepted():
     )
     p = parse_problem(text)
     assert p.width == 8
-    assert p.examples[0].inputs[0].bits == 3
+    assert p.examples[0].inputs[0] == 3
 
 
 @pytest.mark.parametrize("digits", ["\u00b2", "\u0663"])
@@ -326,7 +327,7 @@ def test_literal_digits_must_match_the_radix(text, width):
     [("#x0b1", 12, 0x0B1), ("#XaBf", 12, 0xABF), ("#b0110", 4, 6), ("#B1", 1, 1)],
 )
 def test_literal_digits_of_the_radix_accepted(text, width, bits):
-    assert parse_literal(Atom(text, 7), width) == BitVecValue(width, bits)
+    assert parse_literal(Atom(text, 7), width) == bits
 
 
 def test_zero_literals_parse_to_zero():
@@ -343,7 +344,7 @@ def test_zero_literals_parse_to_zero():
         "(check-synth)\n"
     )
     p = parse_problem(text)
-    assert [(e.inputs[0].bits, e.output.bits) for e in p.examples] == [(0, 0), (0, 0)]
+    assert [(e.inputs[0], e.output) for e in p.examples] == [(0, 0), (0, 0)]
     assert Const(BitVecValue(8, 0)) in p.grammar.productions["Start"]
 
 
@@ -633,6 +634,23 @@ def test_matcher_parses_every_call_argument_before_rejecting_one():
     assert outcome_key(err) == ("SygusSyntaxError", "malformed literal '#xZZ'")
     assert position(term, err.offset) == (1, 15)
     assert isinstance(reference_pbe_outcome(read_sexprs(term)), NotPBE)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "(= (f #x00) #x00)",
+        "(= #x00 (f #x00))",
+        "(=> (and (= v #x00) (= o (f v))) (= o #x00))",
+        "(=> (and (= o (f v)) (= #x00 v)) (= #x00 o))",
+        "(=> (= o (f #x00)) (= o #x00))",
+    ],
+)
+def test_matcher_keeps_zero_values(term):
+    # A parsed 0 is a falsy int: a matcher that tests an input, a pinned
+    # value or the output for truth rather than for None rejects these.
+    assert pbe_outcome(read_sexprs(term)) == [Example((0,), 0, 0)]
+    assert reference_pbe_outcome(read_sexprs(term)) == [Example((0,), 0, 0)]
 
 
 GOOD_LITERALS = ["#x01", "#x02", "#xfe", "#b00000011"]

@@ -9,12 +9,12 @@ import pytest
 
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import TimeoutExceeded, UnsolvableExample, VerificationFailed
-from bvsynth.semantics import App, Var, app, contains_op, eval_expr, subexpressions
+from bvsynth.semantics import App, Var, app, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import internal_node_count
 
 import bruteforce
-from helpers import grammar_of, problem_of, rows_of
+from helpers import contains_op, env_of, grammar_of, problem_of, rows_of
 
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 
@@ -46,8 +46,8 @@ def test_parity_instance_builds_two_nodes():
     )
     assert if0_nodes == 2
     for ex in p.examples:
-        env = dict(zip(p.params, ex.inputs))
-        assert eval_expr(result.solution, env, p.width) == ex.output
+        env = env_of(p.params, p.width, ex.inputs)
+        assert eval_expr(result.solution, env, p.width).bits == ex.output
 
 
 def test_solution_size_and_node_bound_on_mixed_instance():
@@ -127,8 +127,8 @@ def test_grammar_violation_surfaces_from_solve():
         "Start",
     )
     examples = (
-        Example((BitVecValue(w, 4),), BitVecValue(w, 4), 0),
-        Example((BitVecValue(w, 3),), BitVecValue(w, 1), 1),
+        Example((4,), 4, 0),
+        Example((3,), 1, 1),
     )
     problem = Problem("f", ("x",), w, grammar, examples)
     with pytest.raises(GrammarViolation):

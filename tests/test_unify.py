@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
 from bvsynth.frontend import Grammar, OpRule, emit_solution
-from bvsynth.semantics import App, BitVecValue, Const, Var, app, const, contains_op, eval_expr
+from bvsynth.semantics import App, BitVecValue, Const, Var, app, const, eval_expr
 from bvsynth.solver import SearchLimits, verify_solution
 from bvsynth.unify import (
     Internal,
@@ -27,7 +27,17 @@ from bvsynth.unify import (
 )
 
 import bruteforce
-from helpers import conditions, engine_for, grammar_of, leaves, problem_of, route, rows_of
+from helpers import (
+    conditions,
+    contains_op,
+    engine_for,
+    env_of,
+    grammar_of,
+    leaves,
+    problem_of,
+    route,
+    rows_of,
+)
 
 LIMITS = SearchLimits()
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
@@ -52,8 +62,8 @@ def assert_tree_sound(problem, tree, tmap):
             example = problem.examples[i]
             reached, _path = route(problem, tree, example)
             assert reached is leaf, f"example {i} routes away from its bucket"
-            env = dict(zip(problem.params, example.inputs))
-            assert eval_expr(leaf.expr, env, problem.width) == example.output
+            env = env_of(problem.params, problem.width, example.inputs)
+            assert eval_expr(leaf.expr, env, problem.width).bits == example.output
     rows = rows_of(problem)
     for node in conditions(tree):
         assert not contains_op(node.condition, "if0")
@@ -271,8 +281,8 @@ def test_build_tree_parity_scenario():
 
     solution = tree_to_expr(tree, p.grammar)
     for ex in p.examples:
-        env = dict(zip(p.params, ex.inputs))
-        assert eval_expr(solution, env, p.width) == ex.output
+        env = env_of(p.params, p.width, ex.inputs)
+        assert eval_expr(solution, env, p.width).bits == ex.output
 
 
 def test_build_tree_reinserts_displaced_bucket_members():
@@ -331,7 +341,7 @@ def test_tree_to_expr_composes_if0():
     expr = tree_to_expr(tree, p.grammar)
     assert expr == app("if0", cond, app("bvnot", Var("x")), Var("x"))
     for ex in p.examples[:3]:
-        env = dict(zip(p.params, ex.inputs))
+        env = env_of(p.params, p.width, ex.inputs)
         want = route(p, tree, ex)[0].expr
         assert eval_expr(expr, env, p.width) == eval_expr(want, env, p.width)
 
