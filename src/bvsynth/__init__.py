@@ -7,7 +7,7 @@ if0 conditions.
 
 from .semantics import App, BitVecValue, Const, Expr, OPERATORS, Var, eval_expr, expr_to_sexpr
 from .frontend import Example, Grammar, Problem, emit_solution, parse_problem, parse_solution
-from .enumeration import EnumerationState, Signature, signature_of
+from .enumeration import EnumerationState, signature_of
 from .solver import RunStats, SearchLimits, SolveResult, solve_problem
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Problem",
     "RunStats",
     "SearchLimits",
-    "Signature",
     "SolveResult",
     "Var",
     "emit_solution",

@@ -3,14 +3,14 @@
 A signature is an expression's values on every example input.  Inside the
 enumeration it is one packed int: lane ``i`` holds example ``i``'s value in
 bits ``[i*width, (i+1)*width)``, and every operator acts on all lanes at once
-(word-parallel, or lane by lane for the variable shifts).  Outside this module
-a signature is the per-example tuple (:meth:`EnumerationState.lanes`), and
-searches take their acceptance predicates from the state, so no other module
-knows the lane layout.  Per nonterminal, only the first expression seen with
-a given signature is kept as a reusable subexpression; later duplicates are
-still emitted as top-level candidates but never composed into anything
-larger.  The if0 production is never enumerated: all branching comes from
-the decision tree.
+(word-parallel, or lane by lane for the variable shifts).  No other module
+knows the lane layout: searches take their acceptance predicates from the
+state, and :meth:`EnumerationState.agreement` turns a hit's signature into an
+*example mask*, an int whose bit ``i`` stands for example ``i``.  Per
+nonterminal, only the first expression seen with a given signature is kept
+as a reusable subexpression; later duplicates are still emitted as top-level
+candidates but never composed into anything larger.  The if0 production is
+never enumerated: all branching comes from the decision tree.
 
 One generator is both the construction stream and the search over it:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
@@ -38,7 +38,6 @@ from .errors import Exhausted, NotFound, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Const, Expr, Var, bound_operators, eval_columns
 
-Signature = tuple[int, ...]
 Packed = int  # a signature with example i's value in lane i
 Node = Union[Var, Const, tuple]  # a terminal, or (op, child_node, ...)
 
@@ -50,7 +49,7 @@ _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
 
 class SearchResult(NamedTuple):
     expr: Expr
-    signature: Signature
+    signature: Packed
 
 
 def expr_of(node: Node) -> Expr:
@@ -73,7 +72,7 @@ def size_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def signature_of(
     expr: Expr, params: Sequence[str], rows: Sequence[tuple[int, ...]], width: int
-) -> Signature:
+) -> tuple[int, ...]:
     """Evaluate ``expr`` on every input row; rows carry parameter bits in order."""
     columns = {name: [row[i] for row in rows] for i, name in enumerate(params)}
     return tuple(eval_columns(expr, columns, width, len(rows)))
@@ -92,7 +91,7 @@ def lane_ones(width: int, n: int) -> Packed:
     return ((1 << (n * width)) - 1) // ((1 << width) - 1)
 
 
-def unpack(sig: Packed, width: int, n: int) -> Signature:
+def unpack(sig: Packed, width: int, n: int) -> tuple[int, ...]:
     """The ``n`` lane values of ``sig``, lane 0 first."""
     mask = (1 << width) - 1
     return tuple((sig >> (i * width)) & mask for i in range(n))
@@ -163,7 +162,9 @@ class EnumerationState:
 
         self._fns = packed_operators(width, len(self.rows))
         self._mask = (1 << width) - 1
-        self._ones = lane_ones(width, len(self.rows))
+        self.ones = lane_ones(width, len(self.rows))  # the signature of the constant 1
+        self._high = self.ones << (width - 1)  # the top bit of every lane
+        self._low, self._digits = self._high - self.ones, f"0{len(self.rows) * width}b"
         self._vars = {x: pack([r[i] for r in self.rows], width) for i, x in enumerate(self.params)}
         # pools[nt][size] lists retained (node, signature) pairs; index 0 unused
         self._pools: dict[str, list[list[tuple[Node, Packed]]]] = {
@@ -198,7 +199,7 @@ class EnumerationState:
                     if size == 1 and isinstance(prod, Var):
                         yield 1, nt, None, 0, _first, [(prod, self._vars[prod.name])], _UNIT
                     elif size == 1 and isinstance(prod, Const):
-                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self._ones)], _UNIT
+                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self.ones)], _UNIT
                     elif isinstance(prod, OpRule) and prod.op != "if0":
                         for split in size_splits(size - 1, len(prod.operands)):
                             lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
@@ -274,9 +275,11 @@ class EnumerationState:
         freed without a cyclic collection; pools and counters stay."""
         self._stream.close()
 
-    def lanes(self, sig: Packed) -> Signature:
-        """The per-example tuple view of a packed signature."""
-        return unpack(sig, self.width, len(self.rows))
+    def agreement(self, sig: Packed, want: Packed) -> int:
+        """Example mask: bit ``i`` is set when lane ``i`` of ``sig`` equals lane ``i`` of ``want``."""
+        x, high, low = sig ^ want, self._high, self._low
+        zero = high & ~(((x & low) + low) | x)  # zero-lane test (Warren, Hacker's Delight, ch. 6)
+        return int(format(zero, self._digits)[:: self.width], 2)  # top bits, last lane first
 
     def example_equals(self, k: int, value: int) -> Callable[[Packed], bool]:
         """Acceptance predicate: the signature's value on example ``k`` is ``value``."""
@@ -286,7 +289,7 @@ class EnumerationState:
     def separates(self, a: int, b: int) -> Callable[[Packed], bool]:
         """Acceptance predicate: the signature is 1 on exactly one of examples
         ``a`` and ``b``, and not the same value on every example."""
-        w, mask, ones = self.width, self._mask, self._ones
+        w, mask, ones = self.width, self._mask, self.ones
         lane_a, one_a, lane_b, one_b = mask << a * w, 1 << a * w, mask << b * w, 1 << b * w
         return lambda sig: (
             ((sig & lane_a) == one_a) != ((sig & lane_b) == one_b) and sig != (sig & mask) * ones
@@ -328,25 +331,25 @@ class EnumerationState:
                     self._check_deadline(f"{used} re-scanned candidates")
                 self.inspected += 1
                 if accept(sig):
-                    return SearchResult(expr_of(node), self.lanes(sig))
+                    return SearchResult(expr_of(node), sig)
         stream, search = self._stream, (accept, target, max_size, max_candidates, used)
         out = stream.send(search) if stream.gi_frame else "exhausted"  # closed or timed out
         if type(out) is tuple:
-            return SearchResult(expr_of(out[1]), self.lanes(out[2]))
+            return SearchResult(expr_of(out[1]), out[2])
         if out == "candidates":
             raise NotFound(f"candidate budget {max_candidates} exhausted")
         if out == "exhausted" and self._max_pooled <= max_size:
             raise Exhausted("grammar language fully enumerated")
         raise NotFound(f"size budget {max_size} exhausted")  # or the language goes on past it
 
-    def retained(self, nt: str, max_size: int) -> list[tuple[Expr, Signature]]:
+    def retained(self, nt: str, max_size: int) -> list[tuple[Expr, tuple[int, ...]]]:
         """Every retained (expr, signature) pair at ``nt`` of size at most
         ``max_size``, in stream order.  A search that accepts nothing first
         drives the stream until layer ``max_size`` is complete (or the stream
-        runs out).  Signatures are per-example tuples."""
+        runs out).  Signatures are unpacked into per-example tuples."""
         try:
             self.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
         except (NotFound, Exhausted):
             pass
-        layers = self._pools[nt][: max_size + 1]
-        return [(expr_of(node), self.lanes(sig)) for layer in layers for node, sig in layer]
+        layers, w, n = self._pools[nt][: max_size + 1], self.width, len(self.rows)
+        return [(expr_of(node), unpack(sig, w, n)) for layer in layers for node, sig in layer]

@@ -168,14 +168,6 @@ class App:
 Expr = Union[Var, Const, App]
 
 
-def app(op: str, *args: Expr) -> App:
-    return App(op, tuple(args))
-
-
-def const(width: int, bits: int) -> Const:
-    return Const(BitVecValue(width, bits))
-
-
 def subexpressions(expr: Expr) -> Iterator[Expr]:
     """Preorder traversal, the expression itself included; iterative."""
     todo = [expr]

@@ -5,9 +5,9 @@ consistent with that example alone; one shared enumeration stream serves
 all searches.  Phase 2 inserts examples into a decision tree in rank order,
 enumerating a separating condition for each pair of conflicting examples.
 Conditions are drawn from the first operand nonterminal of the grammar's
-if0 production and are themselves if0-free.  Every if0 node keeps its
-condition's signature from the enumeration, so routing an example is a
-lookup: example ``i`` takes the then-branch exactly when ``signature[i] == 1``.
+if0 production and are themselves if0-free.  Each hit becomes one int
+*example mask*, whose bit ``i`` is set when it fits example ``i``.  An if0 node
+keeps its condition's mask: example ``i`` takes its then-branch when ``mask >> i & 1``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     UnsolvableExample,
     UnunifiablePair,
 )
-from .enumeration import EnumerationState, SearchResult, Signature
+from .enumeration import EnumerationState, pack
 from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Expr
 
@@ -49,7 +49,7 @@ class Leaf:
 @dataclass
 class Internal:
     condition: Expr
-    signature: Signature  # the condition's value on every example
+    mask: int  # bit i set when the condition is 1 on example i
     then_child: "Tree"
     else_child: "Tree"
 
@@ -68,28 +68,31 @@ def condition_nonterminal(grammar: Grammar) -> str:
 def map_terminals(problem: Problem, engine: EnumerationState, limits) -> TerminalMap:
     """Assign a consistent terminal expression to every example.
 
-    Examples are visited in index order; each found expression is also
-    assigned to every other still-unmapped example it happens to satisfy.
-    Enumeration resumes across searches instead of restarting.
+    The lowest unmapped example is searched for next; each found expression
+    is also assigned to every other still-unmapped example it happens to
+    satisfy.  Enumeration resumes across searches instead of restarting.
     """
-    outs = [ex.output for ex in problem.examples]
+    outputs = pack([ex.output for ex in problem.examples], problem.width)
     tmap = TerminalMap()
-    for k in range(len(outs)):
-        if k in tmap.assignment:
-            continue
+    unmapped = (1 << len(problem.examples)) - 1
+    while unmapped:
+        k = (unmapped & -unmapped).bit_length() - 1
         try:
             expr, sig = engine.enumerate_until(
-                engine.example_equals(k, outs[k]),
+                engine.example_equals(k, problem.examples[k].output),
                 max_size=limits.max_size,
                 max_candidates=limits.max_candidates,
             )
         except (NotFound, Exhausted) as exc:
             raise UnsolvableExample(k, str(exc)) from exc
+        fits = engine.agreement(sig, outputs) & unmapped
+        unmapped ^= fits
         bucket = tmap.registry.setdefault(expr, set())
-        for j in range(len(outs)):
-            if j not in tmap.assignment and sig[j] == outs[j]:
-                tmap.assignment[j] = expr
-                bucket.add(j)
+        while fits:  # one turn per newly mapped example, lowest first
+            j = (fits & -fits).bit_length() - 1
+            tmap.assignment[j] = expr
+            bucket.add(j)
+            fits ^= 1 << j
     return tmap
 
 
@@ -102,21 +105,21 @@ def rank_examples(tmap: TerminalMap) -> list[int]:
 
 def find_condition(
     problem: Problem, engine: EnumerationState, a: int, b: int, limits
-) -> SearchResult:
+) -> tuple[Expr, int]:
     """Smallest condition that is non-constant over all example inputs and
-    evaluates to 1 on exactly one of examples ``a`` and ``b``, with its
-    signature; the example it evaluates to 1 on occupies the then-branch.
+    evaluates to 1 on exactly one of examples ``a`` and ``b``, with its mask
+    of the examples it evaluates to 1 on: those occupy the then-branch.
     """
-    nt = condition_nonterminal(problem.grammar)
     try:
-        return engine.enumerate_until(
+        expr, sig = engine.enumerate_until(
             engine.separates(a, b),
             max_size=limits.max_size,
             max_candidates=limits.max_candidates,
-            nt=nt,
+            nt=condition_nonterminal(problem.grammar),
         )
     except (NotFound, Exhausted) as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc
+    return expr, engine.agreement(sig, engine.ones)
 
 
 def insert_example(
@@ -142,28 +145,26 @@ def insert_example(
         node = tree
         while isinstance(node, Internal):
             parent = node
-            node = node.then_child if node.signature[i] == 1 else node.else_child
+            node = node.then_child if node.mask >> i & 1 else node.else_child
         if node.expr == expr_i:
             node.bucket.add(i)
             continue
 
         representative = min(node.bucket)
-        found = find_condition(problem, engine, i, representative, limits)
-        sig = found.signature
-        if sig[i] == 1:
-            replacement = Internal(found.expr, sig, Leaf(expr_i, {i}), node)
+        condition, mask = find_condition(problem, engine, i, representative, limits)
+        if mask >> i & 1:
+            replacement = Internal(condition, mask, Leaf(expr_i, {i}), node)
         else:
-            replacement = Internal(found.expr, sig, node, Leaf(expr_i, {i}))
+            replacement = Internal(condition, mask, node, Leaf(expr_i, {i}))
         # The pairwise condition constrains only the representative; any other
         # bucket member it routes away from the representative must be
         # re-inserted to keep every bucket sound.
-        for m in sorted(node.bucket):
-            if (sig[m] == 1) != (sig[representative] == 1):
-                node.bucket.discard(m)
-                work.append(m)
+        moved = [m for m in sorted(node.bucket) if (mask >> m ^ mask >> representative) & 1]
+        node.bucket.difference_update(moved)
+        work.extend(moved)
         if parent is None:
             tree = replacement
-        elif parent.signature[i] == 1:
+        elif parent.mask >> i & 1:
             parent.then_child = replacement
         else:
             parent.else_child = replacement

@@ -14,6 +14,19 @@ from bvsynth.unify import Internal, Leaf, Tree
 LIMITS = SearchLimits()
 
 
+def app(op: str, *args: Expr) -> App:
+    return App(op, tuple(args))
+
+
+def const(width: int, bits: int) -> Const:
+    return Const(BitVecValue(width, bits))
+
+
+def bits_where(values, value) -> int:
+    """The example mask of a per-example tuple: bit ``i`` set where ``values[i] == value``."""
+    return sum(1 << i for i, v in enumerate(values) if v == value)
+
+
 def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
     """Single-nonterminal grammar: x, the given constants, then ``ops`` in order."""
     prods = [Var("x")]
@@ -61,7 +74,7 @@ def env_of(params, width: int, inputs) -> dict[str, BitVecValue]:
 
 def route(problem, tree: Tree, example: Example) -> tuple[Leaf, tuple[bool, ...]]:
     """Follow the tree for one example, evaluating every condition with
-    ``eval_expr`` rather than reading its stored signature.  Path entries
+    ``eval_expr`` rather than reading its stored mask.  Path entries
     are True for then-branches."""
     env = env_of(problem.params, problem.width, example.inputs)
     node = tree
@@ -82,7 +95,7 @@ def leaves(tree: Tree) -> Iterator[Leaf]:
 
 
 def conditions(tree: Tree) -> Iterator[Internal]:
-    """The if0 nodes, each holding a condition and its stored signature."""
+    """The if0 nodes, each holding a condition and its stored example mask."""
     if isinstance(tree, Internal):
         yield tree
         yield from conditions(tree.then_child)

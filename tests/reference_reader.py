@@ -1,4 +1,5 @@
-"""Earlier versions of two frontend pieces, kept as test oracles.
+"""Earlier versions of two frontend pieces, and a literal parser of their own,
+kept as test oracles.
 
 The character-by-character s-expression reader walks the text one character
 at a time and counts lines and columns by hand, so it checks the frontend's
@@ -9,7 +10,9 @@ and column, where the frontend's keep an offset and derive both on demand.
 The example matcher has one function per constraint shape (direct and
 implication), where the frontend shares one consequent loop and one argument
 resolution between them: both must accept the same examples and reject the
-same terms.
+same terms.  It reads literals with its own parser, which checks and adds up
+one digit at a time, so a fault in the frontend's ``parse_literal`` shows as
+a disagreement instead of being shared by both sides.
 """
 
 from __future__ import annotations
@@ -17,9 +20,34 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple, Union
 
 from bvsynth.errors import SygusSyntaxError
-from bvsynth.frontend import Atom, SExpr, SList, parse_literal
+from bvsynth.frontend import Atom, SExpr, SList
 
 _DELIMS = frozenset(" \t\r\n();")
+_HEX = "0123456789abcdef"
+# radix letter -> (bits per digit, {digit: value})
+_RADIX = {
+    "x": (4, {**{d: v for v, d in enumerate(_HEX)}, **{d.upper(): v for v, d in enumerate(_HEX)}}),
+    "b": (1, {"0": 0, "1": 1}),
+}
+
+
+def parse_literal(sx: SExpr, width: int) -> int | None:
+    """A ``#x``/``#b`` literal's value, or None for anything else; a malformed
+    literal, or one of another width, raises the frontend's message."""
+    text = sx.text if isinstance(sx, Atom) else ""
+    if len(text) < 2 or text[0] != "#" or text[1] not in "xXbB":
+        return None
+    bits_per_digit, values = _RADIX[text[1].lower()]
+    body = text[2:]
+    if not body or any(ch not in values for ch in body):
+        raise SygusSyntaxError(f"malformed literal {text!r}", offset=sx.offset)
+    bits = len(body) * bits_per_digit
+    if bits != width:
+        raise SygusSyntaxError(f"literal {text!r} has width {bits}, expected {width}", offset=sx.offset)
+    value = 0
+    for ch in body:
+        value = (value << bits_per_digit) | values[ch]
+    return value
 
 
 class LineAtom(NamedTuple):

@@ -29,6 +29,7 @@ from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
 from helpers import (
+    bits_where,
     conditions,
     contains_op,
     env_of,
@@ -226,9 +227,9 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
             assert not contains_op(node.condition, "if0")  # (d)
             sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
             assert len(set(sig)) > 1  # (e)
-            assert node.signature == signature_of(
-                node.condition, problem.params, rows, problem.width
-            )  # (f) routing reads the stored signature
+            assert node.mask == bits_where(
+                signature_of(node.condition, problem.params, rows, problem.width), 1
+            )  # (f) routing reads the stored mask
     print("criterion 4 (tree invariants on all 200 instances): PASS")
 
 

@@ -7,14 +7,14 @@ from itertools import islice
 
 import pytest
 
-from bvsynth.enumeration import EnumerationState, signature_of, size_splits
+from bvsynth.enumeration import EnumerationState, pack, signature_of, size_splits
 from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
 from bvsynth.frontend import Grammar
-from bvsynth.semantics import App, Var, app, const, subexpressions
+from bvsynth.semantics import App, Var, subexpressions
 from bvsynth.solver import SearchLimits
 
 import bruteforce
-from helpers import engine_for, events, grammar_of, problem_of, rows_of
+from helpers import app, const, engine_for, events, grammar_of, problem_of, rows_of
 
 LIMITS = SearchLimits()
 
@@ -166,9 +166,9 @@ def test_size_stop_offers_its_construction_to_the_next_search():
     stopping = app("shl1", app("shl1", Var("x")))
     target = signature_of(stopping, ("x",), rows_of(p), 8)
     found = eng.enumerate_until(
-        lambda sig: eng.lanes(sig) == target, max_size=3, max_candidates=10**6
+        lambda sig: sig == pack(target, 8), max_size=3, max_candidates=10**6
     )
-    assert found.expr == stopping and found.signature == target
+    assert found.expr == stopping and found.signature == pack(target, 8)
     assert counters(eng) == (10, 9, 1, 18)
     # 9 re-scanned, then the stopping construction live: the 10th candidate
     with pytest.raises(NotFound, match="candidate budget 10"):
@@ -275,7 +275,7 @@ def test_minimality_matches_oracle_on_random_predicates():
         assert oracle is not None
         eng = engine_for(p)
         found = eng.enumerate_until(
-            lambda s: eng.lanes(s) == sig_target, max_size=4, max_candidates=10**6
+            lambda s: s == pack(sig_target, 8), max_size=4, max_candidates=10**6
         )
         assert found.expr.size == oracle[0], sig_target
 
@@ -343,7 +343,7 @@ def test_failed_search_builds_no_expression(apps_built):
 def test_successful_search_builds_only_the_accepted_expression(apps_built):
     eng = engine_for(LAZY_PROBLEM)
     result = eng.enumerate_until(
-        lambda sig: eng.lanes(sig) == LAZY_OUTPUTS, max_size=8, max_candidates=10**6
+        lambda sig: sig == pack(LAZY_OUTPUTS, 64), max_size=8, max_candidates=10**6
     )
     assert result.expr.size == 6 and eng.evaluations > 4000
     assert 1 <= apps_built[0] <= result.expr.size

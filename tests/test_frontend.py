@@ -34,10 +34,10 @@ from bvsynth.frontend import (
     position,
     read_sexprs,
 )
-from bvsynth.semantics import BitVecValue, Const, Var, app, const, eval_expr
+from bvsynth.semantics import BitVecValue, Const, Var, eval_expr
 
 import reference_reader
-from helpers import grammar_of, problem_of
+from helpers import app, const, grammar_of, problem_of
 
 W64_GRAMMAR = """((Start (BitVec 64) (x #x0000000000000000 #x0000000000000001
     (bvnot Start) (bvand Start Start) (bvadd Start Start) (if0 Start Start Start))))"""
@@ -653,20 +653,22 @@ def test_matcher_keeps_zero_values(term):
     assert reference_pbe_outcome(read_sexprs(term)) == [Example((0,), 0, 0)]
 
 
-GOOD_LITERALS = ["#x01", "#x02", "#xfe", "#b00000011"]
+GOOD_LITERALS = ["#x00", "#x01", "#x02", "#xfe", "#b00000011"]
 BAD_LITERALS = ["#x001", "#b01", "#xZZ", "#x"]  # of the wrong width, or malformed
 
 
 @st.composite
 def match_terms(draw) -> str:
     """A direct example, an implication, or neither, over unary ``f`` at
-    width 8.  Half the terms are noisy: any literal may be malformed or of the
-    wrong width, any call argument unpinned or undeclared, any head other
-    than ``=`` or ``f``, any equality short of an operand or one over."""
-    noisy = draw(st.booleans())
+    width 8.  A third of the terms are clean, a third noisy at every choice
+    and a third at about one in six, so that a single defect often stands
+    alone: any literal may be malformed or of the wrong width, any call
+    argument unpinned or undeclared, any head other than ``=`` or ``f``, any
+    equality short of an operand or one over."""
+    noise = draw(st.sampled_from([0, 1, 6]))  # in sixths
 
     def pick(good: list, bad: list):
-        return draw(st.sampled_from(good + bad if noisy else good))
+        return draw(st.sampled_from(good + bad if draw(st.integers(0, 5)) < noise else good))
 
     def literal() -> str:
         return pick(GOOD_LITERALS, BAD_LITERALS)

@@ -3,7 +3,8 @@
 The enumeration keeps a signature as one int with example ``i`` in lane
 ``i``; every packed operator must give, in each lane, exactly what
 ``bound_operators`` gives for that lane's values, and the two acceptance
-predicates must mean what they mean on the per-example tuple.
+predicates and the example mask of ``agreement`` must mean what they mean on
+the per-example tuple.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from bvsynth.enumeration import EnumerationState, pack, packed_operators, unpack
 from bvsynth.semantics import OPERATORS, bound_operators
 
-from helpers import grammar_of
+from helpers import bits_where, grammar_of
 
 ENUMERABLE = sorted(name for name in OPERATORS if name != "if0")
 
@@ -81,18 +82,42 @@ def engine_over(width: int, column: list[int]) -> EnumerationState:
     return EnumerationState(grammar, ("x",), [(v,) for v in column], width)
 
 
+@st.composite
+def wide_columns(draw):
+    """(width, column, want): up to 200 lanes.  A lane of ``column`` is an edge
+    value or any; ``want`` differs from it there in no bit, the lowest, the
+    top one, every bit, or any.  A ``Random`` seeded by Hypothesis draws the
+    lanes, which keeps a 200-lane case cheap to generate."""
+    width = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 200))
+    rng = draw(st.randoms(use_true_random=True))
+
+    def lane(edges: list[int]) -> int:
+        return rng.choice(edges) if rng.random() < 0.6 else rng.getrandbits(width)
+
+    column = [lane(edge_values(width)) for _ in range(n)]
+    flips = [0, 0, 1, 1 << (width - 1), (1 << width) - 1]
+    return width, column, [v ^ lane(flips) for v in column]
+
+
 @settings(max_examples=200, deadline=None)
-@given(lane_columns(), st.data())
+@given(wide_columns(), st.data())
 def test_predicates_match_their_tuple_definitions(case, data):
-    width, columns = case
-    column = columns[0]
+    width, column, want = case
     n = len(column)
     eng = engine_over(width, column)
     sig = pack(column, width)
-    lanes = eng.lanes(sig)
+    lanes = unpack(sig, width, n)
     assert lanes == tuple(column)
     k, a, b = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     value = data.draw(st.one_of(st.just(column[k]), st.integers(0, (1 << width) - 1)))
     assert eng.example_equals(k, value)(sig) == (lanes[k] == value)
     separated = (lanes[a] == 1) != (lanes[b] == 1) and any(v != lanes[0] for v in lanes)
     assert eng.separates(a, b)(sig) == separated
+    # A lone top bit must not read as equal, and a lane of all ones must not
+    # carry into the next.
+    agreed = [lane == w for lane, w in zip(lanes, want)]
+    assert eng.agreement(sig, pack(want, width)) == bits_where(agreed, True)
+    assert eng.agreement(sig, sig) == (1 << n) - 1
+    assert eng.ones == pack((1,) * n, width)
+    assert eng.agreement(sig, eng.ones) == bits_where(lanes, 1)

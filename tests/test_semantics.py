@@ -17,15 +17,14 @@ from bvsynth.semantics import (
     Const,
     OPERATORS,
     Var,
-    app,
     bound_operators,
-    const,
     eval_columns,
     eval_expr,
     expr_to_sexpr,
 )
 
 import bruteforce
+from helpers import app, const
 
 MASK64 = (1 << 64) - 1
 

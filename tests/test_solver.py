@@ -9,12 +9,12 @@ import pytest
 
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import TimeoutExceeded, UnsolvableExample, VerificationFailed
-from bvsynth.semantics import App, Var, app, eval_expr, subexpressions
+from bvsynth.semantics import App, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import internal_node_count
 
 import bruteforce
-from helpers import contains_op, env_of, grammar_of, problem_of, rows_of
+from helpers import app, contains_op, env_of, grammar_of, problem_of, rows_of
 
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
 from bvsynth.frontend import Grammar, OpRule, emit_solution
-from bvsynth.semantics import App, BitVecValue, Const, Var, app, const, eval_expr
+from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import SearchLimits, verify_solution
 from bvsynth.unify import (
     Internal,
@@ -28,7 +28,10 @@ from bvsynth.unify import (
 
 import bruteforce
 from helpers import (
+    app,
+    bits_where,
     conditions,
+    const,
     contains_op,
     engine_for,
     env_of,
@@ -68,7 +71,7 @@ def assert_tree_sound(problem, tree, tmap):
     for node in conditions(tree):
         assert not contains_op(node.condition, "if0")
         sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
-        assert node.signature == sig, "stored signature differs from evaluation"
+        assert node.mask == bits_where(sig, 1), "stored mask differs from evaluation"
         assert len(set(sig)) > 1, "constant condition"
 
 
@@ -168,19 +171,19 @@ def test_find_condition_low_bit_discriminator():
     p = problem_of(grammar_of(BASE_OPS), [(0x0, 0), (mask, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 6)
     assert oracle is not None and oracle[0] == 3
-    found = find_condition(p, engine_for(p), 0, 1, LIMITS)
-    assert found.expr == app("bvand", Var("x"), const(64, 1))
-    assert found.signature == bruteforce.signature_on(found.expr, ("x",), rows_of(p), 64)
-    assert found.signature == (0, 1)  # value 0 on A, 1 on B: B takes the then-branch
+    expr, mask = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    assert expr == app("bvand", Var("x"), const(64, 1))
+    assert mask == bits_where(bruteforce.signature_on(expr, ("x",), rows_of(p), 64), 1)
+    assert mask == 0b10  # value 0 on A, 1 on B: B takes the then-branch
 
 
 def test_find_condition_identity_when_one_input_is_one():
     p = problem_of(grammar_of(BASE_OPS), [(0x1, 0), (0x2, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 4)
     assert oracle is not None and oracle[0] == 1
-    found = find_condition(p, engine_for(p), 0, 1, LIMITS)
-    assert found.expr == Var("x")
-    assert found.signature == (1, 2)  # 1 on A only: A takes the then-branch
+    expr, mask = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    assert expr == Var("x")
+    assert mask == 0b01  # 1 on A only (2 on B): A takes the then-branch
 
 
 def test_find_condition_ununifiable_when_language_runs_out():
@@ -207,7 +210,7 @@ def test_route_follows_condition_values():
     p = parity_problem()
     then_leaf = Leaf(app("bvnot", Var("x")), {2, 3})
     else_leaf = Leaf(Var("x"), {0, 1})
-    tree = Internal(app("bvand", Var("x"), const(8, 1)), (0, 0, 1, 1), then_leaf, else_leaf)
+    tree = Internal(app("bvand", Var("x"), const(8, 1)), 0b1100, then_leaf, else_leaf)
     leaf, path = route(p, tree, p.examples[3])  # x = 3, 3 & 1 == 1
     assert leaf is then_leaf and path == (True,)
     leaf, path = route(p, tree, p.examples[1])  # x = 2
@@ -337,7 +340,7 @@ def test_tree_to_expr_single_leaf():
 def test_tree_to_expr_composes_if0():
     p = parity_problem()
     cond = app("bvand", Var("x"), const(8, 1))
-    tree = Internal(cond, (0, 0, 1, 1), Leaf(app("bvnot", Var("x")), {2}), Leaf(Var("x"), {0}))
+    tree = Internal(cond, 0b1100, Leaf(app("bvnot", Var("x")), {2}), Leaf(Var("x"), {0}))
     expr = tree_to_expr(tree, p.grammar)
     assert expr == app("if0", cond, app("bvnot", Var("x")), Var("x"))
     for ex in p.examples[:3]:
@@ -348,7 +351,7 @@ def test_tree_to_expr_composes_if0():
 
 def test_tree_to_expr_grammar_violation():
     # The leaf x is not derivable from Term, the if0 branch nonterminal.
-    tree = Internal(Var("x"), (1, 0), Leaf(Var("x"), {0}), Leaf(const(8, 0), {1}))
+    tree = Internal(Var("x"), 0b01, Leaf(Var("x"), {0}), Leaf(const(8, 0), {1}))
     with pytest.raises(GrammarViolation):
         tree_to_expr(tree, START_COND_TERM)
 
@@ -424,7 +427,7 @@ def test_deep_tree_walks_are_iterative():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(5, 5), (9, 9)], width=8)
     tree = Leaf(Var("x"), {0, 1})
     for _ in range(3000):
-        tree = Internal(const(8, 0), (0, 0), Leaf(const(8, 0), set()), tree)
+        tree = Internal(const(8, 0), 0, Leaf(const(8, 0), set()), tree)
     assert internal_node_count(tree) == 3000
     solution = tree_to_expr(tree, p.grammar)
     assert solution.size == 3 * 3000 + 1
