@@ -19,7 +19,7 @@ Each construction computes its signature, is deduplicated by one set
 insertion, and builds its node (a ``Var``/``Const`` terminal or an ``(op,
 child_node, ...)`` tuple over retained children) only when the signature is
 new or the candidate is accepted.  :func:`expr_of` builds the ``App`` tree
-only for an accepted candidate and for ``retained``.
+only for an accepted candidate.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
@@ -30,7 +30,6 @@ order.
 from __future__ import annotations
 
 import operator
-import sys
 import time
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence, Union
 
@@ -341,15 +340,3 @@ class EnumerationState:
         if out == "exhausted" and self._max_pooled <= max_size:
             raise Exhausted("grammar language fully enumerated")
         raise NotFound(f"size budget {max_size} exhausted")  # or the language goes on past it
-
-    def retained(self, nt: str, max_size: int) -> list[tuple[Expr, tuple[int, ...]]]:
-        """Every retained (expr, signature) pair at ``nt`` of size at most
-        ``max_size``, in stream order.  A search that accepts nothing first
-        drives the stream until layer ``max_size`` is complete (or the stream
-        runs out).  Signatures are unpacked into per-example tuples."""
-        try:
-            self.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
-        except (NotFound, Exhausted):
-            pass
-        layers, w, n = self._pools[nt][: max_size + 1], self.width, len(self.rows)
-        return [(expr_of(node), unpack(sig, w, n)) for layer in layers for node, sig in layer]

@@ -85,7 +85,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
 
         tree: Tree | None = None
         if tmap.distinct() == 1:
-            solution = next(iter(tmap.registry))
+            solution = next(iter(tmap.masks))
         else:
             tree = build_tree(problem, engine, tmap, limits)
             solution = tree_to_expr(tree, problem.grammar)

@@ -5,16 +5,16 @@ consistent with that example alone; one shared enumeration stream serves
 all searches.  Phase 2 inserts examples into a decision tree in rank order,
 enumerating a separating condition for each pair of conflicting examples.
 Conditions are drawn from the first operand nonterminal of the grammar's
-if0 production and are themselves if0-free.  Each hit becomes one int
-*example mask*, whose bit ``i`` is set when it fits example ``i``.  An if0 node
-keeps its condition's mask: example ``i`` takes its then-branch when ``mask >> i & 1``.
+if0 production and are themselves if0-free.  Every set of examples is an int
+*example mask* with bit ``i`` for example ``i``: a terminal's examples, a leaf's
+bucket, and an if0 node's condition mask (``mask >> i & 1``: the then-branch).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import groupby
+from typing import Iterator, Union
 
 from .errors import (
     Exhausted,
@@ -31,19 +31,18 @@ from .semantics import App, Expr
 
 @dataclass
 class TerminalMap:
-    """Per-example terminal assignments plus the distinct-expression registry."""
+    """Found expressions, in discovery order, to disjoint masks covering all examples."""
 
-    assignment: dict[int, Expr] = field(default_factory=dict)
-    registry: dict[Expr, set[int]] = field(default_factory=dict)
+    masks: dict[Expr, int] = field(default_factory=dict)
 
     def distinct(self) -> int:
-        return len(self.registry)
+        return len(self.masks)
 
 
 @dataclass
 class Leaf:
     expr: Expr
-    bucket: set[int]
+    bucket: int  # bit i set when example i is in the bucket
 
 
 @dataclass
@@ -55,6 +54,13 @@ class Internal:
 
 
 Tree = Union[Leaf, Internal]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def condition_nonterminal(grammar: Grammar) -> str:
@@ -85,22 +91,16 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
             )
         except (NotFound, Exhausted) as exc:
             raise UnsolvableExample(k, str(exc)) from exc
-        fits = engine.agreement(sig, outputs) & unmapped
+        tmap.masks[expr] = fits = engine.agreement(sig, outputs) & unmapped
         unmapped ^= fits
-        bucket = tmap.registry.setdefault(expr, set())
-        while fits:  # one turn per newly mapped example, lowest first
-            j = (fits & -fits).bit_length() - 1
-            tmap.assignment[j] = expr
-            bucket.add(j)
-            fits ^= 1 << j
     return tmap
 
 
 def rank_examples(tmap: TerminalMap) -> list[int]:
     """Example indices sorted by ascending popularity of their assigned
     expression (unique expressions first), ties by ascending index."""
-    popularity = {i: len(tmap.registry[e]) for i, e in tmap.assignment.items()}
-    return sorted(tmap.assignment, key=lambda i: (popularity[i], i))
+    by_popularity = groupby(sorted(tmap.masks.values(), key=int.bit_count), int.bit_count)
+    return [i for _, masks in by_popularity for i in bits(sum(masks))]  # disjoint: sum is union
 
 
 def find_condition(
@@ -137,31 +137,30 @@ def insert_example(
     separating the example from the leaf's lowest-index representative; any
     bucket member the new condition routes away is re-inserted.
     """
-    work = deque([index])
-    while work:
-        i = work.popleft()
-        expr_i = tmap.assignment[i]
+    work = [index]
+    for i in work:  # displaced members are appended, so the walk is first in, first out
         parent: Internal | None = None
         node = tree
         while isinstance(node, Internal):
             parent = node
             node = node.then_child if node.mask >> i & 1 else node.else_child
-        if node.expr == expr_i:
-            node.bucket.add(i)
+        if tmap.masks[node.expr] >> i & 1:
+            node.bucket |= 1 << i
             continue
 
-        representative = min(node.bucket)
+        representative = (node.bucket & -node.bucket).bit_length() - 1
         condition, mask = find_condition(problem, engine, i, representative, limits)
+        expr_i = next(e for e, m in tmap.masks.items() if m >> i & 1)
         if mask >> i & 1:
-            replacement = Internal(condition, mask, Leaf(expr_i, {i}), node)
+            replacement = Internal(condition, mask, Leaf(expr_i, 1 << i), node)
         else:
-            replacement = Internal(condition, mask, node, Leaf(expr_i, {i}))
-        # The pairwise condition constrains only the representative; any other
-        # bucket member it routes away from the representative must be
-        # re-inserted to keep every bucket sound.
-        moved = [m for m in sorted(node.bucket) if (mask >> m ^ mask >> representative) & 1]
-        node.bucket.difference_update(moved)
-        work.extend(moved)
+            replacement = Internal(condition, mask, node, Leaf(expr_i, 1 << i))
+        # The pairwise condition constrains only the representative; the other
+        # members whose bit in ``mask`` differs from its bit (``-1`` flips
+        # ``mask`` when that bit is set) are re-inserted to keep every bucket sound.
+        moved = node.bucket & (mask ^ -(mask >> representative & 1))
+        node.bucket ^= moved
+        work.extend(bits(moved))
         if parent is None:
             tree = replacement
         elif parent.mask >> i & 1:
@@ -177,7 +176,7 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, li
     if tmap.distinct() < 2:
         raise ValueError("build_tree needs at least two distinct terminal expressions")
     first, *rest = rank_examples(tmap)
-    tree: Tree = Leaf(tmap.assignment[first], {first})
+    tree: Tree = Leaf(next(e for e, m in tmap.masks.items() if m >> first & 1), 1 << first)
     for index in rest:
         tree = insert_example(problem, engine, tmap, limits, tree, index)
     return tree

@@ -5,7 +5,8 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from bvsynth.enumeration import EnumerationState, expr_of
+from bvsynth.enumeration import EnumerationState, expr_of, unpack
+from bvsynth.errors import Exhausted, NotFound
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits
@@ -25,6 +26,16 @@ def const(width: int, bits: int) -> Const:
 def bits_where(values, value) -> int:
     """The example mask of a per-example tuple: bit ``i`` set where ``values[i] == value``."""
     return sum(1 << i for i, v in enumerate(values) if v == value)
+
+
+def indices_of(mask: int) -> list[int]:
+    """The examples of an example mask, ascending: every ``i`` with bit ``i`` set."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def assigned(tmap, i: int) -> Expr:
+    """The expression a terminal map assigns to example ``i``: the one whose mask holds it."""
+    return next(e for e, mask in tmap.masks.items() if mask >> i & 1)
 
 
 def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
@@ -61,6 +72,21 @@ def events(engine: EnumerationState) -> Iterator[tuple]:
     while type(hit := engine._stream.send(search)) is tuple:
         size, node, sig = hit
         yield start, size, expr_of(node), sig
+
+
+def retained(
+    engine: EnumerationState, nt: str, max_size: int
+) -> list[tuple[Expr, tuple[int, ...]]]:
+    """Every retained (expr, signature) pair at ``nt`` of size at most
+    ``max_size``, in stream order.  A search that accepts nothing first
+    drives the stream until layer ``max_size`` is complete (or the stream
+    runs out).  Signatures are unpacked into per-example tuples."""
+    try:
+        engine.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
+    except (NotFound, Exhausted):
+        pass
+    layers, w, n = engine._pools[nt][: max_size + 1], engine.width, len(engine.rows)
+    return [(expr_of(node), unpack(sig, w, n)) for layer in layers for node, sig in layer]
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:

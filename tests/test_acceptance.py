@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import random
 import time
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -29,13 +31,16 @@ from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
 from helpers import (
+    assigned,
     bits_where,
     conditions,
     contains_op,
     env_of,
     grammar_of,
+    indices_of,
     leaves,
     problem_of,
+    retained,
     route,
     rows_of,
 )
@@ -118,7 +123,7 @@ def test_criterion_2_phase1_minimality_oracle():
 
         engine = EnumerationState.for_problem(problem)
         tmap = map_terminals(problem, engine, limits)
-        solver_size = tmap.assignment[0].size
+        solver_size = assigned(tmap, 0).size
 
         oracle = bruteforce.min_matching(
             grammar, ("x",), rows_of(problem), width,
@@ -185,7 +190,7 @@ def test_criterion_3_pruning_soundness_oracle():
     for grammar, rows, width in instances:
         engine = EnumerationState(grammar, ("x",), rows, width)
         for nt in grammar.nonterminals:
-            pruned = {sig for _, sig in engine.retained(nt, 5)}
+            pruned = {sig for _, sig in retained(engine, nt, 5)}
             unpruned = bruteforce.signatures_up_to(
                 grammar, nt, 5, ("x",), rows, width, exclude=frozenset({"if0"})
             )
@@ -208,20 +213,20 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
             continue
         tree = result.tree
         assert internal_node_count(tree) == result.stats.internal_nodes
-        buckets: list[set[int]] = []
+        buckets: list[int] = []
         for leaf in leaves(tree):
             assert leaf.bucket
             buckets.append(leaf.bucket)
             assert not contains_op(leaf.expr, "if0")  # (d)
-            for i in leaf.bucket:
+            for i in indices_of(leaf.bucket):
                 example = problem.examples[i]
                 reached, _ = route(problem, tree, example)
                 assert reached is leaf  # (c)
                 env = env_of(problem.params, problem.width, example.inputs)
                 assert eval_expr(leaf.expr, env, problem.width).bits == example.output
-        covered = set().union(*buckets)
-        assert covered == set(range(n))
-        assert sum(len(b) for b in buckets) == n
+        covered = reduce(or_, buckets)
+        assert covered == (1 << n) - 1
+        assert sum(b.bit_count() for b in buckets) == n
         rows = rows_of(problem)
         for node in conditions(tree):
             assert not contains_op(node.condition, "if0")  # (d)

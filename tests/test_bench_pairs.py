@@ -80,3 +80,15 @@ def test_a_changed_solution_shows_in_the_identity(tmp_path):
     # one pair won is no claim: a claim needs ten
     solve = entry["metrics"]["solve_norm_s"]
     assert solve["change_wins"] == "1/1" and not solve["claimable"]
+
+
+@pytest.mark.parametrize("where", ["a directory", "a missing parent"])
+def test_an_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys, where):
+    parent = write_runs(tmp_path, "p", [("enum32", 3, 1.0, 30.0)])
+    change = write_runs(tmp_path, "c", [("enum32", 3, 0.5, 30.0)])
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "BENCH.json"
+    argv = ["--parent", str(parent[0]), "--change", str(change[0]), "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "missing").exists()

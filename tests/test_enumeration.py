@@ -14,7 +14,7 @@ from bvsynth.semantics import App, Var, subexpressions
 from bvsynth.solver import SearchLimits
 
 import bruteforce
-from helpers import app, const, engine_for, events, grammar_of, problem_of, rows_of
+from helpers import app, const, engine_for, events, grammar_of, problem_of, retained, rows_of
 
 LIMITS = SearchLimits()
 
@@ -57,7 +57,7 @@ def test_indistinguishable_expr_never_composed():
     p = small_problem()
     eng = engine_for(p)
     dead = App("bvand", (const(8, 0), Var("x")))
-    entries = eng.retained("Start", 4)
+    entries = retained(eng, "Start", 4)
     assert all(dead not in subexpressions(e) for e, _ in entries)
     sig = signature_of(dead, ("x",), rows_of(p), 8)
     rep = dict((s, e) for e, s in entries)[sig]
@@ -67,20 +67,20 @@ def test_indistinguishable_expr_never_composed():
 def test_retained_signatures_match_unpruned_bruteforce_size3():
     p = small_problem()
     eng = engine_for(p)
-    retained = eng.retained("Start", 3)
+    kept = retained(eng, "Start", 3)
     unpruned = bruteforce.signatures_up_to(
         p.grammar, "Start", 3, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
-    assert {s for _, s in retained} == unpruned
-    assert len(retained) == len(unpruned)
+    assert {s for _, s in kept} == unpruned
+    assert len(kept) == len(unpruned)
 
 
 @pytest.mark.parametrize("max_size", [4, 5])
 def test_pruning_soundness_on_fixed_instance(max_size):
     p = problem_of(grammar_of(["bvnot", "shr1", "bvadd"], width=8), [(3, 1), (7, 2), (10, 5)], width=8)
     eng = engine_for(p)
-    retained = {s for _, s in eng.retained("Start", max_size)}
-    assert retained == bruteforce.signatures_up_to(
+    kept = {s for _, s in retained(eng, "Start", max_size)}
+    assert kept == bruteforce.signatures_up_to(
         p.grammar, "Start", max_size, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
 
@@ -126,7 +126,7 @@ def test_deadline_checked_during_pool_rescan():
     grammar = grammar_of(["bvnot", "shr1", "bvand", "bvadd", "bvxor"])
     p = problem_of(grammar, [(3, 1), (7, 2), (10, 5), (200, 9)])
     eng = engine_for(p)
-    assert len(eng.retained("Start", 9)) > 4096
+    assert len(retained(eng, "Start", 9)) > 4096
     built = (eng.evaluations, eng.stored, eng.pruned)
     eng.deadline = time.monotonic() - 1.0
     with pytest.raises(TimeoutExceeded):
@@ -199,7 +199,7 @@ def test_candidate_budgeted_searches_share_one_stream():
     assert built == [8, 16, 24, 32, 40, 48, 56, 64, 71]
     assert counters(eng) == (71, 27, 44, 0)
     fresh = engine_for(p)
-    assert fresh.retained("Start", 4) == eng.retained("Start", 4)
+    assert retained(fresh, "Start", 4) == retained(eng, "Start", 4)
     assert counters(fresh)[:3] == counters(eng)[:3] == (71, 27, 44)
 
 
@@ -211,7 +211,7 @@ def test_exhausted_when_pruned_language_is_finite():
     stream = [e for _, _, e, _ in events(eng)]
     assert stream == [Var("x"), app("bvnot", Var("x")), app("bvnot", app("bvnot", Var("x")))]
     # The double negation was constructed but not retained.
-    assert [e for e, _ in eng.retained("Start", 50)] == stream[:2]
+    assert [e for e, _ in retained(eng, "Start", 50)] == stream[:2]
     assert (eng.evaluations, eng.stored, eng.pruned) == (3, 2, 1)
     with pytest.raises(Exhausted):
         eng.enumerate_until(lambda sig: False, max_size=50, max_candidates=10_000)
@@ -285,12 +285,12 @@ def test_exclusion_set_is_respected():
     # builds exactly what it builds for the same grammar without if0.
     p = small_problem(ops=("bvnot", "bvadd"))
     eng = engine_for(p)
-    retained = eng.retained("Start", 5)
-    for expr, _ in retained:
+    kept = retained(eng, "Start", 5)
+    for expr, _ in kept:
         assert all(not (isinstance(e, App) and e.op == "if0") for e in subexpressions(expr))
     no_if0 = grammar_of(["bvnot", "bvadd"], width=8, with_if0=False)
     plain = EnumerationState(no_if0, ("x",), rows_of(p), 8)
-    assert plain.retained("Start", 5) == retained
+    assert retained(plain, "Start", 5) == kept
     counters = lambda e: (e.evaluations, e.stored, e.pruned)
     assert counters(plain) == counters(eng)
 
@@ -298,7 +298,7 @@ def test_exclusion_set_is_respected():
 def test_stats_counters_consistent():
     p = small_problem(ops=("bvnot", "bvand", "bvadd"))
     eng = engine_for(p)
-    eng.retained("Start", 5)
+    retained(eng, "Start", 5)
     assert eng.stored + eng.pruned == eng.evaluations
     pools = eng._pools.values()
     assert eng.stored == sum(len(layer) for layer_list in pools for layer in layer_list)

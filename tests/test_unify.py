@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +32,7 @@ from bvsynth.unify import (
 import bruteforce
 from helpers import (
     app,
+    assigned,
     bits_where,
     conditions,
     const,
@@ -36,6 +40,7 @@ from helpers import (
     engine_for,
     env_of,
     grammar_of,
+    indices_of,
     leaves,
     problem_of,
     route,
@@ -61,7 +66,7 @@ def assert_tree_sound(problem, tree, tmap):
     for leaf in leaves(tree):
         assert leaf.bucket, "empty bucket"
         assert not contains_op(leaf.expr, "if0")
-        for i in leaf.bucket:
+        for i in indices_of(leaf.bucket):
             example = problem.examples[i]
             reached, _path = route(problem, tree, example)
             assert reached is leaf, f"example {i} routes away from its bucket"
@@ -82,10 +87,10 @@ def test_map_terminals_reuses_found_expressions():
     grammar = grammar_of(["bvadd", "bvand", "bvor"])
     p = problem_of(grammar, [(5, 5), (9, 9), (3, 6)])
     tmap = map_terminals(p, engine_for(p), LIMITS)
-    assert tmap.assignment[0] == Var("x")
-    assert tmap.assignment[1] == Var("x")
-    assert tmap.assignment[2] == app("bvadd", Var("x"), Var("x"))
-    assert tmap.registry[Var("x")] == {0, 1}
+    assert assigned(tmap, 0) == Var("x")
+    assert assigned(tmap, 1) == Var("x")
+    assert assigned(tmap, 2) == app("bvadd", Var("x"), Var("x"))
+    assert tmap.masks[Var("x")] == 0b011
     oracle = bruteforce.min_matching(
         grammar, ("x",), rows_of(p), 64, lambda sig: sig[2] == 6, 5, exclude=frozenset({"if0"})
     )
@@ -95,7 +100,7 @@ def test_map_terminals_reuses_found_expressions():
 def test_map_terminals_single_example():
     p = problem_of(grammar_of(BASE_OPS), [(5, 5)])
     tmap = map_terminals(p, engine_for(p), LIMITS)
-    assert tmap.assignment == {0: Var("x")}
+    assert tmap.masks == {Var("x"): 0b1}
     assert tmap.distinct() == 1
 
 
@@ -103,13 +108,13 @@ def test_map_terminals_conflict_free():
     p = problem_of(grammar_of(BASE_OPS), [(1, 1), (7, 7), (42, 42)])
     tmap = map_terminals(p, engine_for(p), LIMITS)
     assert tmap.distinct() == 1
-    assert tmap.registry[Var("x")] == {0, 1, 2}
+    assert tmap.masks[Var("x")] == 0b111
 
 
 def test_map_terminals_never_assigns_if0():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(3, 1), (12, 9), (7, 2)], width=8)
     tmap = map_terminals(p, engine_for(p), LIMITS)
-    for expr in tmap.assignment.values():
+    for expr in tmap.masks:
         assert not contains_op(expr, "if0")
 
 
@@ -124,12 +129,7 @@ def test_map_terminals_unsolvable_within_budget():
 
 
 def _fake_map(groups: dict) -> TerminalMap:
-    tmap = TerminalMap()
-    for expr, indices in groups.items():
-        tmap.registry[expr] = set(indices)
-        for i in indices:
-            tmap.assignment[i] = expr
-    return tmap
+    return TerminalMap({expr: sum(1 << i for i in indices) for expr, indices in groups.items()})
 
 
 def test_rank_puts_unique_expressions_first():
@@ -159,8 +159,9 @@ def test_rank_is_a_popularity_monotone_permutation():
         tmap = _fake_map(groups)
         order = rank_examples(tmap)
         assert sorted(order) == list(range(n))
-        popularity = [len(tmap.registry[tmap.assignment[i]]) for i in order]
+        popularity = [tmap.masks[assigned(tmap, i)].bit_count() for i in order]
         assert popularity == sorted(popularity)
+        assert order == sorted(order, key=lambda i: (tmap.masks[assigned(tmap, i)].bit_count(), i))
 
 
 # -- find_condition -----------------------------------------------------------
@@ -208,8 +209,8 @@ def parity_problem(width=8):
 
 def test_route_follows_condition_values():
     p = parity_problem()
-    then_leaf = Leaf(app("bvnot", Var("x")), {2, 3})
-    else_leaf = Leaf(Var("x"), {0, 1})
+    then_leaf = Leaf(app("bvnot", Var("x")), 0b1100)
+    else_leaf = Leaf(Var("x"), 0b0011)
     tree = Internal(app("bvand", Var("x"), const(8, 1)), 0b1100, then_leaf, else_leaf)
     leaf, path = route(p, tree, p.examples[3])  # x = 3, 3 & 1 == 1
     assert leaf is then_leaf and path == (True,)
@@ -219,24 +220,24 @@ def test_route_follows_condition_values():
 
 def test_route_single_leaf_is_empty_path():
     p = parity_problem()
-    only = Leaf(Var("x"), {0})
+    only = Leaf(Var("x"), 0b1)
     assert route(p, only, p.examples[0]) == (only, ())
 
 
 def test_insert_same_expression_expands_lazily():
     p = problem_of(grammar_of(BASE_OPS), [(5, 5), (9, 9), (7, 7)])
     tmap = _fake_map({Var("x"): {0, 1, 2}})
-    tree = Leaf(Var("x"), {0})
+    tree = Leaf(Var("x"), 0b1)
     tree = insert_example(p, engine_for(p), tmap, LIMITS, tree, 2)
     assert isinstance(tree, Leaf)
-    assert tree.bucket == {0, 2}
+    assert tree.bucket == 0b101
     assert internal_node_count(tree) == 0
 
 
 def test_insert_conflicting_expression_splits_leaf():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(4, 4), (3, 0xFC)], width=8)
     tmap = _fake_map({Var("x"): {0}, app("bvnot", Var("x")): {1}})
-    tree = insert_example(p, engine_for(p), tmap, LIMITS, Leaf(Var("x"), {0}), 1)
+    tree = insert_example(p, engine_for(p), tmap, LIMITS, Leaf(Var("x"), 0b1), 1)
     assert internal_node_count(tree) == 1
     assert len(list(leaves(tree))) == 2
     assert_tree_sound(p, tree, tmap)
@@ -255,7 +256,7 @@ def test_build_tree_two_conflicting_examples():
     # Orientation: the then-side creation example evaluates the condition to 1.
     sig = bruteforce.signature_on(tree.condition, ("x",), rows_of(p), 8)
     then_leaf = tree.then_child
-    assert all(sig[i] == 1 for i in then_leaf.bucket)
+    assert all(sig[i] == 1 for i in indices_of(then_leaf.bucket))
 
 
 def test_build_tree_parity_scenario():
@@ -266,8 +267,8 @@ def test_build_tree_parity_scenario():
     p = parity_problem()
     engine = engine_for(p)
     tmap = map_terminals(p, engine, LIMITS)
-    assert tmap.registry[Var("x")] == {0, 1}
-    assert tmap.registry[app("bvnot", Var("x"))] == {2, 3}
+    assert tmap.masks[Var("x")] == 0b0011
+    assert tmap.masks[app("bvnot", Var("x"))] == 0b1100
     assert rank_examples(tmap) == [0, 1, 2, 3]
 
     oracle_root = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 8, 0, 2, 6)
@@ -304,8 +305,8 @@ def test_build_tree_reinserts_displaced_bucket_members():
     )
     engine = engine_for(p)
     tmap = map_terminals(p, engine, LIMITS)
-    assert tmap.registry[Var("x")] == {0, 1}
-    assert tmap.registry[app("bvnot", Var("x"))] == {2, 3}
+    assert tmap.masks[Var("x")] == 0b0011
+    assert tmap.masks[app("bvnot", Var("x"))] == 0b1100
 
     second_split = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 8, 3, 0, 6)
     assert second_split is not None
@@ -329,18 +330,77 @@ def test_build_tree_requires_a_conflict():
         build_tree(p, engine, tmap, LIMITS)
 
 
+# Each example's output is one of up to three small target expressions,
+# picked by two bits of its (distinct) input, so every problem is solvable
+# and every conflict is separable by a small condition.
+MASK_OPS = ["bvnot", "shr1", "shr4", "bvand", "bvor", "bvadd"]
+TARGETS = [
+    Var("x"),
+    app("bvnot", Var("x")),
+    app("shr1", Var("x")),
+    app("bvadd", Var("x"), Var("x")),
+    app("bvor", Var("x"), const(64, 1)),
+]
+
+
+@st.composite
+def mask_problems(draw):
+    """A problem with 1-200 examples at width 8 or 64, so masks cross 64 bits.
+    A ``Random`` seeded by Hypothesis draws the inputs."""
+    width = draw(st.sampled_from([8, 64]))
+    n = draw(st.integers(1, 200))
+    targets = draw(st.lists(st.sampled_from(TARGETS), min_size=1, max_size=3, unique=True))
+    shift = draw(st.sampled_from([0, 1, 4]))
+    rng = draw(st.randoms(use_true_random=True))
+    # Distinct inputs, so every pair is separable; 64-bit draws collide with
+    # probability below 2**-40.
+    inputs = rng.sample(range(256), n) if width == 8 else [rng.getrandbits(64) for _ in range(n)]
+    pairs = []
+    for x in inputs:
+        target = targets[min(x >> shift & 3, len(targets) - 1)]
+        pairs.append((x, bruteforce.value_on(target, ("x",), (x,), width)))
+    return problem_of(grammar_of(MASK_OPS, width=width), pairs, width=width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_problems())
+def test_terminal_masks_and_buckets_partition_the_examples(p):
+    n = len(p.examples)
+    engine = engine_for(p)
+    tmap = map_terminals(p, engine, LIMITS)
+    masks = list(tmap.masks.values())
+    union = 0
+    for mask in masks:
+        assert mask and not mask & union, "empty or overlapping masks"
+        union |= mask
+    assert union == (1 << n) - 1
+    for expr, mask in tmap.masks.items():
+        for i in indices_of(mask):
+            example = p.examples[i]
+            assert bruteforce.value_on(expr, p.params, example.inputs, p.width) == example.output
+    lowest = [indices_of(mask)[0] for mask in masks]
+    assert lowest == sorted(lowest), "discovery order is not by lowest example"
+    if tmap.distinct() < 2:
+        return
+    tree = build_tree(p, engine, tmap, LIMITS)
+    buckets = [leaf.bucket for leaf in leaves(tree)]
+    assert sum(b.bit_count() for b in buckets) == n
+    assert reduce(or_, buckets) == (1 << n) - 1
+    assert_tree_sound(p, tree, tmap)
+
+
 # -- tree_to_expr -------------------------------------------------------------
 
 
 def test_tree_to_expr_single_leaf():
     p = parity_problem()
-    assert tree_to_expr(Leaf(Var("x"), {0}), p.grammar) == Var("x")
+    assert tree_to_expr(Leaf(Var("x"), 0b1), p.grammar) == Var("x")
 
 
 def test_tree_to_expr_composes_if0():
     p = parity_problem()
     cond = app("bvand", Var("x"), const(8, 1))
-    tree = Internal(cond, 0b1100, Leaf(app("bvnot", Var("x")), {2}), Leaf(Var("x"), {0}))
+    tree = Internal(cond, 0b1100, Leaf(app("bvnot", Var("x")), 0b100), Leaf(Var("x"), 0b1))
     expr = tree_to_expr(tree, p.grammar)
     assert expr == app("if0", cond, app("bvnot", Var("x")), Var("x"))
     for ex in p.examples[:3]:
@@ -351,7 +411,7 @@ def test_tree_to_expr_composes_if0():
 
 def test_tree_to_expr_grammar_violation():
     # The leaf x is not derivable from Term, the if0 branch nonterminal.
-    tree = Internal(Var("x"), 0b01, Leaf(Var("x"), {0}), Leaf(const(8, 0), {1}))
+    tree = Internal(Var("x"), 0b01, Leaf(Var("x"), 0b01), Leaf(const(8, 0), 0b10))
     with pytest.raises(GrammarViolation):
         tree_to_expr(tree, START_COND_TERM)
 
@@ -425,9 +485,9 @@ def test_deep_tree_walks_are_iterative():
     # A chain of 3,000 if0 nodes whose conditions are the constant 0, so
     # every example takes each else-branch down to the leaf x.
     p = problem_of(grammar_of(BASE_OPS, width=8), [(5, 5), (9, 9)], width=8)
-    tree = Leaf(Var("x"), {0, 1})
+    tree = Leaf(Var("x"), 0b11)
     for _ in range(3000):
-        tree = Internal(const(8, 0), 0, Leaf(const(8, 0), set()), tree)
+        tree = Internal(const(8, 0), 0, Leaf(const(8, 0), 0), tree)
     assert internal_node_count(tree) == 3000
     solution = tree_to_expr(tree, p.grammar)
     assert solution.size == 3 * 3000 + 1

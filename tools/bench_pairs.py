@@ -133,11 +133,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parent = [read_run(p) for p in args.parent]
         change = [read_run(p) for p in args.change]
+        summary = summarise(parent, change, directions())
+        args.out.write_text(render(summary), encoding="utf-8")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = summarise(parent, change, directions())
-    args.out.write_text(render(summary), encoding="utf-8")
     for key, entry in summary.items():
         print(f"{key}: {entry['pair_count']} pairs, identity "
               f"{'same' if entry['same_identity'] else 'DIFFERS'}, passes "
