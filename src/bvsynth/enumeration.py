@@ -24,7 +24,10 @@ only for an accepted candidate.
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
 size-splits are lexicographic, and pool entries are visited in insertion
-order.
+order.  Commutative mirrors are never constructed: ``(op b a)`` for
+``op(A, A)`` with a commutative ``op`` would only repeat the signature of the
+earlier ``(op a b)``.  A candidate budget counts constructions, so it binds
+later in the language than it would if mirrors were built.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Generator, Iterator, NamedTuple, Sequence, Union
 
 from .errors import Exhausted, NotFound, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
-from .semantics import App, Const, Expr, Var, bound_operators, eval_columns
+from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators, eval_columns
 
 Packed = int  # a signature with example i's value in lane i
 Node = Union[Var, Const, tuple]  # a terminal, or (op, child_node, ...)
@@ -200,10 +203,17 @@ class EnumerationState:
                     elif size == 1 and isinstance(prod, Const):
                         yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self.ones)], _UNIT
                     elif isinstance(prod, OpRule) and prod.op != "if0":
+                        mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
                         for split in size_splits(size - 1, len(prod.operands)):
                             lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
-                            if all(lists):
-                                yield size, nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
+                            if not all(lists) or mirrored and split[0] > split[1]:
+                                continue  # (op b a) repeats the earlier (op a b)
+                            block = size, nt, prod.op, len(split), self._fns[prod.op]
+                            if mirrored and split[0] == split[1]:
+                                for i, pair in enumerate(lists[0]):
+                                    yield *block, [pair], lists[0][i:]
+                            else:
+                                yield *block, *lists[:2]
             if any(pools[nt][size] for nt in nonterminals):
                 self._max_pooled = size
             size += 1

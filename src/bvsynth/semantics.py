@@ -67,6 +67,7 @@ OPERATORS: dict[str, Operator] = {
         ("if0", 3),
     )
 }
+COMMUTATIVE = frozenset({"bvand", "bvor", "bvxor", "bvadd"})  # (op a b) = (op b a)
 
 
 @lru_cache(maxsize=None)

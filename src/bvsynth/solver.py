@@ -15,6 +15,7 @@ from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_termi
 @dataclass(frozen=True)
 class SearchLimits:
     max_size: int = 12
+    # Re-scanned plus constructed candidates per search; mirrors are never constructed.
     max_candidates: int = 5_000_000
     # Seconds of wall clock for the whole solve.  The enumeration checks it
     # every 4,096 constructed and every 4,096 re-scanned candidates, so a

@@ -5,10 +5,12 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from bvsynth.enumeration import EnumerationState, expr_of, unpack
+from bvsynth.enumeration import _UNIT, _first, EnumerationState, expr_of, size_splits, unpack
 from bvsynth.errors import Exhausted, NotFound
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
-from bvsynth.semantics import OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
+from bvsynth.semantics import (
+    COMMUTATIVE, OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
+)
 from bvsynth.solver import SearchLimits
 from bvsynth.unify import Internal, Leaf, Tree
 
@@ -87,6 +89,54 @@ def retained(
         pass
     layers, w, n = engine._pools[nt][: max_size + 1], engine.width, len(engine.rows)
     return [(expr_of(node), unpack(sig, w, n)) for layer in layers for node, sig in layer]
+
+
+class UnskippedState(EnumerationState):
+    """The enumeration without commutative symmetry breaking: every size split
+    of every production is one block, so ``(op b a)`` is built after ``(op a b)``
+    and pruned.  The reference the skipping engine is tested against."""
+
+    def _blocks(self) -> Iterator[tuple]:
+        nonterminals, pools = self.grammar.nonterminals, self._pools
+        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
+        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
+        size = 1
+        while size == 1 or size <= max_arity * self._max_pooled + 1:
+            for nt in nonterminals:
+                pools[nt].append([])
+            for nt in nonterminals:
+                for prod in self.grammar.productions[nt]:
+                    if size == 1 and isinstance(prod, Var):
+                        yield 1, nt, None, 0, _first, [(prod, self._vars[prod.name])], _UNIT
+                    elif size == 1 and isinstance(prod, Const):
+                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self.ones)], _UNIT
+                    elif isinstance(prod, OpRule) and prod.op != "if0":
+                        for split in size_splits(size - 1, len(prod.operands)):
+                            lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
+                            if all(lists):
+                                yield size, nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
+            if any(pools[nt][size] for nt in nonterminals):
+                self._max_pooled = size
+            size += 1
+
+
+def mirror_pairs(engine: EnumerationState, last: int) -> int:
+    """How many constructions of layers 2 to ``last`` are commutative mirrors:
+    per production ``op(A, A)`` with a commutative ``op``, ``|P_s|*|P_t|``
+    per size split ``(s, t)`` with ``s > t`` and ``|P_s|*(|P_s|-1)/2`` per
+    equal split, where ``P_s`` is the pool of ``A`` at size ``s``."""
+    pairs = 0
+    for prods in engine.grammar.productions.values():
+        for prod in prods:
+            if isinstance(prod, OpRule) and prod.op in COMMUTATIVE and len(set(prod.operands)) == 1:
+                pool = engine._pools[prod.operands[0]]
+                for size in range(2, last + 1):
+                    for s, t in size_splits(size - 1, 2):
+                        if s > t:
+                            pairs += len(pool[s]) * len(pool[t])
+                        elif s == t:
+                            pairs += len(pool[s]) * (len(pool[s]) - 1) // 2
+    return pairs
 
 
 def rows_of(problem) -> list[tuple[int, ...]]:

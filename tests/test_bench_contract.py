@@ -118,7 +118,7 @@ def test_workload_generation_matches_pinned_fingerprint(name):
 # keeps this hash.  A change that alters solutions or counters on purpose
 # says which and why, and re-pins it.
 IDENTITY_SLICE = {"enum32": 300, "wide200": 60}
-IDENTITY_SHA256 = "d886dc1fd4cacb289a0b6ba80eeef78a2293ee68ce995ee6aa68509789ebea63"
+IDENTITY_SHA256 = "c22b8f8a4c7817425e4b9f7a8576bba9f6adcecde8a3f06b4b1836448b55bbaf"
 
 
 def test_solutions_and_counters_match_pinned_identity():
@@ -140,7 +140,7 @@ def test_solutions_and_counters_match_pinned_identity():
 # solve's error text and its engine's counters (built, stored, pruned,
 # inspected), hashed together.  IDENTITY_SHA256 covers only solves that
 # succeed; this covers the path that builds the whole store and gives up.
-VERDICT_SHA256 = "60aa228abd4819bdf1686bcede7279e91cf9f6de45a7ab5f4b8e5d0eaf2f4a4e"
+VERDICT_SHA256 = "a4801b904220f5a1b2bd4d2a45d2cda3fa82e981156929a7f85b4f8f776bbc55"
 
 
 def test_budget_verdicts_and_counters_match_pinned_identity(monkeypatch):

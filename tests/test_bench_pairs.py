@@ -13,7 +13,13 @@ import bench_pairs  # noqa: E402
 
 
 def run_output(
-    workload: str, seed: int, solve_s: float, rss: float, sha: str = "a", passes: int = 30
+    workload: str,
+    seed: int,
+    solve_s: float,
+    rss: float,
+    sha: str = "a",
+    passes: int = 30,
+    built: int = 1,
 ) -> str:
     report = {
         "workload": workload,
@@ -22,7 +28,7 @@ def run_output(
         "traced_passes": 0,
         "fingerprint": "f",
         "solutions_sha256": sha,
-        "built": 1,
+        "built": built,
         "stored": 1,
         "inspected": 1,
         "solution_nodes": 1,
@@ -61,6 +67,7 @@ def test_pairs_by_workload_and_seed_and_counts_wins(tmp_path):
     assert bench_pairs.main(argv) == 0
     entry = json.loads(out.read_text(encoding="utf-8"))["wide200"]
     assert entry["pair_count"] == 10 and entry["same_identity"] and entry["all_correct"]
+    assert entry["identity_moved"] == []
     solve = entry["metrics"]["solve_norm_s"]
     assert solve["change_wins"] == "9/10" and solve["claimable"]
     assert solve["parent"]["median"] == pytest.approx(1.045) and solve["change"]["median"] == 0.8
@@ -76,10 +83,23 @@ def test_a_changed_solution_shows_in_the_identity(tmp_path):
     out = tmp_path / "BENCH.json"
     bench_pairs.main(["--parent", str(parent[0]), "--change", str(change[0]), "--out", str(out)])
     entry = json.loads(out.read_text(encoding="utf-8"))["enum32"]
-    assert not entry["same_identity"]
+    assert not entry["same_identity"] and entry["identity_moved"] == ["solutions_sha256"]
     # one pair won is no claim: a claim needs ten
     solve = entry["metrics"]["solve_norm_s"]
     assert solve["change_wins"] == "1/1" and not solve["claimable"]
+
+
+def test_identity_moved_names_every_field_that_differs_in_any_pair(tmp_path, capsys):
+    # Fewer constructions on one seed of two, the same solutions on both.
+    parent = [("exhaust7", 1, 1.0, 30.0, "a", 30, 500), ("exhaust7", 2, 1.0, 30.0, "a", 30, 400)]
+    change = [("exhaust7", 1, 0.7, 30.0, "a", 30, 300), ("exhaust7", 2, 0.7, 30.0, "a", 30, 400)]
+    parent, change = write_runs(tmp_path, "p", parent), write_runs(tmp_path, "c", change)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["exhaust7"]
+    assert entry["identity_moved"] == ["built"] and not entry["same_identity"]
+    assert "exhaust7: 2 pairs, identity differs in built, passes" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("where", ["a directory", "a missing parent"])

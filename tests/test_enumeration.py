@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvsynth.enumeration import EnumerationState, pack, signature_of, size_splits
 from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
-from bvsynth.frontend import Grammar
-from bvsynth.semantics import App, Var, subexpressions
+from bvsynth.frontend import Grammar, OpRule
+from bvsynth.semantics import COMMUTATIVE, App, BitVecValue, Const, Var, subexpressions
 from bvsynth.solver import SearchLimits
 
 import bruteforce
-from helpers import app, const, engine_for, events, grammar_of, problem_of, retained, rows_of
+from helpers import (
+    UnskippedState, app, const, engine_for, events, grammar_of, mirror_pairs, problem_of,
+    retained, rows_of,
+)
 
 LIMITS = SearchLimits()
 
@@ -196,11 +202,11 @@ def test_candidate_budgeted_searches_share_one_stream():
             built.append(eng.evaluations)
             if "size budget" in str(exc):
                 break
-    assert built == [8, 16, 24, 32, 40, 48, 56, 64, 71]
-    assert counters(eng) == (71, 27, 44, 0)
+    assert built == [8, 16, 24, 32, 40, 48, 53]
+    assert counters(eng) == (53, 27, 26, 0)
     fresh = engine_for(p)
     assert retained(fresh, "Start", 4) == retained(eng, "Start", 4)
-    assert counters(fresh)[:3] == counters(eng)[:3] == (71, 27, 44)
+    assert counters(fresh)[:3] == counters(eng)[:3] == (53, 27, 26)
 
 
 def test_exhausted_when_pruned_language_is_finite():
@@ -319,11 +325,11 @@ def apps_built(monkeypatch):
 
 
 def _lazy_store_problem():
-    """Three width-64 examples whose outputs no expression below size 6 gives
+    """Three width-64 examples whose outputs no expression below size 7 gives
     on every lane, so a search for them builds thousands of candidates."""
     grammar = grammar_of(["bvnot", "shl1", "shr1", "shr4", "bvand", "bvor", "bvxor", "bvadd"])
     inputs = [(3,), (0x5A17,), (0xDEADBEEFC7,)]
-    target = app("bvadd", app("shr1", Var("x")), app("bvnot", app("shl1", Var("x"))))
+    target = app("bvadd", app("shr1", app("shr4", Var("x"))), app("bvnot", app("shl1", Var("x"))))
     outputs = signature_of(target, ("x",), inputs, 64)
     return problem_of(grammar, [(i, o) for (i,), o in zip(inputs, outputs)]), outputs
 
@@ -335,7 +341,7 @@ LAZY_PROBLEM, LAZY_OUTPUTS = _lazy_store_problem()
 def test_failed_search_builds_no_expression(apps_built):
     eng = engine_for(LAZY_PROBLEM)
     with pytest.raises(NotFound):
-        eng.enumerate_until(lambda sig: False, max_size=5, max_candidates=10**6)
+        eng.enumerate_until(lambda sig: False, max_size=6, max_candidates=10**6)
     assert eng.evaluations > 1000
     assert apps_built[0] == 0
 
@@ -345,5 +351,84 @@ def test_successful_search_builds_only_the_accepted_expression(apps_built):
     result = eng.enumerate_until(
         lambda sig: sig == pack(LAZY_OUTPUTS, 64), max_size=8, max_candidates=10**6
     )
-    assert result.expr.size == 6 and eng.evaluations > 4000
+    assert result.expr.size == 7 and eng.evaluations > 4000
     assert 1 <= apps_built[0] <= result.expr.size
+
+
+@st.composite
+def mirror_cases(draw):
+    """A two-nonterminal grammar, its example inputs and a search sequence.
+
+    Start always has a commutative operator over Start and B and a bvsub over
+    Start twice, neither of which has mirrors; the commutative productions over
+    Start twice, B twice (at B) and B twice (at Start) come and go.  Lanes are
+    at most 6 bits wide in all, so every store stays small."""
+    width = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 6 // width))
+    top = (1 << width) - 1
+    commutative = st.sampled_from(sorted(COMMUTATIVE))
+    some = st.lists(commutative, max_size=2, unique=True)
+    start = [Var("x"), Const(BitVecValue(width, draw(st.integers(0, top))))]
+    start += [OpRule(draw(commutative), ("Start", "B")), OpRule("bvsub", ("Start", "Start"))]
+    start += [OpRule(op, ("Start", "Start")) for op in draw(some)]
+    start += [OpRule(op, ("B", "B")) for op in draw(some)]
+    start += [OpRule("bvnot", ("Start",))] * draw(st.integers(0, 1))
+    b = [Const(BitVecValue(width, draw(st.integers(0, top)))), Var("x")]
+    b += [OpRule(op, ("B", "B")) for op in draw(some)] + [OpRule("shl1", ("B",))]
+    productions = {
+        "Start": tuple(draw(st.permutations(start))) + (OpRule("if0", ("Start",) * 3),),
+        "B": tuple(draw(st.permutations(b))),
+    }
+    grammar = Grammar(("Start", "B"), productions, "Start")
+    rows = [(draw(st.integers(0, top)),) for _ in range(n)]
+    search = st.tuples(
+        st.sampled_from(["equals", "separates"]),
+        st.integers(0, n - 1),
+        st.integers(0, top),
+        st.sampled_from(["Start", "B"]),
+        st.integers(1, 5),
+    )
+    return grammar, width, rows, draw(st.lists(search, min_size=1, max_size=6))
+
+
+def outcome(engine, kind, k, value, nt, max_size):
+    """The hit of one search, or the name and text of the error that ends it."""
+    if kind == "equals":
+        accept = engine.example_equals(k, value)
+    else:
+        accept = engine.separates(k, value % len(engine.rows))
+    try:
+        found = engine.enumerate_until(accept, max_size=max_size, max_candidates=sys.maxsize, nt=nt)
+    except (NotFound, Exhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return found.expr, found.signature
+
+
+def drive_to_layer(engine, max_size):
+    """Complete layer ``max_size`` with a search that accepts nothing; the name
+    of the error that ends it."""
+    with pytest.raises((NotFound, Exhausted)) as stop:
+        engine.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
+    return stop.type.__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirror_cases())
+def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
+    # Against the stream that builds every mirror: the same hits in the same
+    # order and the same retained pools, and exactly the mirrors fewer built.
+    grammar, width, rows, searches = case
+    skipping = EnumerationState(grammar, ("x",), rows, width)
+    unskipped = UnskippedState(grammar, ("x",), rows, width)
+    for search in searches:
+        assert outcome(skipping, *search) == outcome(unskipped, *search)
+        assert skipping._pools == unskipped._pools and skipping.stored == unskipped.stored
+    # Complete layer 5: the stream stops on the next layer's first construction,
+    # which no engine skips, unless the language runs out first.
+    final = [drive_to_layer(engine, 5) for engine in (skipping, unskipped)]
+    assert final[0] == final[1]
+    assert skipping._pools == unskipped._pools and skipping.stored == unskipped.stored
+    # A pool list has one entry per layer begun; unless the language ran out,
+    # the stream stopped on the first construction of the last layer begun.
+    last = len(skipping._pools["Start"]) - 1 - (final[0] != "Exhausted")
+    assert unskipped.evaluations - skipping.evaluations == mirror_pairs(skipping, last)

@@ -8,10 +8,12 @@ Each input file is the standard output of one ``perfbench/run.py`` run: its
 JSON object with the metrics.  A parent run and a change run of the same
 workload, seed and trace setting form a pair.  For every workload and metric
 the output holds each side's median and quartiles, and how many pairs the
-change won; the direction of "better" comes from ``BENCHMARK.json``.  Each
-side's pass counts are listed in pair order, since ``peak_rss_mb`` grows
-with the number of passes a run makes.  A gain
-is ``claimable`` only over at least ten pairs, when the change wins at least
+change won; the direction of "better" comes from ``BENCHMARK.json``.  The
+``IDENTITY`` report fields that differ in any pair are listed as
+``identity_moved``, so a change that moves counters on purpose shows that
+its solutions held.  Each side's pass counts are listed in pair order, since
+``peak_rss_mb`` grows with the number of passes a run makes.  A gain is
+``claimable`` only over at least ten pairs, when the change wins at least
 nine in ten and the medians differ by more than the parent's interquartile
 range.
 
@@ -82,9 +84,10 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         pairs = entry.pop("pairs")
         entry["pair_count"] = len(pairs)
         entry["all_correct"] = all(p["correct"] and c["correct"] for p, c in pairs)
-        entry["same_identity"] = all(
-            p["report"][k] == c["report"][k] for p, c in pairs for k in IDENTITY
-        )
+        entry["identity_moved"] = [
+            k for k in IDENTITY if any(p["report"][k] != c["report"][k] for p, c in pairs)
+        ]
+        entry["same_identity"] = not entry["identity_moved"]
         entry["passes"] = {
             side: [run["report"]["passes"] for run in runs]
             for side, runs in zip(("parent", "change"), zip(*pairs))
@@ -139,8 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, entry in summary.items():
+        moved = ", ".join(entry["identity_moved"])
         print(f"{key}: {entry['pair_count']} pairs, identity "
-              f"{'same' if entry['same_identity'] else 'DIFFERS'}, passes "
+              f"{f'differs in {moved}' if moved else 'same'}, passes "
               f"{entry['passes']['parent']} -> {entry['passes']['change']}")
         for name, m in entry["metrics"].items():
             wins = m.get("change_wins", "-")
