@@ -16,9 +16,10 @@ One generator is both the construction stream and the search over it:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
 sends the generator its search, which runs until it must stop (see there).
 Each construction computes its signature, is deduplicated by one set
-insertion, and builds its node (a ``Var``/``Const`` terminal or an ``(op,
-child_node, ...)`` tuple over retained children) only when the signature is
-new or the candidate is accepted.  :func:`expr_of` builds the ``App`` tree
+insertion, and builds its node only when the signature is new or the
+candidate is accepted.  A node is one tuple with its signature at index 0:
+``(sig, leaf)`` for a ``Var``/``Const`` terminal, ``(sig, op, child_node,
+...)`` over retained children.  :func:`expr_of` builds the ``App`` tree
 only for an accepted candidate.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
@@ -34,18 +35,18 @@ from __future__ import annotations
 
 import operator
 import time
-from typing import Callable, Generator, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
 from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators, eval_columns
 
 Packed = int  # a signature with example i's value in lane i
-Node = Union[Var, Const, tuple]  # a terminal, or (op, child_node, ...)
+Node = tuple  # (sig, leaf) for a Var/Const terminal, or (sig, op, child_node, ...)
 
 Search = tuple[Callable[[Packed], bool], str, int, int, int]  # accept, nt, budgets, re-scanned
-Hit = tuple[int, Node, Packed]  # an accepted candidate's size, node and signature
-_UNIT = [(None, 0)]  # the second operand list of a terminal or a unary block
+Hit = tuple[int, Node]  # an accepted candidate's size and node
+_UNIT = [(0,)]  # the second operand list of a terminal or a unary block
 _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
 
 
@@ -56,9 +57,9 @@ class SearchResult(NamedTuple):
 
 def expr_of(node: Node) -> Expr:
     """The expression a store node spells; recursion depth is its size at most."""
-    if type(node) is tuple:
-        return App(node[0], tuple(map(expr_of, node[1:])))
-    return node
+    if len(node) == 2:
+        return node[1]
+    return App(node[1], tuple(map(expr_of, node[2:])))
 
 
 def size_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -168,10 +169,8 @@ class EnumerationState:
         self._high = self.ones << (width - 1)  # the top bit of every lane
         self._low, self._digits = self._high - self.ones, f"0{len(self.rows) * width}b"
         self._vars = {x: pack([r[i] for r in self.rows], width) for i, x in enumerate(self.params)}
-        # pools[nt][size] lists retained (node, signature) pairs; index 0 unused
-        self._pools: dict[str, list[list[tuple[Node, Packed]]]] = {
-            nt: [[]] for nt in grammar.nonterminals
-        }
+        # pools[nt][size] lists retained nodes; index 0 unused
+        self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
         self._max_pooled = 0
         self._stream = self._search_loop()
@@ -186,7 +185,7 @@ class EnumerationState:
 
     def _blocks(self) -> Iterator[tuple]:
         """Every block of constructions in stream order, as ``(size, nt, op,
-        arity, fn, first, second)`` with ``second = [(None, 0)]`` for terminal
+        arity, fn, first, second)`` with ``second = [(0,)]`` for terminal
         and unary blocks, until the pruned language is exhausted."""
         nonterminals, pools = self.grammar.nonterminals, self._pools
         ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
@@ -199,9 +198,9 @@ class EnumerationState:
             for nt in nonterminals:
                 for prod in self.grammar.productions[nt]:
                     if size == 1 and isinstance(prod, Var):
-                        yield 1, nt, None, 0, _first, [(prod, self._vars[prod.name])], _UNIT
+                        yield 1, nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
                     elif size == 1 and isinstance(prod, Const):
-                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self.ones)], _UNIT
+                        yield 1, nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
                     elif isinstance(prod, OpRule) and prod.op != "if0":
                         mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
                         for split in size_splits(size - 1, len(prod.operands)):
@@ -210,8 +209,8 @@ class EnumerationState:
                                 continue  # (op b a) repeats the earlier (op a b)
                             block = size, nt, prod.op, len(split), self._fns[prod.op]
                             if mirrored and split[0] == split[1]:
-                                for i, pair in enumerate(lists[0]):
-                                    yield *block, [pair], lists[0][i:]
+                                for i, node in enumerate(lists[0]):
+                                    yield *block, [node], lists[0][i:]
                             else:
                                 yield *block, *lists[:2]
             if any(pools[nt][size] for nt in nonterminals):
@@ -241,14 +240,15 @@ class EnumerationState:
             add = store.add
             if size > max_size:
                 due = count + 1
-            for ea, sa in first:
-                for eb, sb in second:
-                    sig = fn(sa, sb)
+            for ea in first:
+                sa = ea[0]
+                for eb in second:
+                    sig = fn(sa, eb[0])
                     n = len(store)
                     add(sig)
                     if len(store) != n:
-                        node = (op, ea, eb) if arity == 2 else (op, ea) if arity else ea
-                        layer.append((node, sig))
+                        node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
+                        layer.append(node)
                     count += 1
                     if count >= due:
                         if not count & 4095:
@@ -265,9 +265,8 @@ class EnumerationState:
                     if looking:
                         inspected += 1
                         if accept(sig):
-                            node = (op, ea, eb) if arity == 2 else (op, ea) if arity else ea
-                            hit = size, node, sig
-                            search = yield from self._stop(hit, count, inspected, size, nt)
+                            node = (sig, op, ea, eb)[: arity + 2] if arity else ea
+                            search = yield from self._stop((size, node), count, inspected, size, nt)
                             accept, target, looking, max_size, limit, due, inspected = search
         yield from self._stop("exhausted", count, inspected, 0, "")
         while True:
@@ -332,19 +331,19 @@ class EnumerationState:
         target = nt if nt is not None else self.grammar.start
         used = 0
         for layer in self._pools[target][1 : max_size + 1]:
-            for node, sig in layer:
+            for node in layer:
                 used += 1
                 if used > max_candidates:
                     raise NotFound(f"candidate budget {max_candidates} exhausted")
                 if (used & 4095) == 0:
                     self._check_deadline(f"{used} re-scanned candidates")
                 self.inspected += 1
-                if accept(sig):
-                    return SearchResult(expr_of(node), sig)
+                if accept(node[0]):
+                    return SearchResult(expr_of(node), node[0])
         stream, search = self._stream, (accept, target, max_size, max_candidates, used)
         out = stream.send(search) if stream.gi_frame else "exhausted"  # closed or timed out
         if type(out) is tuple:
-            return SearchResult(expr_of(out[1]), out[2])
+            return SearchResult(expr_of(out[1]), out[1][0])
         if out == "candidates":
             raise NotFound(f"candidate budget {max_candidates} exhausted")
         if out == "exhausted" and self._max_pooled <= max_size:

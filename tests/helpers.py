@@ -67,13 +67,13 @@ def events(engine: EnumerationState) -> Iterator[tuple]:
     expression, pruned ones included, ending when the pruned language is
     exhausted.  It drives the engine's search loop with a search that
     accepts every candidate and has no budgets, so each construction comes
-    back as a hit, ``(size, node, signature)``; the node is expanded here
-    with ``expr_of``."""
+    back as a hit, ``(size, node)``; the node is expanded here with
+    ``expr_of`` and carries its signature at index 0."""
     start = engine.grammar.start
     search = (lambda sig: True, start, sys.maxsize, sys.maxsize, 0)
     while type(hit := engine._stream.send(search)) is tuple:
-        size, node, sig = hit
-        yield start, size, expr_of(node), sig
+        size, node = hit
+        yield start, size, expr_of(node), node[0]
 
 
 def retained(
@@ -88,7 +88,7 @@ def retained(
     except (NotFound, Exhausted):
         pass
     layers, w, n = engine._pools[nt][: max_size + 1], engine.width, len(engine.rows)
-    return [(expr_of(node), unpack(sig, w, n)) for layer in layers for node, sig in layer]
+    return [(expr_of(node), unpack(node[0], w, n)) for layer in layers for node in layer]
 
 
 class UnskippedState(EnumerationState):
@@ -107,9 +107,9 @@ class UnskippedState(EnumerationState):
             for nt in nonterminals:
                 for prod in self.grammar.productions[nt]:
                     if size == 1 and isinstance(prod, Var):
-                        yield 1, nt, None, 0, _first, [(prod, self._vars[prod.name])], _UNIT
+                        yield 1, nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
                     elif size == 1 and isinstance(prod, Const):
-                        yield 1, nt, None, 0, _first, [(prod, prod.value.bits * self.ones)], _UNIT
+                        yield 1, nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
                     elif isinstance(prod, OpRule) and prod.op != "if0":
                         for split in size_splits(size - 1, len(prod.operands)):
                             lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]

@@ -95,7 +95,7 @@ def test_closed_engine_keeps_counters_and_store_for_the_bench(monkeypatch):
         stats.pruned_duplicates,
         stats.candidates,
     )
-    pooled = [sig for layers in engine._pools.values() for layer in layers for _, sig in layer]
+    pooled = [node[0] for layers in engine._pools.values() for layer in layers for node in layer]
     assert len(pooled) == engine.stored > 1000
     assert spans.deep_size(engine) >= sum(map(sys.getsizeof, pooled))
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvsynth.enumeration import EnumerationState, pack, signature_of, size_splits
+from bvsynth.enumeration import EnumerationState, expr_of, pack, signature_of, size_splits
 from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
 from bvsynth.frontend import Grammar, OpRule
 from bvsynth.semantics import COMMUTATIVE, App, BitVecValue, Const, Var, subexpressions
@@ -355,6 +356,27 @@ def test_successful_search_builds_only_the_accepted_expression(apps_built):
     assert 1 <= apps_built[0] <= result.expr.size
 
 
+def test_each_stored_expression_is_one_tracked_object():
+    # A retained expression is one tuple that carries its own signature.  With
+    # the collector off, tracked objects are freed only by reference counting,
+    # so what is left after the search is the store plus a few lists and frames.
+    eng = engine_for(LAZY_PROBLEM)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        try:
+            eng.enumerate_until(lambda sig: False, max_size=6, max_candidates=10**6)
+        except NotFound:
+            pass
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert eng.stored > 1000
+    assert grown <= eng.stored + 50
+
+
 @st.composite
 def mirror_cases(draw):
     """A two-nonterminal grammar, its example inputs and a search sequence.
@@ -412,17 +434,58 @@ def drive_to_layer(engine, max_size):
     return stop.type.__name__
 
 
+def completed_pools(*engines):
+    """Each engine's retained pools over the layers all of them have completed:
+    every layer before the last one begun by the engine furthest behind."""
+    done = min(len(e._pools[e.grammar.start]) for e in engines) - 1
+    return [{nt: pools[:done] for nt, pools in e._pools.items()} for e in engines]
+
+
+MIRROR_GRAMMAR = Grammar(
+    ("Start", "B"),
+    {
+        "Start": (
+            Var("x"),
+            OpRule("bvadd", ("B", "B")),
+            OpRule("bvadd", ("Start", "B")),
+            OpRule("bvsub", ("Start", "Start")),
+            OpRule("bvadd", ("Start", "Start")),
+            const(3, 0),
+            OpRule("bvand", ("B", "B")),
+            OpRule("if0", ("Start",) * 3),
+        ),
+        "B": (const(3, 3), Var("x"), OpRule("shl1", ("B",))),
+    },
+    "Start",
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mirror_cases())
+# After the size-3 hit (bvadd #b011 x), the size-1 search at B resumes the
+# stream for one construction: (bvadd x x) in the skipping engine, the pruned
+# mirror (bvadd x #b011) in the other, so the partial layers 3 differ.
+@example(
+    (
+        MIRROR_GRAMMAR,
+        3,
+        [(4,), (1,)],
+        [("equals", 0, 0, "Start", 1), ("equals", 0, 7, "Start", 3), ("equals", 0, 0, "B", 1)],
+    )
+)
 def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
     # Against the stream that builds every mirror: the same hits in the same
     # order and the same retained pools, and exactly the mirrors fewer built.
+    # A search whose size budget is below the stream's layer still builds the
+    # next construction before it stops, and that construction may be a mirror
+    # in one engine only, so after a search only completed layers are equal.
     grammar, width, rows, searches = case
     skipping = EnumerationState(grammar, ("x",), rows, width)
     unskipped = UnskippedState(grammar, ("x",), rows, width)
     for search in searches:
         assert outcome(skipping, *search) == outcome(unskipped, *search)
-        assert skipping._pools == unskipped._pools and skipping.stored == unskipped.stored
+        first, second = completed_pools(skipping, unskipped)
+        assert first == second
     # Complete layer 5: the stream stops on the next layer's first construction,
     # which no engine skips, unless the language runs out first.
     final = [drive_to_layer(engine, 5) for engine in (skipping, unskipped)]
@@ -432,3 +495,24 @@ def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
     # the stream stopped on the first construction of the last layer begun.
     last = len(skipping._pools["Start"]) - 1 - (final[0] != "Exhausted")
     assert unskipped.evaluations - skipping.evaluations == mirror_pairs(skipping, last)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirror_cases())
+def test_every_node_carries_its_own_signature(case):
+    # Index 0 of every retained node, and of every hit, is the packed signature
+    # the column evaluator gives the expression the node spells.
+    grammar, width, rows, searches = case
+    evaluated = lambda expr: pack(signature_of(expr, ("x",), rows, width), width)
+    engine = EnumerationState(grammar, ("x",), rows, width)
+    for search in searches:
+        found = outcome(engine, *search)
+        if not isinstance(found[0], str):
+            assert found[1] == evaluated(found[0])
+    drive_to_layer(engine, 5)
+    nodes = [node for pools in engine._pools.values() for layer in pools for node in layer]
+    assert len(nodes) == engine.stored
+    assert all(node[0] == evaluated(expr_of(node)) for node in nodes)
+    # A search that accepts everything gets every construction as a hit.
+    hits = islice(events(EnumerationState(grammar, ("x",), rows, width)), 500)
+    assert all(sig == evaluated(expr) for _, _, expr, sig in hits)
