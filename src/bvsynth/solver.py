@@ -19,9 +19,10 @@ class SearchLimits:
     max_candidates: int = 5_000_000
     # Seconds of wall clock for the whole solve.  The enumeration checks it
     # every 4,096 constructed and every 4,096 re-scanned candidates, so a
-    # search overshoots by at most that much work.  Phase-2 routing does not
-    # check it, nor does verification: one pass over the solution costing
-    # its node count times the example count.
+    # search overshoots by at most that much work.  Outside its searches,
+    # phase 2 only tests covers, one AND per found expression per set of
+    # examples, and does not check it; nor does verification: one pass over
+    # the solution costing its node count times the example count.
     timeout: float | None = None
 
 

@@ -2,8 +2,9 @@
 
 Phase 1 maps every example to a branch-free (if0-free) expression that is
 consistent with that example alone; one shared enumeration stream serves
-all searches.  Phase 2 inserts examples into a decision tree in rank order,
-enumerating a separating condition for each pair of conflicting examples.
+all searches.  Phase 2 splits the examples top-down: a set of examples that
+one found expression fits becomes a leaf, and any other set is split on the
+smallest condition separating one conflicting pair of its examples.
 Conditions are drawn from the first operand nonterminal of the grammar's
 if0 production and are themselves if0-free.  Every set of examples is an int
 *example mask* with bit ``i`` for example ``i``: a terminal's examples, a leaf's
@@ -13,8 +14,7 @@ bucket, and an if0 node's condition mask (``mask >> i & 1``: the then-branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     Exhausted,
@@ -31,7 +31,8 @@ from .semantics import App, Expr
 
 @dataclass
 class TerminalMap:
-    """Found expressions, in discovery order, to disjoint masks covering all examples."""
+    """Found expressions, in discovery order, to the masks of all the examples
+    each one fits.  The masks may overlap; together they cover every example."""
 
     masks: dict[Expr, int] = field(default_factory=dict)
 
@@ -56,13 +57,6 @@ class Internal:
 Tree = Union[Leaf, Internal]
 
 
-def bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def condition_nonterminal(grammar: Grammar) -> str:
     """Nonterminal conditions are enumerated from: the if0 rule's first operand."""
     rule = grammar.first_if0()
@@ -74,9 +68,9 @@ def condition_nonterminal(grammar: Grammar) -> str:
 def map_terminals(problem: Problem, engine: EnumerationState, limits) -> TerminalMap:
     """Assign a consistent terminal expression to every example.
 
-    The lowest unmapped example is searched for next; each found expression
-    is also assigned to every other still-unmapped example it happens to
-    satisfy.  Enumeration resumes across searches instead of restarting.
+    The lowest example that no found expression fits is searched for next;
+    each found expression keeps the mask of every example it fits.
+    Enumeration resumes across searches instead of restarting.
     """
     outputs = pack([ex.output for ex in problem.examples], problem.width)
     tmap = TerminalMap()
@@ -91,16 +85,9 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
             )
         except (NotFound, Exhausted) as exc:
             raise UnsolvableExample(k, str(exc)) from exc
-        tmap.masks[expr] = fits = engine.agreement(sig, outputs) & unmapped
-        unmapped ^= fits
+        tmap.masks[expr] = fits = engine.agreement(sig, outputs)
+        unmapped &= ~fits
     return tmap
-
-
-def rank_examples(tmap: TerminalMap) -> list[int]:
-    """Example indices sorted by ascending popularity of their assigned
-    expression (unique expressions first), ties by ascending index."""
-    by_popularity = groupby(sorted(tmap.masks.values(), key=int.bit_count), int.bit_count)
-    return [i for _, masks in by_popularity for i in bits(sum(masks))]  # disjoint: sum is union
 
 
 def find_condition(
@@ -122,64 +109,29 @@ def find_condition(
     return expr, engine.agreement(sig, engine.ones)
 
 
-def insert_example(
-    problem: Problem,
-    engine: EnumerationState,
-    tmap: TerminalMap,
-    limits,
-    tree: Tree,
-    index: int,
-) -> Tree:
-    """Insert one example, preserving routing soundness for every bucket.
-
-    An example landing on a leaf with its own terminal expression just joins
-    the bucket (lazy expansion).  Otherwise the leaf is split on a condition
-    separating the example from the leaf's lowest-index representative; any
-    bucket member the new condition routes away is re-inserted.
-    """
-    work = [index]
-    for i in work:  # displaced members are appended, so the walk is first in, first out
-        parent: Internal | None = None
-        node = tree
-        while isinstance(node, Internal):
-            parent = node
-            node = node.then_child if node.mask >> i & 1 else node.else_child
-        if tmap.masks[node.expr] >> i & 1:
-            node.bucket |= 1 << i
-            continue
-
-        representative = (node.bucket & -node.bucket).bit_length() - 1
-        condition, mask = find_condition(problem, engine, i, representative, limits)
-        expr_i = next(e for e, m in tmap.masks.items() if m >> i & 1)
-        if mask >> i & 1:
-            replacement = Internal(condition, mask, Leaf(expr_i, 1 << i), node)
-        else:
-            replacement = Internal(condition, mask, node, Leaf(expr_i, 1 << i))
-        # The pairwise condition constrains only the representative; the other
-        # members whose bit in ``mask`` differs from its bit (``-1`` flips
-        # ``mask`` when that bit is set) are re-inserted to keep every bucket sound.
-        moved = node.bucket & (mask ^ -(mask >> representative & 1))
-        node.bucket ^= moved
-        work.extend(bits(moved))
-        if parent is None:
-            tree = replacement
-        elif parent.mask >> i & 1:
-            parent.then_child = replacement
-        else:
-            parent.else_child = replacement
-    return tree
-
-
 def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, limits) -> Tree:
-    """Unify a terminal map with at least two distinct expressions: the first
-    example in rank order starts a leaf and every other one is inserted."""
-    if tmap.distinct() < 2:
-        raise ValueError("build_tree needs at least two distinct terminal expressions")
-    first, *rest = rank_examples(tmap)
-    tree: Tree = Leaf(next(e for e, m in tmap.masks.items() if m >> first & 1), 1 << first)
-    for index in rest:
-        tree = insert_example(problem, engine, tmap, limits, tree, index)
-    return tree
+    """Unify the terminal map top-down from the set of all examples, then-sides
+    first.  A set that one found expression fits is a leaf of the first such
+    expression.  Any other set is split on ``find_condition`` for its lowest
+    example ``a`` and the lowest example that ``a``'s first expression does
+    not fit; the two land on opposite sides, so every split makes progress."""
+    done: list[Tree] = []
+    todo: list[tuple[int, tuple[Expr, int] | None]] = [((1 << len(problem.examples)) - 1, None)]
+    while todo:  # a split is pushed below its sides and popped once both are on done
+        examples, split = todo.pop()
+        if split is not None:
+            done[-2:] = [Internal(*split, *done[-2:])]
+            continue
+        expr = next((e for e, m in tmap.masks.items() if examples & m == examples), None)
+        if expr is not None:
+            done.append(Leaf(expr, examples))
+            continue
+        a = (examples & -examples).bit_length() - 1
+        unfit = examples & ~next(m for m in tmap.masks.values() if m >> a & 1)
+        b = (unfit & -unfit).bit_length() - 1
+        condition, mask = find_condition(problem, engine, a, b, limits)
+        todo += ((examples, (condition, mask)), (examples & ~mask, None), (examples & mask, None))
+    return done[0]
 
 
 def tree_to_expr(tree: Tree, grammar: Grammar) -> Expr:

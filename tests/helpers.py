@@ -180,3 +180,15 @@ def conditions(tree: Tree) -> Iterator[Internal]:
 
 def contains_op(expr: Expr, name: str) -> bool:
     return any(isinstance(e, App) and e.op == name for e in subexpressions(expr))
+
+
+def assert_covers(tree: Tree, tmap) -> None:
+    """The cover property of phase 2: each leaf holds the first found
+    expression whose mask holds its whole bucket, and no found expression's
+    mask holds every example under an if0 node."""
+    for leaf in leaves(tree):
+        first = next(e for e, mask in tmap.masks.items() if leaf.bucket & mask == leaf.bucket)
+        assert leaf.expr == first, "a leaf holds an expression other than the first that fits"
+    for node in conditions(tree):
+        under = sum(leaf.bucket for leaf in leaves(node))  # buckets are disjoint: sum is union
+        assert not any(under & mask == under for mask in tmap.masks.values()), "split a cover"

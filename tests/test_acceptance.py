@@ -31,6 +31,7 @@ from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
 from helpers import (
+    assert_covers,
     assigned,
     bits_where,
     conditions,
@@ -199,7 +200,8 @@ def test_criterion_3_pruning_soundness_oracle():
 
 
 def test_criterion_4_tree_invariants_on_corpus(run_a):
-    """Node bound, lazy-expansion degenerate case, routing soundness, purity."""
+    """Node bound, one-expression degenerate case, routing soundness, purity,
+    and the cover property: a leaf wherever one found expression fits."""
     for path in sorted(run_a.corpus.glob("*.sl")):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         result = solve_problem(problem)
@@ -235,6 +237,7 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
             assert node.mask == bits_where(
                 signature_of(node.condition, problem.params, rows, problem.width), 1
             )  # (f) routing reads the stored mask
+        assert_covers(tree, result.terminal_map)  # (g)
     print("criterion 4 (tree invariants on all 200 instances): PASS")
 
 

@@ -118,7 +118,7 @@ def test_workload_generation_matches_pinned_fingerprint(name):
 # keeps this hash.  A change that alters solutions or counters on purpose
 # says which and why, and re-pins it.
 IDENTITY_SLICE = {"enum32": 300, "wide200": 60}
-IDENTITY_SHA256 = "c22b8f8a4c7817425e4b9f7a8576bba9f6adcecde8a3f06b4b1836448b55bbaf"
+IDENTITY_SHA256 = "6fa574ca550c9f47189ed689d2bcfcb05de77d0278f62ef5ab95c290bedda223"
 
 
 def test_solutions_and_counters_match_pinned_identity():

@@ -1,4 +1,4 @@
-"""Terminal mapping, ranking, condition search, and decision-tree construction."""
+"""Terminal mapping, condition search, and decision-tree construction."""
 
 from __future__ import annotations
 
@@ -13,25 +13,23 @@ from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
 from bvsynth.frontend import Grammar, OpRule, emit_solution
 from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
-from bvsynth.solver import SearchLimits, verify_solution
+from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import (
     Internal,
     Leaf,
-    TerminalMap,
     build_tree,
     condition_nonterminal,
     derives,
     find_condition,
-    insert_example,
     internal_node_count,
     map_terminals,
-    rank_examples,
     tree_to_expr,
 )
 
 import bruteforce
 from helpers import (
     app,
+    assert_covers,
     assigned,
     bits_where,
     conditions,
@@ -125,45 +123,6 @@ def test_map_terminals_unsolvable_within_budget():
     assert info.value.index == 0
 
 
-# -- rank_examples ------------------------------------------------------------
-
-
-def _fake_map(groups: dict) -> TerminalMap:
-    return TerminalMap({expr: sum(1 << i for i in indices) for expr, indices in groups.items()})
-
-
-def test_rank_puts_unique_expressions_first():
-    t1, t2 = Var("x"), app("bvnot", Var("x"))
-    assert rank_examples(_fake_map({t1: {0, 2, 3}, t2: {1}})) == [1, 0, 2, 3]
-
-
-def test_rank_identity_when_all_share_one_expr():
-    assert rank_examples(_fake_map({Var("x"): {0, 1, 2, 3}})) == [0, 1, 2, 3]
-
-
-def test_rank_all_unique_is_index_order():
-    t = [const(64, 0), const(64, 1), Var("x")]
-    assert rank_examples(_fake_map({t[0]: {0}, t[1]: {1}, t[2]: {2}})) == [0, 1, 2]
-
-
-def test_rank_is_a_popularity_monotone_permutation():
-    import random
-
-    rng = random.Random(99)
-    terms = [Var("x"), const(64, 0), const(64, 1), app("bvnot", Var("x"))]
-    for _ in range(50):
-        n = rng.randint(1, 12)
-        groups: dict = {}
-        for i in range(n):
-            groups.setdefault(rng.choice(terms[: rng.randint(1, 4)]), set()).add(i)
-        tmap = _fake_map(groups)
-        order = rank_examples(tmap)
-        assert sorted(order) == list(range(n))
-        popularity = [tmap.masks[assigned(tmap, i)].bit_count() for i in order]
-        assert popularity == sorted(popularity)
-        assert order == sorted(order, key=lambda i: (tmap.masks[assigned(tmap, i)].bit_count(), i))
-
-
 # -- find_condition -----------------------------------------------------------
 
 
@@ -198,7 +157,7 @@ def test_condition_nonterminal_is_if0_first_operand():
     assert condition_nonterminal(START_COND_TERM) == "Cond"
 
 
-# -- route / insert -----------------------------------------------------------
+# -- route --------------------------------------------------------------------
 
 
 def parity_problem(width=8):
@@ -224,25 +183,6 @@ def test_route_single_leaf_is_empty_path():
     assert route(p, only, p.examples[0]) == (only, ())
 
 
-def test_insert_same_expression_expands_lazily():
-    p = problem_of(grammar_of(BASE_OPS), [(5, 5), (9, 9), (7, 7)])
-    tmap = _fake_map({Var("x"): {0, 1, 2}})
-    tree = Leaf(Var("x"), 0b1)
-    tree = insert_example(p, engine_for(p), tmap, LIMITS, tree, 2)
-    assert isinstance(tree, Leaf)
-    assert tree.bucket == 0b101
-    assert internal_node_count(tree) == 0
-
-
-def test_insert_conflicting_expression_splits_leaf():
-    p = problem_of(grammar_of(BASE_OPS, width=8), [(4, 4), (3, 0xFC)], width=8)
-    tmap = _fake_map({Var("x"): {0}, app("bvnot", Var("x")): {1}})
-    tree = insert_example(p, engine_for(p), tmap, LIMITS, Leaf(Var("x"), 0b1), 1)
-    assert internal_node_count(tree) == 1
-    assert len(list(leaves(tree))) == 2
-    assert_tree_sound(p, tree, tmap)
-
-
 # -- build_tree ---------------------------------------------------------------
 
 
@@ -260,16 +200,16 @@ def test_build_tree_two_conflicting_examples():
 
 
 def test_build_tree_parity_scenario():
-    # Four examples, two terminal expressions.  The first conflicting pair
-    # in rank order is (0x0, 0x1); the pairwise condition oracle accepts the
-    # size-1 condition x there (it is 1 on 0x1 only), so unifying the
-    # remaining odd example needs one more node with bvand(x, #x01).
+    # Four examples, two terminal expressions.  The first split separates
+    # example 0 (0x0) from the lowest example its expression x does not fit,
+    # example 2 (0x1); the pairwise condition oracle accepts the size-1
+    # condition x there (it is 1 on 0x1 only), so unifying the remaining odd
+    # example needs one more node with bvand(x, #x01).
     p = parity_problem()
     engine = engine_for(p)
     tmap = map_terminals(p, engine, LIMITS)
     assert tmap.masks[Var("x")] == 0b0011
     assert tmap.masks[app("bvnot", Var("x"))] == 0b1100
-    assert rank_examples(tmap) == [0, 1, 2, 3]
 
     oracle_root = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 8, 0, 2, 6)
     assert oracle_root is not None
@@ -289,11 +229,11 @@ def test_build_tree_parity_scenario():
         assert eval_expr(solution, env, p.width).bits == ex.output
 
 
-def test_build_tree_reinserts_displaced_bucket_members():
-    # The pairwise condition for the second split (shr4 x, separating 0x14
-    # from the representative 0x04) also evaluates to 1 on the bucket
-    # member 0x12, which must be displaced and re-inserted for route() to
-    # stay sound.
+def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
+    # The pairwise condition for the second split (shr4 x, separating 0x04
+    # from 0x14) also evaluates to 1 on 0x12, which x fits like 0x04.  So
+    # 0x12 lands beside 0x14, and that side needs a split of its own for
+    # route() to stay sound.
     pairs = [(0x04, 0x04), (0x12, 0x12), (0x05, 0xFA), (0x14, 0xEB)]
     p = problem_of(
         grammar_of(
@@ -311,7 +251,7 @@ def test_build_tree_reinserts_displaced_bucket_members():
     second_split = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 8, 3, 0, 6)
     assert second_split is not None
     assert second_split[1] == app("shr4", Var("x"))
-    # ... and that condition routes example 1 away from its old bucket:
+    # ... and that condition routes example 1 away from example 0:
     assert bruteforce.value_on(second_split[1], ("x",), (0x12,), 8) == 1
 
     tree = build_tree(p, engine, tmap, LIMITS)
@@ -322,12 +262,22 @@ def test_build_tree_reinserts_displaced_bucket_members():
     assert_tree_sound(p, tree, tmap)
 
 
-def test_build_tree_requires_a_conflict():
+def test_build_tree_one_expression_is_one_leaf_of_every_example():
     p = problem_of(grammar_of(BASE_OPS), [(5, 5), (9, 9)])
     engine = engine_for(p)
     tmap = map_terminals(p, engine, LIMITS)
-    with pytest.raises(ValueError):
-        build_tree(p, engine, tmap, LIMITS)
+    assert tmap.distinct() == 1
+    assert build_tree(p, engine, tmap, LIMITS) == Leaf(Var("x"), 0b11)
+
+
+def test_an_expression_found_later_takes_every_example_it_fits():
+    # Example 0 finds the constant 1; example 1 then finds x + 1, which
+    # fits example 0 too, so one leaf holds both and no if0 is built.
+    p = problem_of(grammar_of(BASE_OPS), [(0, 1), (5, 6)])
+    result = solve_problem(p)
+    assert result.solution == app("bvadd", Var("x"), const(64, 1))
+    assert result.stats.internal_nodes == 0
+    assert result.terminal_map.masks == {const(64, 1): 0b01, result.solution: 0b11}
 
 
 # Each example's output is one of up to three small target expressions,
@@ -365,28 +315,29 @@ def mask_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(mask_problems())
 def test_terminal_masks_and_buckets_partition_the_examples(p):
+    """The terminal masks cover the examples and may overlap; the tree's
+    buckets partition them, soundly and with the cover property."""
     n = len(p.examples)
     engine = engine_for(p)
     tmap = map_terminals(p, engine, LIMITS)
-    masks = list(tmap.masks.values())
+    rows = rows_of(p)
     union = 0
-    for mask in masks:
-        assert mask and not mask & union, "empty or overlapping masks"
+    for expr, mask in tmap.masks.items():
+        # The mask is every example the expression fits, and it holds the
+        # example the expression was found for: the lowest one no earlier
+        # mask holds.  Masks may overlap.
+        sig = bruteforce.signature_on(expr, p.params, rows, p.width)
+        assert mask == bits_where([v == ex.output for v, ex in zip(sig, p.examples)], True)
+        missing = (1 << n) - 1 & ~union
+        assert missing and mask & missing & -missing, "misses the lowest example not yet held"
         union |= mask
     assert union == (1 << n) - 1
-    for expr, mask in tmap.masks.items():
-        for i in indices_of(mask):
-            example = p.examples[i]
-            assert bruteforce.value_on(expr, p.params, example.inputs, p.width) == example.output
-    lowest = [indices_of(mask)[0] for mask in masks]
-    assert lowest == sorted(lowest), "discovery order is not by lowest example"
-    if tmap.distinct() < 2:
-        return
     tree = build_tree(p, engine, tmap, LIMITS)
     buckets = [leaf.bucket for leaf in leaves(tree)]
     assert sum(b.bit_count() for b in buckets) == n
     assert reduce(or_, buckets) == (1 << n) - 1
     assert_tree_sound(p, tree, tmap)
+    assert_covers(tree, tmap)
 
 
 # -- tree_to_expr -------------------------------------------------------------
