@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .enumeration import signature_of, size_splits
 from .frontend import Grammar, OpRule, Production
@@ -19,41 +18,22 @@ from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPER
 from .semantics import expr_to_sexpr
 
 
-def _uniform_grammar(width: int, ops: list[str]) -> Grammar:
-    prods: list[Production] = [
-        Var("x"),
-        Const(BitVecValue(width, 0)),
-        Const(BitVecValue(width, 1)),
-    ]
-    for name in ops:
-        prods.append(OpRule(name, ("Start",) * OPERATORS[name].arity))
-    return Grammar(("Start",), {"Start": tuple(prods)}, "Start")
-
-
-def _icfp_grammar(width: int) -> Grammar:
-    return _uniform_grammar(
-        width, ["bvnot", "shl1", "shr1", "shr4", "shr16", "bvand", "bvor", "bvxor", "bvadd", "if0"]
-    )
-
-
-def _core_grammar(width: int) -> Grammar:
-    return _uniform_grammar(
-        width,
-        ["bvnot", "bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvshl", "bvlshr", "bvashr", "if0"],
-    )
-
-
-GRAMMAR_TEMPLATES: dict[str, Callable[[int], Grammar]] = {
-    "icfp": _icfp_grammar,
-    "core": _core_grammar,
+# The operators of each grammar template, in production order.
+GRAMMAR_TEMPLATES: dict[str, tuple[str, ...]] = {
+    "icfp": ("bvnot", "shl1", "shr1", "shr4", "shr16", "bvand", "bvor", "bvxor", "bvadd", "if0"),
+    "core": ("bvnot", "bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvshl", "bvlshr", "bvashr", "if0"),
 }
 
 
 def template_grammar(name: str, width: int) -> Grammar:
-    try:
-        return GRAMMAR_TEMPLATES[name](width)
-    except KeyError:
-        raise ValueError(f"unknown grammar template {name!r}") from None
+    """The one-nonterminal grammar of template ``name``: ``x``, the constants
+    0 and 1, then the template's operators."""
+    if name not in GRAMMAR_TEMPLATES:
+        raise ValueError(f"unknown grammar template {name!r}")
+    prods: list[Production] = [Var("x"), Const(BitVecValue(width, 0)), Const(BitVecValue(width, 1))]
+    for op in GRAMMAR_TEMPLATES[name]:
+        prods.append(OpRule(op, ("Start",) * OPERATORS[op].arity))
+    return Grammar(("Start",), {"Start": tuple(prods)}, "Start")
 
 
 @dataclass(frozen=True)
@@ -130,7 +110,7 @@ def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
     return sample(grammar.start, size)
 
 
-def render_grammar_block(grammar: Grammar, width: int, indent: str = "    ") -> str:
+def render_grammar_block(grammar: Grammar, width: int) -> str:
     """The inline v1 grammar block of a synth-fun, one production per line."""
 
     def prod_text(prod: Production) -> str:
@@ -140,11 +120,11 @@ def render_grammar_block(grammar: Grammar, width: int, indent: str = "    ") -> 
 
     nt_blocks = []
     for nt in grammar.nonterminals:
-        lines = [f"{indent}({nt} (BitVec {width})"]
+        lines = [f"    ({nt} (BitVec {width})"]
         body = [prod_text(p) for p in grammar.productions[nt]]
-        lines.append(f"{indent}    (" + ("\n" + indent + "     ").join(body) + "))")
+        lines.append("        (" + "\n         ".join(body) + "))")
         nt_blocks.append("\n".join(lines))
-    return "{}(\n".format(indent) + "\n".join(nt_blocks) + f"\n{indent})"
+    return "    (\n" + "\n".join(nt_blocks) + "\n    )"
 
 
 def render_instance(

@@ -36,6 +36,7 @@ from .semantics import (
     OPERATORS,
     Var,
     expr_to_sexpr,
+    fold,
     subexpressions,
 )
 
@@ -471,33 +472,26 @@ class ParsedSolution(NamedTuple):
 def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
     """Parse a ground term over the parameters and the operator catalogue.
 
-    Iterative, so nesting depth is not bounded by the interpreter's
-    recursion limit.  Nodes are checked in preorder, left to right, so the
-    first error raised is the one a recursive descent would raise.
+    A fold, so nesting depth is not bounded by the interpreter's recursion
+    limit.  Nodes are checked in preorder, left to right, so the first error
+    raised is the one a recursive descent would raise.
     """
-    done: list[Expr] = []
-    # (node, True) once its operands are on ``done``
-    todo: list[tuple[SExpr, bool]] = [(sx, False)]
-    while todo:
-        node, operands_done = todo.pop()
-        if operands_done:
-            arity = len(node) - 1
-            args = tuple(done[-arity:])
-            del done[-arity:]
-            done.append(App(node[0].text, args))
-        elif isinstance(node, Atom):
-            bits = parse_literal(node, width)
-            if bits is not None:
-                done.append(Const(BitVecValue(width, bits)))
-            elif node.text in params:
-                done.append(Var(node.text))
-            else:
-                raise _error(f"unknown symbol {node.text!r}", node)
-        else:
-            _operator(node)
-            todo.append((node, True))
-            todo.extend((arg, False) for arg in reversed(node[1:]))
-    return done[0]
+
+    def children(node: SExpr) -> list[SExpr] | None:
+        if isinstance(node, Atom):
+            return None
+        _operator(node)
+        return node[1:]
+
+    def leaf(node: Atom) -> Expr:
+        bits = parse_literal(node, width)
+        if bits is not None:
+            return Const(BitVecValue(width, bits))
+        if node.text in params:
+            return Var(node.text)
+        raise _error(f"unknown symbol {node.text!r}", node)
+
+    return fold(sx, children, leaf, lambda node, args: App(node[0].text, tuple(args)))
 
 
 @_reports_positions

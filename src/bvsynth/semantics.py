@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import UnboundVariable, WidthMismatch
 
@@ -169,6 +169,11 @@ class App:
 Expr = Union[Var, Const, App]
 
 
+def operands(expr: Expr) -> tuple[Expr, ...] | None:
+    """The operands of an application, or None for a leaf: ``fold``'s ``children``."""
+    return expr.args if type(expr) is App else None
+
+
 def subexpressions(expr: Expr) -> Iterator[Expr]:
     """Preorder traversal, the expression itself included; iterative."""
     todo = [expr]
@@ -177,6 +182,25 @@ def subexpressions(expr: Expr) -> Iterator[Expr]:
         yield e
         if isinstance(e, App):
             todo.extend(reversed(e.args))
+
+
+def fold(root: Any, children: Callable, leaf: Callable, node: Callable) -> Any:
+    """Fold ``root``'s tree bottom-up without recursion.  ``children(n)`` (None
+    for a leaf) is called on every node, and ``leaf(n)`` just after it on every
+    leaf, in preorder, left to right; ``node(n, values)`` is called in postorder,
+    with the values of all of ``n``'s children, in order."""
+    done: list = []
+    todo: list[tuple[Any, int]] = [(root, -1)]  # -1, or where n's values start on done
+    while todo:
+        n, start = todo.pop()
+        if start >= 0:
+            done[start:] = [node(n, done[start:])]
+        elif (kids := children(n)) is None:
+            done.append(leaf(n))
+        else:
+            todo.append((n, len(done)))
+            todo.extend([(c, -1) for c in reversed(kids)])
+    return done[0]
 
 
 def _infer_width(expr: Expr) -> int:
@@ -193,30 +217,21 @@ def _infer_width(expr: Expr) -> int:
 
 def eval_columns(expr: Expr, columns: Mapping[str, Sequence[int]], width: int, n: int) -> list[int]:
     """The values of ``expr`` on ``n`` inputs; ``columns`` maps each variable
-    to its ``n`` values.  An iterative postorder walk applies each operator
-    across all inputs at once.  Leaves are met in preorder, left to right, so
-    the first error raised is the one a recursive evaluator would raise."""
+    to its ``n`` values.  A fold applies each operator across all inputs at
+    once.  Leaves are met in preorder, left to right, so the first error
+    raised is the one a recursive evaluator would raise."""
     fns = bound_operators(width)
-    done: list[Sequence[int]] = []
-    todo: list[tuple[Expr, bool]] = [(expr, False)]  # True once the operands are on done
-    while todo:
-        e, operands_done = todo.pop()
-        if operands_done:
-            values = list(map(fns[e.op], *done[-len(e.args) :]))
-            del done[-len(e.args) :]
-            done.append(values)
-        elif isinstance(e, App):
-            todo.append((e, True))
-            todo.extend((a, False) for a in reversed(e.args))
-        elif isinstance(e, Var):
+
+    def leaf(e: Expr) -> Sequence[int]:
+        if isinstance(e, Var):
             if e.name not in columns:
                 raise UnboundVariable(e.name)
-            done.append(columns[e.name])
-        elif e.value.width != width:
+            return columns[e.name]
+        if e.value.width != width:
             raise WidthMismatch(f"constant {e.value} has width {e.value.width}, expected {width}")
-        else:
-            done.append([e.value.bits] * n)
-    return list(done[0])
+        return [e.value.bits] * n
+
+    return list(fold(expr, operands, leaf, lambda e, values: list(map(fns[e.op], *values))))
 
 
 def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = None) -> BitVecValue:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .enumeration import EnumerationState, pack
 from .frontend import Grammar, OpRule, Problem
-from .semantics import App, Expr
+from .semantics import App, Expr, fold, operands
 
 
 @dataclass
@@ -134,29 +134,22 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, li
     return done[0]
 
 
+def _branches(tree: Tree) -> tuple[Tree, Tree] | None:
+    return (tree.then_child, tree.else_child) if isinstance(tree, Internal) else None
+
+
 def tree_to_expr(tree: Tree, grammar: Grammar) -> Expr:
-    """Materialise the tree as nested if0 applications; must stay in-grammar."""
-    done: list[Expr] = []
-    todo: list[tuple[Tree, bool]] = [(tree, False)]  # True once both branches are on done
-    while todo:
-        node, branches_done = todo.pop()
-        if isinstance(node, Leaf):
-            done.append(node.expr)
-        elif branches_done:
-            then_expr, else_expr = done[-2:]
-            done[-2:] = [App("if0", (node.condition, then_expr, else_expr))]
-        else:
-            todo += ((node, True), (node.else_child, False), (node.then_child, False))
-    expr = done[0]
+    """Fold the tree into nested if0 applications; must stay in-grammar."""
+    expr = fold(tree, _branches, lambda t: t.expr, lambda t, v: App("if0", (t.condition, *v)))
     if not derives(grammar, grammar.start, expr):
         raise GrammarViolation("assembled solution is not derivable from the grammar")
     return expr
 
 
 def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
-    """Whether ``nt`` derives ``expr`` under the grammar.  An iterative
-    postorder walk finds, bottom-up, the set of nonterminals deriving each
-    node from the sets of its operands."""
+    """Whether ``nt`` derives ``expr`` under the grammar.  A fold finds,
+    bottom-up, the set of nonterminals deriving each node from the sets of
+    its operands."""
     leaf_nts: dict[Expr, set[str]] = {}
     op_rules: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
     for owner, prods in grammar.productions.items():
@@ -165,33 +158,16 @@ def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
                 op_rules.setdefault(prod.op, []).append((owner, prod.operands))
             else:
                 leaf_nts.setdefault(prod, set()).add(owner)
-    done: list[set[str]] = []
-    todo: list[tuple[Expr, bool]] = [(expr, False)]  # True once the operands are on done
-    while todo:
-        e, operands_done = todo.pop()
-        if operands_done:
-            k = len(e.args)
-            args = done[-k:]
-            done[-k:] = [
-                {
-                    owner
-                    for owner, operands in op_rules.get(e.op, ())
-                    if len(operands) == k and all(o in a for o, a in zip(operands, args))
-                }
-            ]
-        elif isinstance(e, App):
-            todo.append((e, True))
-            todo.extend((a, False) for a in reversed(e.args))
-        else:
-            done.append(leaf_nts.get(e, set()))
-    return nt in done[0]
+
+    def node(e: App, args: list[set[str]]) -> set[str]:
+        return {
+            owner
+            for owner, nts in op_rules.get(e.op, ())
+            if len(nts) == len(args) and all(o in a for o, a in zip(nts, args))
+        }
+
+    return nt in fold(expr, operands, lambda e: leaf_nts.get(e, set()), node)
 
 
 def internal_node_count(tree: Tree) -> int:
-    count, todo = 0, [tree]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Internal):
-            count += 1
-            todo += (node.then_child, node.else_child)
-    return count
+    return fold(tree, _branches, lambda t: 0, lambda t, v: 1 + v[0] + v[1])

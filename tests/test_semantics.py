@@ -21,6 +21,7 @@ from bvsynth.semantics import (
     eval_columns,
     eval_expr,
     expr_to_sexpr,
+    fold,
 )
 
 import bruteforce
@@ -247,6 +248,58 @@ def test_deep_app_repr_without_recursion():
         e = app("bvnot", e)
     tail = "".join(f",), size={size})" for size in range(2, 3002))
     assert repr(e) == "App(op='bvnot', args=(" * 3000 + "Var(name='x', size=1)" + tail
+
+
+def test_fold_call_order():
+    # (a (b 1 2) 3 (c (d 4)) (e)): a node is (name, children), a leaf an int
+    tree = ("a", [("b", [1, 2]), 3, ("c", [("d", [4])]), ("e", [])])
+    calls = []
+
+    def children(n):
+        calls.append(("children", n[0] if isinstance(n, tuple) else n))
+        return n[1] if isinstance(n, tuple) else None
+
+    def leaf(n):
+        calls.append(("leaf", n))
+        return n
+
+    def node(n, values):
+        calls.append(("node", n[0], values))
+        return sum(values)
+
+    assert fold(tree, children, leaf, node) == 10
+    # children and leaf in preorder, left to right; each node right after
+    # its last child is done
+    assert calls == [
+        ("children", "a"),
+        ("children", "b"),
+        ("children", 1),
+        ("leaf", 1),
+        ("children", 2),
+        ("leaf", 2),
+        ("node", "b", [1, 2]),
+        ("children", 3),
+        ("leaf", 3),
+        ("children", "c"),
+        ("children", "d"),
+        ("children", 4),
+        ("leaf", 4),
+        ("node", "d", [4]),
+        ("node", "c", [4]),
+        ("children", "e"),
+        ("node", "e", []),
+        ("node", "a", [3, 3, 4, 0]),
+    ]
+
+
+def test_fold_deep_chain_without_recursion():
+    def children(n):
+        return n if isinstance(n, tuple) else None
+
+    chain = 0
+    for _ in range(100_000):
+        chain = (chain,)
+    assert fold(chain, children, lambda n: 0, lambda n, v: v[0] + 1) == 100_000
 
 
 # App's repr fields, with the repr the dataclass decorator generates.

@@ -432,15 +432,21 @@ def test_derives_matches_recursive_reference(data):
             assert derives(grammar, nt, expr) == bruteforce.derives(grammar, nt, expr), (nt, expr)
 
 
-def test_deep_tree_walks_are_iterative():
-    # A chain of 3,000 if0 nodes whose conditions are the constant 0, so
-    # every example takes each else-branch down to the leaf x.
+# Chains of 3,000 if0 nodes whose conditions are constants, so every
+# example takes each else-branch (condition 0) or each then-branch
+# (condition 1) down to the leaf x.  The walks descend then-sides first.
+@pytest.mark.parametrize("side", ["else", "then"])
+def test_deep_tree_walks_are_iterative(side):
     p = problem_of(grammar_of(BASE_OPS, width=8), [(5, 5), (9, 9)], width=8)
     tree = Leaf(Var("x"), 0b11)
     for _ in range(3000):
-        tree = Internal(const(8, 0), 0, Leaf(const(8, 0), 0), tree)
+        if side == "else":
+            tree = Internal(const(8, 0), 0, Leaf(const(8, 0), 0), tree)
+        else:
+            tree = Internal(const(8, 1), 0b11, tree, Leaf(const(8, 0), 0))
     assert internal_node_count(tree) == 3000
     solution = tree_to_expr(tree, p.grammar)
     assert solution.size == 3 * 3000 + 1
     verify_solution(p, solution)
-    assert emit_solution(p, solution).count("(if0 #x00 #x00 ") == 3000
+    node_text = "(if0 #x00 #x00 " if side == "else" else "(if0 #x01 "
+    assert emit_solution(p, solution).count(node_text) == 3000
