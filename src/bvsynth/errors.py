@@ -27,13 +27,13 @@ class ProblemFormatError(BvSynthError):
 
 
 class SygusSyntaxError(ProblemFormatError):
-    """``offset`` locates the error in its document; the frontend adds the
-    1-based ``line`` and ``col`` of that offset before the error leaves it."""
+    """``offset`` locates the error in its document, or ``atom`` names the atom's parent list
+    and index; the frontend adds the 1-based ``line`` and ``col`` before the error leaves it."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None, offset=None):
+    def __init__(self, message: str, line=None, col=None, offset=None, atom=None):
         loc = f" at {line}:{col}" if line is not None else ""
         super().__init__(f"{message}{loc}")
-        self.message, self.line, self.col, self.offset = message, line, col, offset
+        self.message, self.line, self.col, self.offset, self.atom = message, line, col, offset, atom
 
 
 class UnsupportedArity(ProblemFormatError):

@@ -6,9 +6,10 @@ whose name is a catalogue operator (the usual spelling of the fixed shifts
 and ``if0`` in benchmark files).  Both LF and CRLF line endings are fine;
 ``;`` starts a comment that runs to the end of the line.
 
-Parsed nodes keep the character offset where they start.  A syntax error
-leaves ``read_sexprs``, ``parse_problem`` and ``parse_solution`` with the
-1-based line and column of its offset, derived then; only LF ends a line.
+Atoms are plain ``str``; a list keeps the offset of its '('.  An error on an
+atom names its parent list and index.  A syntax error leaves ``read_sexprs``,
+``parse_problem`` and ``parse_solution`` with the 1-based line and column of
+its offset, derived then, an atom's from its parent; only LF ends a line.
 """
 
 from __future__ import annotations
@@ -45,18 +46,13 @@ from .semantics import (
 # S-expression reader
 
 
-class Atom(NamedTuple):
-    text: str
-    offset: int
-
-
 class SList(list):
-    """A parsed list node; ``offset`` is where its '(' is."""
+    """A parsed list node; ``offset`` is where its '(' is.  Atoms are ``str``."""
 
     __slots__ = ("offset",)
 
 
-SExpr = Union[Atom, SList]
+SExpr = Union[str, SList]
 
 
 def position(text: str, offset: int) -> tuple[int, int]:
@@ -64,8 +60,22 @@ def position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _error(message: str, sx: SExpr) -> SygusSyntaxError:
-    return SygusSyntaxError(message, offset=sx.offset)
+def atom_offset(text: str, parent: list, index: int) -> int | None:
+    """Where ``parent[index]`` starts: ``parent`` read again from its '(' (or 0 at top level)."""
+    depth, start = (0, parent.offset) if type(parent) is SList else (1, 0)
+    for m in _TOKEN.finditer(text, start):
+        kind = m.lastindex  # None for a comment
+        if depth == 1 and kind in (1, 3) and (index := index - 1) < 0:  # counts down to this child
+            return m.start()
+        depth += (kind == 1) - (kind == 2)
+
+
+def _error(message: str, parent: list, index: int | None = None) -> SygusSyntaxError:
+    """The error on ``parent[index]``, or on the list ``parent`` itself."""
+    node = parent if index is None else parent[index]
+    if type(node) is SList:
+        return SygusSyntaxError(message, offset=node.offset)
+    return SygusSyntaxError(message, atom=(parent, index))
 
 
 def _reports_positions(parse):
@@ -76,9 +86,10 @@ def _reports_positions(parse):
         try:
             return parse(text)
         except SygusSyntaxError as err:
-            if err.offset is None or err.line is not None:
+            offset = err.offset if err.atom is None else atom_offset(text, *err.atom)
+            if offset is None or err.line is not None:
                 raise
-            raise SygusSyntaxError(err.message, *position(text, err.offset), err.offset) from err
+            raise SygusSyntaxError(err.message, *position(text, offset), offset) from err
 
     return parse_text
 
@@ -91,13 +102,12 @@ _TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r\n();]+)")
 @_reports_positions
 def read_sexprs(text: str) -> list[SExpr]:
     """Parse a whole document into top-level S-expressions."""
-    new_tuple = tuple.__new__  # builds an Atom without its Python-level __new__
-    top = root = SList()
-    stack: list[SList] = []  # the lists that enclose ``top``
+    top = root = []
+    stack: list[list] = []  # the lists that enclose ``top``
     for m in _TOKEN.finditer(text):
         kind = m.lastindex
         if kind == 3:
-            top.append(new_tuple(Atom, (m[3], m.start())))
+            top.append(m[3])
         elif kind == 1:
             stack.append(top)
             top = SList()
@@ -109,11 +119,11 @@ def read_sexprs(text: str) -> list[SExpr]:
             top = stack.pop()
     if stack:
         raise _error("unclosed '('", top)
-    return list(root)
+    return root
 
 
 def _head(sx: SExpr) -> str | None:
-    return sx[0].text if isinstance(sx, SList) and sx and isinstance(sx[0], Atom) else None
+    return sx[0] if type(sx) is SList and sx and type(sx[0]) is str else None
 
 
 _HEX = "0123456789abcdefABCDEF"
@@ -121,20 +131,21 @@ _HEX = "0123456789abcdefABCDEF"
 _RADIX = {"#x": (4, 16, _HEX), "#X": (4, 16, _HEX), "#b": (1, 2, "01"), "#B": (1, 2, "01")}
 
 
-def parse_literal(sx: SExpr, width: int) -> int | None:
-    """A ``#x``/``#b`` literal's value, an int in ``[0, 2**width)``; None for a non-literal."""
-    radix = _RADIX.get(sx.text[:2]) if isinstance(sx, Atom) else None
+def parse_literal(parent: list, index: int, width: int) -> int | None:
+    """``parent[index]``'s value as a ``#x``/``#b`` literal in ``[0, 2**width)``, or None."""
+    text = parent[index]
+    radix = _RADIX.get(text[:2]) if type(text) is str else None
     if radix is None:
         return None
     bits_per_digit, base, digits = radix
-    body = sx.text[2:]
+    body = text[2:]
     # int() alone also takes a sign, underscores, a 0x/0b prefix and
     # non-ASCII digits; strip() leaves something over for any of those
     if not body or body.strip(digits):
-        raise _error(f"malformed literal {sx.text!r}", sx)
+        raise _error(f"malformed literal {text!r}", parent, index)
     literal_width = len(body) * bits_per_digit
     if literal_width != width:
-        raise _error(f"literal {sx.text!r} has width {literal_width}, expected {width}", sx)
+        raise _error(f"literal {text!r} has width {literal_width}, expected {width}", parent, index)
     return int(body, base)
 
 
@@ -162,8 +173,7 @@ class Grammar:
         return next((p for p in rules if isinstance(p, OpRule) and p.op == "if0"), None)
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     """Inputs and output are ints in ``[0, 2**width)``; ``index`` is the constraint's number."""
 
     inputs: tuple[int, ...]
@@ -184,65 +194,63 @@ class Problem:
 # Parsing
 
 
-def _parse_sort_width(sx: SExpr) -> int:
+def _parse_sort_width(parent: SList, index: int) -> int:
+    """The width of the sort ``parent[index]``."""
+    sx = parent[index]
     head = _head(sx)
     if head == "_" and len(sx) == 3:
         raise _error("SMT-LIB '(_ BitVec N)' sort is v2 syntax; use '(BitVec N)'", sx)
-    digits = sx[1].text if head == "BitVec" and len(sx) == 2 and isinstance(sx[1], Atom) else ""
+    digits = sx[1] if head == "BitVec" and len(sx) == 2 and type(sx[1]) is str else ""
     if not (digits.isascii() and digits.isdigit()):
-        raise _error("expected sort '(BitVec N)'", sx)
+        raise _error("expected sort '(BitVec N)'", parent, index)
     width = int(digits)
     if not MIN_WIDTH <= width <= MAX_WIDTH:
         raise _error(f"unsupported width {width}; must be within [{MIN_WIDTH}, {MAX_WIDTH}]", sx)
     return width
 
 
-def _parse_grammar(block: SExpr, params: tuple[str, ...], width: int) -> Grammar:
-    if not isinstance(block, SList) or not block:
-        raise _error("expected a non-empty grammar block", block)
-    names: list[str] = []
-    bodies: list[SList] = []
-    for nt_def in block:
-        if _head(nt_def) is None or len(nt_def) != 3 or not isinstance(nt_def[2], SList):
-            raise _error("expected '(Name sort (productions...))'", nt_def)
-        if _parse_sort_width(nt_def[1]) != width:
-            raise _error(f"nonterminal sort must be (BitVec {width})", nt_def[1])
-        if nt_def[0].text in names:
-            raise _error(f"duplicate nonterminal {nt_def[0].text!r}", nt_def[0])
-        names.append(nt_def[0].text)
-        bodies.append(nt_def[2])
+def _parse_grammar(parent: SList, index: int, params: tuple[str, ...], width: int) -> Grammar:
+    """The grammar block ``parent[index]``."""
+    block = parent[index]
+    if type(block) is not SList or not block:
+        raise _error("expected a non-empty grammar block", parent, index)
+    bodies: dict[str, SList] = {}  # nonterminal -> productions, in declaration order
+    for i, nt_def in enumerate(block):
+        if _head(nt_def) is None or len(nt_def) != 3 or type(nt_def[2]) is not SList:
+            raise _error("expected '(Name sort (productions...))'", block, i)
+        if _parse_sort_width(nt_def, 1) != width:
+            raise _error(f"nonterminal sort must be (BitVec {width})", nt_def, 1)
+        if nt_def[0] in bodies:
+            raise _error(f"duplicate nonterminal {nt_def[0]!r}", nt_def, 0)
+        bodies[nt_def[0]] = nt_def[2]
 
-    nts = set(names)
-    param_set = set(params)
     productions: dict[str, tuple[Production, ...]] = {}
-    for name, body in zip(names, bodies):
+    for name, body in bodies.items():
         prods: list[Production] = []
-        for p in body:
-            if isinstance(p, Atom):
-                bits = parse_literal(p, width)
+        for i, p in enumerate(body):
+            if type(p) is str:
+                bits = parse_literal(body, i, width)
                 if bits is not None:
                     prods.append(Const(BitVecValue(width, bits)))
-                elif p.text in param_set:
-                    prods.append(Var(p.text))
-                elif p.text in nts:
-                    raise _error(f"unit production {p.text!r} is not supported", p)
+                elif p in params:
+                    prods.append(Var(p))
+                elif p in bodies:
+                    raise _error(f"unit production {p!r} is not supported", body, i)
                 else:
-                    raise _error(f"unknown grammar symbol {p.text!r}", p)
+                    raise _error(f"unknown grammar symbol {p!r}", body, i)
             else:
                 if _head(p) is None:
                     raise _error("expected '(op Nonterminal...)'", p)
                 op_name = _operator(p)
-                operands = []
-                for o in p[1:]:
-                    if not (isinstance(o, Atom) and o.text in nts):
-                        raise _error("production operands must be nonterminals", o)
-                    operands.append(o.text)
-                prods.append(OpRule(op_name, tuple(operands)))
+                for j in range(1, len(p)):
+                    if not (type(p[j]) is str and p[j] in bodies):
+                        raise _error("production operands must be nonterminals", p, j)
+                prods.append(OpRule(op_name, tuple(p[1:])))
         if not prods:
             raise SygusSyntaxError(f"nonterminal {name!r} has no productions")
         productions[name] = tuple(prods)
 
-    grammar = Grammar(tuple(names), productions, names[0])
+    grammar = Grammar(tuple(bodies), productions, next(iter(bodies)))
     _check_productive(grammar)
     return grammar
 
@@ -277,36 +285,36 @@ def _operator(sx: SList) -> str:
 
 def _parse_fun(form: SList) -> tuple[str, tuple[str, ...], int]:
     """Name, parameter names and width of ``(head name ((p sort)...) sort body)``."""
-    if len(form) != 5 or not isinstance(form[1], Atom):
-        raise _error(f"malformed {form[0].text}", form)
-    if not isinstance(form[2], SList):
-        raise _error("expected parameter list", form[2])
+    if len(form) != 5 or type(form[1]) is not str:
+        raise _error(f"malformed {form[0]}", form)
+    if type(form[2]) is not SList:
+        raise _error("expected parameter list", form, 2)
     params = []
-    for item in form[2]:
-        if not (isinstance(item, SList) and len(item) == 2 and isinstance(item[0], Atom)):
-            raise _error("expected '(name sort)' parameter", item)
-        params.append((item, _parse_sort_width(item[1])))
-    width = _parse_sort_width(form[3])
+    for i, item in enumerate(form[2]):
+        if not (type(item) is SList and len(item) == 2 and type(item[0]) is str):
+            raise _error("expected '(name sort)' parameter", form[2], i)
+        params.append((item, _parse_sort_width(item, 1)))
+    width = _parse_sort_width(form, 3)
     for item, p_width in params:
         if p_width != width:
             raise _error(
-                f"parameter {item[0].text!r} has width {p_width}, return sort has width {width}", item
+                f"parameter {item[0]!r} has width {p_width}, return sort has width {width}", item
             )
-    return form[1].text, tuple(item[0].text for item, _ in params), width
+    return form[1], tuple(item[0] for item, _ in params), width
 
 
 def _check_define_fun(form: SList) -> None:
     # Benchmark files commonly define the fixed shifts and if0 as helper
     # functions; those names are already in the catalogue, so the body is
     # not interpreted.  Anything else has no semantics here.
-    if len(form) != 5 or not isinstance(form[1], Atom):
+    if len(form) != 5 or type(form[1]) is not str:
         raise _error("malformed define-fun", form)
-    name = form[1].text
+    name = form[1]
     operator = OPERATORS.get(name)
     if operator is None:
-        raise _error(f"define-fun {name!r} is not a catalogue operator", form[1])
-    if not isinstance(form[2], SList) or len(form[2]) != operator.arity:
-        raise _error(f"define-fun {name!r} must take {operator.arity} parameters", form[2])
+        raise _error(f"define-fun {name!r} is not a catalogue operator", form, 1)
+    if type(form[2]) is not SList or len(form[2]) != operator.arity:
+        raise _error(f"define-fun {name!r} must take {operator.arity} parameters", form, 2)
 
 
 @_reports_positions
@@ -315,18 +323,17 @@ def parse_problem(text: str) -> Problem:
     synth: SList | None = None
     constraints: list[SExpr] = []
     declared: dict[str, int] = {}
-    for form in read_sexprs(text):
+    forms = read_sexprs(text)
+    for i, form in enumerate(forms):
         head = _head(form)
         if head is None:
-            raise _error("expected a command", form)
-        if head in ("set-logic", "check-synth"):
-            continue
+            raise _error("expected a command", forms, i)
         if head == "define-fun":
             _check_define_fun(form)
         elif head == "declare-var":
-            if len(form) != 3 or not isinstance(form[1], Atom):
+            if len(form) != 3 or type(form[1]) is not str:
                 raise _error("expected '(declare-var name sort)'", form)
-            declared[form[1].text] = _parse_sort_width(form[2])
+            declared[form[1]] = _parse_sort_width(form, 2)
         elif head == "synth-fun":
             if synth is not None:
                 raise _error("multiple synth-fun forms", form)
@@ -335,7 +342,7 @@ def parse_problem(text: str) -> Problem:
             if len(form) != 2:
                 raise _error("expected '(constraint term)'", form)
             constraints.append(form[1])
-        else:
+        elif head not in ("set-logic", "check-synth"):
             raise _error(f"unsupported command {head!r}", form)
 
     if synth is None:
@@ -347,7 +354,7 @@ def parse_problem(text: str) -> Problem:
     name, params, width = _parse_fun(synth)
     if len(params) != 1:
         raise UnsupportedArity(f"synth-fun {name!r} must be unary, got {len(params)} parameters")
-    grammar = _parse_grammar(synth[4], params, width)
+    grammar = _parse_grammar(synth, 4, params, width)
     if grammar.first_if0() is None:
         raise MissingIf0Rule(f"grammar of {name!r} has no production named if0")
     for var, var_width in declared.items():
@@ -381,16 +388,16 @@ def _example_of(
         for eq in antecedent[1:] if _head(antecedent) == "and" else [antecedent]:
             if _head(eq) != "=" or len(eq) != 3:
                 return None
-            for var, other in ((eq[1], eq[2]), (eq[2], eq[1])):
-                if isinstance(var, Atom) and var.text in declared:
-                    lit = parse_literal(other, width)
+            for var, o in ((eq[1], 2), (eq[2], 1)):  # o: the other side's index
+                if type(var) is str and var in declared:
+                    lit = parse_literal(eq, o, width)
                     if lit is not None:
-                        pinned[var.text] = lit
+                        pinned[var] = lit
                         break
-                    if _head(other) == fname:
+                    if _head(eq[o]) == fname:
                         if call is not None:
                             return None  # a second call
-                        call, out_var = other, var.text
+                        call, out_var = eq[o], var
                         break
             else:
                 return None
@@ -399,20 +406,20 @@ def _example_of(
         head = _head(term)
     if head != "=" or len(term) != 3:
         return None
-    for side, lit in ((term[1], term[2]), (term[2], term[1])):
+    for side, o in ((term[1], 2), (term[2], 1)):
         if out_var is None and _head(side) == fname:
             call = side
-        elif not (isinstance(side, Atom) and side.text == out_var):
+        elif side != out_var:  # a list is never equal to a name
             continue
-        output = parse_literal(lit, width)
+        output = parse_literal(term, o, width)
         if output is not None:
             break
     else:
         return None
     inputs = []
-    for a in call[1:]:  # every argument is parsed before any is rejected
-        value = parse_literal(a, width)
-        inputs.append(pinned.get(a.text) if value is None and isinstance(a, Atom) else value)
+    for i in range(1, len(call)):  # every argument is parsed before any is rejected
+        value = parse_literal(call, i, width)
+        inputs.append(pinned.get(call[i]) if value is None and type(call[i]) is str else value)
     if None in inputs:  # 0 is a value, so no test for truth
         return None
     return tuple(inputs), output
@@ -430,7 +437,7 @@ def detect_pbe(
     if not constraints:
         raise NotPBE("not a PBE task: no constraints")
     examples: list[Example] = []
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
+    seen: dict[tuple[int, ...], int] = {}  # inputs -> the first example's index
     for i, term in enumerate(constraints):
         parsed = _example_of(term, fname, width, declared)
         if parsed is None:
@@ -440,10 +447,10 @@ def detect_pbe(
             raise NotPBE(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
-        j, output_j = seen.setdefault(inputs, (i, output))
-        if output_j != output:
-            raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
         examples.append(Example(inputs, output, i))
+        j = seen.setdefault(inputs, i)
+        if examples[j].output != output:
+            raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
     return examples
 
 
@@ -469,29 +476,31 @@ class ParsedSolution(NamedTuple):
     body: Expr
 
 
-def parse_term(sx: SExpr, params: tuple[str, ...], width: int) -> Expr:
-    """Parse a ground term over the parameters and the operator catalogue.
+def parse_term(parent: list, index: int, params: tuple[str, ...], width: int) -> Expr:
+    """Parse the ground term ``parent[index]`` over the parameters and the operator catalogue.
 
-    A fold, so nesting depth is not bounded by the interpreter's recursion
-    limit.  Nodes are checked in preorder, left to right, so the first error
-    raised is the one a recursive descent would raise.
+    A fold over (parent, index) pairs, so nesting depth is not bounded by the
+    interpreter's recursion limit.  Nodes are checked in preorder, left to
+    right, so the first error raised is the one a recursive descent would raise.
     """
 
-    def children(node: SExpr) -> list[SExpr] | None:
-        if isinstance(node, Atom):
+    def children(at: tuple[list, int]) -> list[tuple[SList, int]] | None:
+        node = at[0][at[1]]
+        if type(node) is str:
             return None
         _operator(node)
-        return node[1:]
+        return [(node, i) for i in range(1, len(node))]
 
-    def leaf(node: Atom) -> Expr:
-        bits = parse_literal(node, width)
+    def leaf(at: tuple[list, int]) -> Expr:
+        bits = parse_literal(*at, width)
         if bits is not None:
             return Const(BitVecValue(width, bits))
-        if node.text in params:
-            return Var(node.text)
-        raise _error(f"unknown symbol {node.text!r}", node)
+        name = at[0][at[1]]
+        if name in params:
+            return Var(name)
+        raise _error(f"unknown symbol {name!r}", *at)
 
-    return fold(sx, children, leaf, lambda node, args: App(node[0].text, tuple(args)))
+    return fold((parent, index), children, leaf, lambda at, args: App(at[0][at[1]][0], tuple(args)))
 
 
 @_reports_positions
@@ -501,4 +510,4 @@ def parse_solution(text: str) -> ParsedSolution:
     if len(forms) != 1 or _head(forms[0]) != "define-fun":
         raise SygusSyntaxError("expected a single define-fun")
     name, params, width = _parse_fun(forms[0])
-    return ParsedSolution(name, params, width, parse_term(forms[0][4], params, width))
+    return ParsedSolution(name, params, width, parse_term(forms[0], 4, params, width))

@@ -56,7 +56,7 @@ class RunStats:
 class SolveResult:
     solution: Expr
     stats: RunStats
-    tree: Tree | None
+    tree: Tree
     terminal_map: TerminalMap
 
 
@@ -85,12 +85,8 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
         tmap = map_terminals(problem, engine, limits)
         t1 = time.perf_counter()
 
-        tree: Tree | None = None
-        if tmap.distinct() == 1:
-            solution = next(iter(tmap.masks))
-        else:
-            tree = build_tree(problem, engine, tmap, limits)
-            solution = tree_to_expr(tree, problem.grammar)
+        tree = build_tree(problem, engine, tmap, limits)
+        solution = tree_to_expr(tree, problem.grammar)
         t2 = time.perf_counter()
     finally:
         engine.close()
@@ -104,7 +100,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
         evaluations=engine.evaluations,
         phase1_ms=(t1 - t0) * 1000.0,
         phase2_ms=(t2 - t1) * 1000.0,
-        internal_nodes=internal_node_count(tree) if tree is not None else 0,
+        internal_nodes=internal_node_count(tree),
         solution_size=solution.size,
         examples=len(problem.examples),
     )

@@ -5,7 +5,8 @@ The character-by-character s-expression reader walks the text one character
 at a time and counts lines and columns by hand, so it checks the frontend's
 regex reader from the outside: both must give the same tree, the same
 position on every node, and the same error.  Its nodes keep their own line
-and column, where the frontend's keep an offset and derive both on demand.
+and column, where the frontend's lists keep an offset, its atoms are plain
+strings, and both derive positions on demand.
 
 The example matcher has one function per constraint shape (direct and
 implication), where the frontend shares one consequent loop and one argument
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple, Union
 
 from bvsynth.errors import SygusSyntaxError
-from bvsynth.frontend import Atom, SExpr, SList
+from bvsynth.frontend import SExpr, SList
 
 _DELIMS = frozenset(" \t\r\n();")
 _HEX = "0123456789abcdef"
@@ -33,17 +34,18 @@ _RADIX = {
 
 def parse_literal(sx: SExpr, width: int) -> int | None:
     """A ``#x``/``#b`` literal's value, or None for anything else; a malformed
-    literal, or one of another width, raises the frontend's message."""
-    text = sx.text if isinstance(sx, Atom) else ""
+    literal, or one of another width, raises the frontend's message (with no
+    position: the matcher tests compare messages)."""
+    text = sx if isinstance(sx, str) else ""
     if len(text) < 2 or text[0] != "#" or text[1] not in "xXbB":
         return None
     bits_per_digit, values = _RADIX[text[1].lower()]
     body = text[2:]
     if not body or any(ch not in values for ch in body):
-        raise SygusSyntaxError(f"malformed literal {text!r}", offset=sx.offset)
+        raise SygusSyntaxError(f"malformed literal {text!r}")
     bits = len(body) * bits_per_digit
     if bits != width:
-        raise SygusSyntaxError(f"literal {text!r} has width {bits}, expected {width}", offset=sx.offset)
+        raise SygusSyntaxError(f"literal {text!r} has width {bits}, expected {width}")
     value = 0
     for ch in body:
         value = (value << bits_per_digit) | values[ch]
@@ -113,13 +115,13 @@ def read_sexprs(text: str) -> list[Union[LineAtom, LineList]]:
 
 
 def _head(sx: SExpr) -> str | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom):
-        return sx[0].text
+    if isinstance(sx, SList) and sx and isinstance(sx[0], str):
+        return sx[0]
     return None
 
 
 def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], Atom) and sx[0].text == fname:
+    if isinstance(sx, SList) and sx and isinstance(sx[0], str) and sx[0] == fname:
         return list(sx[1:])
     return None
 
@@ -159,18 +161,18 @@ def _implication_example(
             return None
         matched = False
         for var_side, other in ((eq[1], eq[2]), (eq[2], eq[1])):
-            if not (isinstance(var_side, Atom) and var_side.text in declared):
+            if not (isinstance(var_side, str) and var_side in declared):
                 continue
             lit = parse_literal(other, width)
             if lit is not None:
-                pinned[var_side.text] = lit
+                pinned[var_side] = lit
                 matched = True
                 break
             args = _app_args(other, fname)
             if args is not None:
                 if out_var is not None:
                     return None
-                out_var = var_side.text
+                out_var = var_side
                 call_args = args
                 matched = True
                 break
@@ -183,7 +185,7 @@ def _implication_example(
         return None
     output: int | None = None
     for var_side, other in ((consequent[1], consequent[2]), (consequent[2], consequent[1])):
-        if isinstance(var_side, Atom) and var_side.text == out_var:
+        if isinstance(var_side, str) and var_side == out_var:
             output = parse_literal(other, width)
             break
     if output is None:
@@ -193,8 +195,8 @@ def _implication_example(
     for a in call_args:
         lit = parse_literal(a, width)
         if lit is None:
-            if isinstance(a, Atom) and a.text in pinned:
-                lit = pinned[a.text]
+            if isinstance(a, str) and a in pinned:
+                lit = pinned[a]
             else:
                 return None
         inputs.append(lit)

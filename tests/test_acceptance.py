@@ -27,7 +27,7 @@ from bvsynth.frontend import (
 from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
-from bvsynth.unify import internal_node_count, map_terminals
+from bvsynth.unify import Leaf, internal_node_count, map_terminals
 
 import bruteforce
 from helpers import (
@@ -207,13 +207,11 @@ def test_criterion_4_tree_invariants_on_corpus(run_a):
         result = solve_problem(problem)
         n = len(problem.examples)
         assert result.stats.internal_nodes <= n - 1  # (a)
-        if result.terminal_map.distinct() == 1:  # (b)
-            assert result.tree is None
-            assert result.stats.internal_nodes == 0
-        if result.tree is None:
-            assert not contains_op(result.solution, "if0")
-            continue
         tree = result.tree
+        if result.terminal_map.distinct() == 1:  # (b)
+            assert tree == Leaf(result.solution, (1 << n) - 1)
+            assert result.stats.internal_nodes == 0
+            assert not contains_op(result.solution, "if0")
         assert internal_node_count(tree) == result.stats.internal_nodes
         buckets: list[int] = []
         for leaf in leaves(tree):

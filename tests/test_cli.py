@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bvsynth.cli import main
+from bvsynth.cli import build_parser, main
 from bvsynth.corpus import CorpusSpec, generate_corpus
 from bvsynth.frontend import parse_problem, parse_solution
 from bvsynth.semantics import eval_expr
@@ -43,6 +43,18 @@ HARD = """(set-logic BV)
 (constraint (= (f #x0000000000001234) #x00000000deadbeef))
 (check-synth)
 """
+
+# Unrelated outputs over a wide grammar: the store grows without a hit for
+# far longer than the 0.05 s timeouts below.
+SLOW = """(set-logic BV)
+(synth-fun f ((x (BitVec 64))) (BitVec 64)
+  ((Start (BitVec 64) (x #x0000000000000000 #x0000000000000001 (bvnot Start) (shl1 Start)
+    (shr1 Start) (shr4 Start) (shr16 Start) (bvand Start Start) (bvor Start Start)
+    (bvxor Start Start) (bvadd Start Start) (if0 Start Start Start)))))
+""" + "".join(
+    f"(constraint (= (f #x{i:016x}) #x{(i * 0x9E3779B97F4A7C15 + 7) % 2**64:016x}))\n"
+    for i in (3, 5, 11, 0x1234, 0xBEEF, 0xDEADBEEF, 0x0F0F0F0F, 0x123456789A)
+) + "(check-synth)\n"
 
 
 def test_solve_identity_prints_define_fun(tmp_path, capsys):
@@ -192,6 +204,31 @@ def test_gen_invalid_spec_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_only_bench_has_a_default_timeout():
+    parser = build_parser()
+    assert parser.parse_args(["solve", "problem.sl"]).timeout is None
+    assert parser.parse_args(["bench", "corpus"]).timeout == 60.0
+    assert parser.parse_args(["bench", "corpus", "--timeout", "2.5"]).timeout == 2.5
+
+
+def test_bench_timeout_makes_a_budget_row_and_the_run_goes_on(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_slow.sl").write_text(SLOW, encoding="utf-8")
+    (corpus / "b_identity.sl").write_text(IDENTITY, encoding="utf-8")
+    # the first file runs until the timeout stops it
+    assert main(["solve", str(corpus / "a_slow.sl"), "--timeout", "0.05"]) == 1
+    assert "wall clock expired" in capsys.readouterr().err
+    csv_path = tmp_path / "results.csv"
+    assert main(["bench", str(corpus), "--timeout", "0.05", "--csv", str(csv_path)]) == 0
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["file"], r["status"]) for r in rows] == [
+        ("a_slow.sl", "budget"),
+        ("b_identity.sl", "solved"),
+    ]
 
 
 def test_bench_empty_directory(tmp_path, capsys):

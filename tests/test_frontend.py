@@ -23,9 +23,10 @@ from bvsynth.errors import (
 )
 from bvsynth import frontend
 from bvsynth.frontend import (
-    Atom,
     Example,
     Problem,
+    SList,
+    atom_offset,
     detect_pbe,
     emit_solution,
     parse_literal,
@@ -319,7 +320,7 @@ def test_sort_width_must_be_ascii_digits(digits):
 )
 def test_literal_digits_must_match_the_radix(text, width):
     with pytest.raises(SygusSyntaxError, match="malformed literal"):
-        parse_literal(Atom(text, 7), width)
+        parse_literal([text], 0, width)
 
 
 @pytest.mark.parametrize(
@@ -327,7 +328,7 @@ def test_literal_digits_must_match_the_radix(text, width):
     [("#x0b1", 12, 0x0B1), ("#XaBf", 12, 0xABF), ("#b0110", 4, 6), ("#B1", 1, 1)],
 )
 def test_literal_digits_of_the_radix_accepted(text, width, bits):
-    assert parse_literal(Atom(text, 7), width) == bits
+    assert parse_literal([text], 0, width) == bits
 
 
 def test_zero_literals_parse_to_zero():
@@ -543,19 +544,38 @@ def test_format_errors_match_pinned_digest():
 
 
 def shape(forms: list, pos) -> list:
-    """A reader's tree as plain data, with the (line, col) ``pos`` gives each node."""
+    """A reader's tree as plain data, with the (line, col) ``pos(parent, i)``
+    gives each node ``parent[i]``."""
     out: list = []
     todo = [(forms, out)]
     while todo:
         nodes, into = todo.pop()
-        for node in nodes:
+        for i, node in enumerate(nodes):
             if isinstance(node, list):
                 children: list = []
-                into.append(("list", *pos(node), children))
+                into.append(("list", *pos(nodes, i), children))
                 todo.append((node, children))
             else:
-                into.append(("atom", node.text, *pos(node)))
+                into.append(("atom", node if type(node) is str else node.text, *pos(nodes, i)))
     return out
+
+
+def frontend_pos(text: str):
+    """``pos`` for the frontend's tree of ``text``, through the views its errors
+    use: a list's own offset, an atom's offset derived from its parent."""
+
+    def pos(parent: list, i: int) -> tuple[int, int]:
+        node = parent[i]
+        if type(node) is SList:
+            return position(text, node.offset)
+        assert type(node) is str, node  # atoms are plain strings
+        return position(text, atom_offset(text, parent, i))
+
+    return pos
+
+
+def reference_pos(parent: list, i: int) -> tuple[int, int]:
+    return parent[i].line, parent[i].col
 
 
 def read_outcome(read, text: str, pos):
@@ -563,6 +583,13 @@ def read_outcome(read, text: str, pos):
         return shape(read(text), pos)
     except SygusSyntaxError as err:
         return ("error", str(err), err.line, err.col)
+
+
+def test_reader_matches_reference_reader_on_canary_documents():
+    # the documents the error digest edits, read whole: every node's position
+    for text in canary_texts("enum32")[:40] + canary_texts("wide200")[:10]:
+        got = read_outcome(read_sexprs, text, frontend_pos(text))
+        assert got == read_outcome(reference_reader.read_sexprs, text, reference_pos)
 
 
 # The reader's delimiters, CRLF, the whitespace it does not treat as a
@@ -576,10 +603,87 @@ READER_PIECES = st.sampled_from(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(READER_PIECES, max_size=60).map("".join))
 def test_reader_matches_reference_reader(text):
-    # The frontend's positions are read through the view its errors use.
-    assert read_outcome(read_sexprs, text, lambda node: position(text, node.offset)) == (
-        read_outcome(reference_reader.read_sexprs, text, lambda node: (node.line, node.col))
+    assert read_outcome(read_sexprs, text, frontend_pos(text)) == (
+        read_outcome(reference_reader.read_sexprs, text, reference_pos)
     )
+
+
+HEADER8 = (
+    "(set-logic BV)\r\n(declare-var v (BitVec 8))\r\n(declare-var o (BitVec 8))\r\n"
+    "(synth-fun f ((x (BitVec 8))) (BitVec 8)\r\n"
+    "  ((Start (BitVec 8) (x (bvnot Start) (if0 Start Start Start)))))\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, atom",
+    [
+        # after a comment, a CRLF line end and a nested list in its parent
+        (
+            parse_problem,
+            HEADER8 + "(constraint (= ; c\r\n (f #x01) #xZZ))",
+            "malformed literal '#xZZ'",
+            "#xZZ",
+        ),
+        (
+            parse_problem,
+            HEADER8 + "(constraint (= (f ; c (\r\n (bvnot #x00) #xYY) #x01))",
+            "malformed literal '#xYY'",
+            "#xYY",
+        ),
+        (
+            parse_problem,
+            HEADER8 + "(constraint (=> (and (= o (f v)) ; )\n\t(= v #x001)) (= o #x01)))",
+            "literal '#x001' has width 12, expected 8",
+            "#x001",
+        ),
+        (
+            parse_problem,
+            "(synth-fun f ((x (BitVec 8))) (BitVec 8)\r\n"
+            "  ((Start (BitVec 8) ((bvnot Start) ; (\r\n  (if0 Start Start Start) y))))",
+            "unknown grammar symbol 'y'",
+            "y",
+        ),
+        (
+            parse_problem,
+            "(set-logic BV)\n(declare-var v\r\n Bv8)",
+            "expected sort '(BitVec N)'",
+            "Bv8",
+        ),
+        (
+            parse_solution,
+            "(define-fun f ((x (BitVec 64))) (BitVec 64) ; (\r\n  y)",
+            "unknown symbol 'y'",
+            "y",
+        ),
+        # a bare atom at top level, after lists and a comment
+        (
+            parse_problem,
+            "(set-logic BV) ; x\r\n (check-synth)\n  \t bvnot (x)",
+            "expected a command",
+            "bvnot",
+        ),
+    ],
+)
+def test_atom_error_positions_match_reference_reader(parse, text, message, atom):
+    # Each atom named is the only one with its text, and the reference reader
+    # counts its line and column by hand.
+    [(line, col)] = [(a.line, a.col) for a in reference_atoms(text) if a.text == atom]
+    with pytest.raises(SygusSyntaxError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def reference_atoms(text: str) -> list:
+    """Every atom of the reference reader's tree of ``text``."""
+    atoms, todo = [], list(reference_reader.read_sexprs(text))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, list):
+            todo += node
+        else:
+            atoms.append(node)
+    return atoms
 
 
 # -- the example matcher against the reference ----------------------------------
@@ -628,11 +732,13 @@ def test_matcher_rejects_what_is_not_an_example(term):
 def test_matcher_parses_every_call_argument_before_rejecting_one():
     # The reference stops at the unpinned w; every argument is parsed now.
     term = "(=> (= o (f w #xZZ)) (= o #x01))"
-    # Nodes keep offsets, so detect_pbe's error has one; parse_problem would
-    # report it as 1:15.
-    err = pbe_outcome(read_sexprs(term))
+    # detect_pbe's error names the atom's parent and index; parse_problem
+    # would derive its offset and report it as 1:15.
+    terms = read_sexprs(term)
+    err = pbe_outcome(terms)
     assert outcome_key(err) == ("SygusSyntaxError", "malformed literal '#xZZ'")
-    assert position(term, err.offset) == (1, 15)
+    assert err.atom == (terms[0][1][2], 2) and err.offset is None
+    assert position(term, atom_offset(term, *err.atom)) == (1, 15)
     assert isinstance(reference_pbe_outcome(read_sexprs(term)), NotPBE)
 
 
@@ -703,17 +809,15 @@ def match_terms(draw) -> str:
     return f"(=> {antecedent} {consequent})"
 
 
-def parent_chain(forms: list, offset: int) -> list:
-    """The lists from a top-level form down to the parent of the atom at ``offset``."""
+def parent_chain(forms: list, parent: list) -> list:
+    """The lists from a top-level form down to ``parent``, which is one of them."""
     todo = [(form, [form]) for form in forms if isinstance(form, list)]
     while todo:
         node, chain = todo.pop()
-        for child in node:
-            if isinstance(child, Atom) and child.offset == offset:
-                return chain
-            if isinstance(child, list):
-                todo.append((child, chain + [child]))
-    raise AssertionError(f"no atom at {offset}")
+        if node is parent:
+            return chain
+        todo += [(child, chain + [child]) for child in node if isinstance(child, list)]
+    raise AssertionError(f"{parent} is not in the tree")
 
 
 # The generator seldom builds the one allowed difference, so these run it:
@@ -734,9 +838,9 @@ def test_matcher_agrees_with_reference_matcher(text):
         # Each such literal is mended in place and the two compared again,
         # until they agree.
         assert isinstance(new, SygusSyntaxError) and isinstance(old, NotPBE), (new, old)
-        chain = parent_chain(terms, new.offset)
-        term, call = chain[0], chain[-1]
-        assert term[0].text == "=>" and len(chain) >= 3 and chain[1] is term[1], new
-        index = next(i for i, a in enumerate(call) if a.offset == new.offset)
-        assert call[0].text == "f" and index > 1, new
-        call[index] = Atom("#x00", new.offset)
+        call, index = new.atom
+        chain = parent_chain(terms, call)
+        term = chain[0]
+        assert term[0] == "=>" and len(chain) >= 3 and chain[1] is term[1], new
+        assert call[0] == "f" and index > 1 and repr(call[index]) in new.message, new
+        call[index] = "#x00"

@@ -202,14 +202,14 @@ def test_eval_columns_matches_bruteforce_evaluator(case):
 @given(e=exprs(64))
 def test_sexpr_round_trip_width64(e):
     text = expr_to_sexpr(e)
-    parsed = parse_term(read_sexprs(text)[0], ("x",), 64)
+    parsed = parse_term(read_sexprs(text), 0, ("x",), 64)
     assert parsed == e
 
 
 @given(e=exprs(8))
 def test_sexpr_round_trip_width8(e):
     text = expr_to_sexpr(e)
-    parsed = parse_term(read_sexprs(text)[0], ("x",), 8)
+    parsed = parse_term(read_sexprs(text), 0, ("x",), 8)
     assert parsed == e
 
 
@@ -324,6 +324,6 @@ def test_app_repr_is_the_dataclass_repr(e):
 @given(a=exprs(8), b=exprs(8))
 def test_app_equality_and_hash_follow_the_text(a, b):
     assert (a == b) == (expr_to_sexpr(a) == expr_to_sexpr(b))
-    assert a == parse_term(read_sexprs(expr_to_sexpr(a))[0], ("x",), 8)
+    assert a == parse_term(read_sexprs(expr_to_sexpr(a)), 0, ("x",), 8)
     if a == b:
         assert hash(a) == hash(b)
