@@ -27,13 +27,13 @@ class ProblemFormatError(BvSynthError):
 
 
 class SygusSyntaxError(ProblemFormatError):
-    """``offset`` locates the error in its document, or ``atom`` names the atom's parent list
-    and index; the frontend adds the 1-based ``line`` and ``col`` before the error leaves it."""
+    """``at`` names the node the error is on, as ``(parent, index)`` or ``(list, None)``; the
+    frontend adds its ``offset`` and 1-based ``line`` and ``col`` before the error leaves it."""
 
-    def __init__(self, message: str, line=None, col=None, offset=None, atom=None):
+    def __init__(self, message: str, line=None, col=None, offset=None, at=None):
         loc = f" at {line}:{col}" if line is not None else ""
         super().__init__(f"{message}{loc}")
-        self.message, self.line, self.col, self.offset, self.atom = message, line, col, offset, atom
+        self.message, self.line, self.col, self.offset, self.at = message, line, col, offset, at
 
 
 class UnsupportedArity(ProblemFormatError):

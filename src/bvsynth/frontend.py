@@ -6,15 +6,14 @@ whose name is a catalogue operator (the usual spelling of the fixed shifts
 and ``if0`` in benchmark files).  Both LF and CRLF line endings are fine;
 ``;`` starts a comment that runs to the end of the line.
 
-Atoms are plain ``str``; a list keeps the offset of its '('.  An error on an
-atom names its parent list and index.  A syntax error leaves ``read_sexprs``,
-``parse_problem`` and ``parse_solution`` with the 1-based line and column of
-its offset, derived then, an atom's from its parent; only LF ends a line.
+Atoms are plain ``str`` and lists plain ``list``; an error names its node's
+parent and index, or the list itself.  A syntax error leaves ``read_sexprs``,
+``parse_problem`` and ``parse_solution`` with its node's 1-based line and
+column, found then by reading the text again in step with the tree.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
@@ -46,13 +45,8 @@ from .semantics import (
 # S-expression reader
 
 
-class SList(list):
-    """A parsed list node; ``offset`` is where its '(' is.  Atoms are ``str``."""
-
-    __slots__ = ("offset",)
-
-
-SExpr = Union[str, SList]
+SExpr = Union[str, list]
+_SPACE = str.maketrans("\t\r\n", "   ")  # tab, CR and LF separate tokens as space does
 
 
 def position(text: str, offset: int) -> tuple[int, int]:
@@ -60,70 +54,81 @@ def position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def atom_offset(text: str, parent: list, index: int) -> int | None:
-    """Where ``parent[index]`` starts: ``parent`` read again from its '(' (or 0 at top level)."""
-    depth, start = (0, parent.offset) if type(parent) is SList else (1, 0)
-    for m in _TOKEN.finditer(text, start):
-        kind = m.lastindex  # None for a comment
-        if depth == 1 and kind in (1, 3) and (index := index - 1) < 0:  # counts down to this child
-            return m.start()
-        depth += (kind == 1) - (kind == 2)
+def _error(message: str, parent: list | None, index: int | None = None) -> SygusSyntaxError:
+    """The error on ``parent[index]``, on the list ``parent``, or on the reader's brackets."""
+    return SygusSyntaxError(message, at=(parent, index))
 
 
-def _error(message: str, parent: list, index: int | None = None) -> SygusSyntaxError:
-    """The error on ``parent[index]``, or on the list ``parent`` itself."""
-    node = parent if index is None else parent[index]
-    if type(node) is SList:
-        return SygusSyntaxError(message, offset=node.offset)
-    return SygusSyntaxError(message, atom=(parent, index))
-
-
-def _reports_positions(parse):
-    """``parse(text)``, where a syntax error's offset leaves as a line and column."""
-
-    @functools.wraps(parse)
-    def parse_text(text: str):
-        try:
-            return parse(text)
-        except SygusSyntaxError as err:
-            offset = err.offset if err.atom is None else atom_offset(text, *err.atom)
-            if offset is None or err.line is not None:
-                raise
-            raise SygusSyntaxError(err.message, *position(text, offset), offset) from err
-
-    return parse_text
-
-
-# One match per token: group 1 is '(', 2 is ')', 3 an atom; a comment runs to
-# the end of the line.  Space, tab, '\r' and '\n' only separate tokens.
-_TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r\n();]+)")
-
-
-@_reports_positions
-def read_sexprs(text: str) -> list[SExpr]:
-    """Parse a whole document into top-level S-expressions."""
-    top = root = []
-    stack: list[list] = []  # the lists that enclose ``top``
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == 3:
-            top.append(m[3])
-        elif kind == 1:
+def _read(text: str, top: list) -> list:
+    """``top`` with the top-level S-expressions of ``text`` appended; space, tab, CR and LF
+    only separate tokens.  After a bracket error ``top`` holds what was read."""
+    if ";" in text:
+        text = re.sub(r";.*", "", text)  # a comment runs to the end of the line
+    root, stack = top, []  # ``stack``: the lists that enclose ``top``
+    tokens = text.translate(_SPACE).replace("(", " ( ").replace(")", " ) ").split(" ")
+    for token in filter(None, tokens):
+        if token == "(":
             stack.append(top)
-            top = SList()
-            top.offset = m.start()
-            stack[-1].append(top)
-        elif kind == 2:
+            top.append(top := [])  # the new list goes into the one that encloses it
+        elif token == ")":
             if not stack:
-                raise SygusSyntaxError("unbalanced ')'", offset=m.start())
+                raise _error("unbalanced ')'", None)
             top = stack.pop()
+        else:
+            top.append(token)
     if stack:
-        raise _error("unclosed '('", top)
+        raise _error("unclosed '('", None)
     return root
 
 
+# Read again only to place an error: one match per token, group 1 is '(', 2 is
+# ')', 3 an atom; a comment runs to the end of the line.
+_TOKEN = re.compile(r"(\()|(\))|;.*|([^ \t\r\n();]+)")
+
+
+def _nodes(text: str, forms: list):
+    """``(parent, index, offset)`` for each node ``parent[index]`` of ``forms``, the tree read
+    from ``text``, and ``(node, None, offset)`` for each list ``node``, in document order; last
+    ``(None, None, offset)`` at the first ')' closing nothing, or the innermost '(' still open."""
+    lists = [[forms, 0, None]]  # each list not yet closed: itself, its next index, its '('
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex  # None for a comment
+        if kind == 2 and len(lists) == 1:
+            yield None, None, m.start()
+            return
+        if kind == 2:
+            lists.pop()
+        elif kind:
+            top = lists[-1]
+            parent, index = top[0], top[1]
+            top[1] += 1
+            yield parent, index, m.start()
+            if kind == 1:
+                yield parent[index], None, m.start()
+                lists.append([parent[index], 0, m.start()])
+    yield None, None, lists[-1][2]
+
+
+def _reporting_positions(text: str, parse):
+    """``parse`` of the tree read from ``text``, where a syntax error leaves with the line and
+    column of what it names."""
+    forms: list = []
+    try:
+        return parse(_read(text, forms))
+    except SygusSyntaxError as err:
+        if err.at is None:
+            raise
+        offset = next(o for p, i, o in _nodes(text, forms) if p is err.at[0] and i == err.at[1])
+        raise SygusSyntaxError(err.message, *position(text, offset), offset) from err
+
+
+def read_sexprs(text: str) -> list[SExpr]:
+    """Parse a whole document into top-level S-expressions."""
+    return _reporting_positions(text, lambda forms: forms)
+
+
 def _head(sx: SExpr) -> str | None:
-    return sx[0] if type(sx) is SList and sx and type(sx[0]) is str else None
+    return sx[0] if type(sx) is list and sx and type(sx[0]) is str else None
 
 
 _HEX = "0123456789abcdefABCDEF"
@@ -194,7 +199,7 @@ class Problem:
 # Parsing
 
 
-def _parse_sort_width(parent: SList, index: int) -> int:
+def _parse_sort_width(parent: list, index: int) -> int:
     """The width of the sort ``parent[index]``."""
     sx = parent[index]
     head = _head(sx)
@@ -209,14 +214,14 @@ def _parse_sort_width(parent: SList, index: int) -> int:
     return width
 
 
-def _parse_grammar(parent: SList, index: int, params: tuple[str, ...], width: int) -> Grammar:
+def _parse_grammar(parent: list, index: int, params: tuple[str, ...], width: int) -> Grammar:
     """The grammar block ``parent[index]``."""
     block = parent[index]
-    if type(block) is not SList or not block:
+    if type(block) is not list or not block:
         raise _error("expected a non-empty grammar block", parent, index)
-    bodies: dict[str, SList] = {}  # nonterminal -> productions, in declaration order
+    bodies: dict[str, list] = {}  # nonterminal -> productions, in declaration order
     for i, nt_def in enumerate(block):
-        if _head(nt_def) is None or len(nt_def) != 3 or type(nt_def[2]) is not SList:
+        if _head(nt_def) is None or len(nt_def) != 3 or type(nt_def[2]) is not list:
             raise _error("expected '(Name sort (productions...))'", block, i)
         if _parse_sort_width(nt_def, 1) != width:
             raise _error(f"nonterminal sort must be (BitVec {width})", nt_def, 1)
@@ -272,7 +277,7 @@ def _check_productive(grammar: Grammar) -> None:
         raise SygusSyntaxError(f"nonterminal {vacuous[0]!r} derives no finite expression")
 
 
-def _operator(sx: SList) -> str:
+def _operator(sx: list) -> str:
     """The operator heading ``sx``, once it is known and given its arity."""
     op_name = _head(sx)
     operator = OPERATORS.get(op_name)
@@ -283,15 +288,15 @@ def _operator(sx: SList) -> str:
     return op_name
 
 
-def _parse_fun(form: SList) -> tuple[str, tuple[str, ...], int]:
+def _parse_fun(form: list) -> tuple[str, tuple[str, ...], int]:
     """Name, parameter names and width of ``(head name ((p sort)...) sort body)``."""
     if len(form) != 5 or type(form[1]) is not str:
         raise _error(f"malformed {form[0]}", form)
-    if type(form[2]) is not SList:
+    if type(form[2]) is not list:
         raise _error("expected parameter list", form, 2)
     params = []
     for i, item in enumerate(form[2]):
-        if not (type(item) is SList and len(item) == 2 and type(item[0]) is str):
+        if not (type(item) is list and len(item) == 2 and type(item[0]) is str):
             raise _error("expected '(name sort)' parameter", form[2], i)
         params.append((item, _parse_sort_width(item, 1)))
     width = _parse_sort_width(form, 3)
@@ -303,7 +308,7 @@ def _parse_fun(form: SList) -> tuple[str, tuple[str, ...], int]:
     return form[1], tuple(item[0] for item, _ in params), width
 
 
-def _check_define_fun(form: SList) -> None:
+def _check_define_fun(form: list) -> None:
     # Benchmark files commonly define the fixed shifts and if0 as helper
     # functions; those names are already in the catalogue, so the body is
     # not interpreted.  Anything else has no semantics here.
@@ -313,17 +318,19 @@ def _check_define_fun(form: SList) -> None:
     operator = OPERATORS.get(name)
     if operator is None:
         raise _error(f"define-fun {name!r} is not a catalogue operator", form, 1)
-    if type(form[2]) is not SList or len(form[2]) != operator.arity:
+    if type(form[2]) is not list or len(form[2]) != operator.arity:
         raise _error(f"define-fun {name!r} must take {operator.arity} parameters", form, 2)
 
 
-@_reports_positions
 def parse_problem(text: str) -> Problem:
     """Parse and validate one SyGuS problem document."""
-    synth: SList | None = None
+    return _reporting_positions(text, _problem)
+
+
+def _problem(forms: list) -> Problem:
+    synth: list | None = None
     constraints: list[SExpr] = []
     declared: dict[str, int] = {}
-    forms = read_sexprs(text)
     for i, form in enumerate(forms):
         head = _head(form)
         if head is None:
@@ -379,7 +386,7 @@ def _example_of(
     pins declared variables and binds ``o`` to the one call, and each
     argument is a literal or a pinned variable.
     """
-    call: SList | None = None
+    call: list | None = None
     out_var: str | None = None
     pinned: dict[str, int] = {}
     head = _head(term)
@@ -484,7 +491,7 @@ def parse_term(parent: list, index: int, params: tuple[str, ...], width: int) ->
     right, so the first error raised is the one a recursive descent would raise.
     """
 
-    def children(at: tuple[list, int]) -> list[tuple[SList, int]] | None:
+    def children(at: tuple[list, int]) -> list[tuple[list, int]] | None:
         node = at[0][at[1]]
         if type(node) is str:
             return None
@@ -503,10 +510,12 @@ def parse_term(parent: list, index: int, params: tuple[str, ...], width: int) ->
     return fold((parent, index), children, leaf, lambda at, args: App(at[0][at[1]][0], tuple(args)))
 
 
-@_reports_positions
 def parse_solution(text: str) -> ParsedSolution:
     """Parse a define-fun produced by :func:`emit_solution`."""
-    forms = read_sexprs(text)
+    return _reporting_positions(text, _solution)
+
+
+def _solution(forms: list) -> ParsedSolution:
     if len(forms) != 1 or _head(forms[0]) != "define-fun":
         raise SygusSyntaxError("expected a single define-fun")
     name, params, width = _parse_fun(forms[0])

@@ -3,10 +3,11 @@ kept as test oracles.
 
 The character-by-character s-expression reader walks the text one character
 at a time and counts lines and columns by hand, so it checks the frontend's
-regex reader from the outside: both must give the same tree, the same
+split reader from the outside: both must give the same tree, the same
 position on every node, and the same error.  Its nodes keep their own line
-and column, where the frontend's lists keep an offset, its atoms are plain
-strings, and both derive positions on demand.
+and column, where the frontend's lists and atoms are plain ``list`` and
+``str`` with no position, and the frontend derives a node's position only
+by reading the text again in step with its tree.
 
 The example matcher has one function per constraint shape (direct and
 implication), where the frontend shares one consequent loop and one argument
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple, Union
 
 from bvsynth.errors import SygusSyntaxError
-from bvsynth.frontend import SExpr, SList
+from bvsynth.frontend import SExpr
 
 _DELIMS = frozenset(" \t\r\n();")
 _HEX = "0123456789abcdef"
@@ -115,13 +116,13 @@ def read_sexprs(text: str) -> list[Union[LineAtom, LineList]]:
 
 
 def _head(sx: SExpr) -> str | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], str):
+    if isinstance(sx, list) and sx and isinstance(sx[0], str):
         return sx[0]
     return None
 
 
 def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
-    if isinstance(sx, SList) and sx and isinstance(sx[0], str) and sx[0] == fname:
+    if isinstance(sx, list) and sx and isinstance(sx[0], str) and sx[0] == fname:
         return list(sx[1:])
     return None
 
@@ -129,7 +130,7 @@ def _app_args(sx: SExpr, fname: str) -> list[SExpr] | None:
 def _direct_example(
     term: SExpr, fname: str, width: int
 ) -> tuple[tuple[int, ...], int] | None:
-    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "="):
+    if not (isinstance(term, list) and len(term) == 3 and _head(term) == "="):
         return None
     for call, lit in ((term[1], term[2]), (term[2], term[1])):
         args = _app_args(call, fname)
@@ -148,7 +149,7 @@ def _direct_example(
 def _implication_example(
     term: SExpr, fname: str, width: int, declared: Mapping[str, int]
 ) -> tuple[tuple[int, ...], int] | None:
-    if not (isinstance(term, SList) and len(term) == 3 and _head(term) == "=>"):
+    if not (isinstance(term, list) and len(term) == 3 and _head(term) == "=>"):
         return None
     antecedent, consequent = term[1], term[2]
     equalities = list(antecedent[1:]) if _head(antecedent) == "and" else [antecedent]
@@ -157,7 +158,7 @@ def _implication_example(
     out_var: str | None = None
     call_args: list[SExpr] | None = None
     for eq in equalities:
-        if not (isinstance(eq, SList) and len(eq) == 3 and _head(eq) == "="):
+        if not (isinstance(eq, list) and len(eq) == 3 and _head(eq) == "="):
             return None
         matched = False
         for var_side, other in ((eq[1], eq[2]), (eq[2], eq[1])):
@@ -181,7 +182,7 @@ def _implication_example(
     if out_var is None or call_args is None:
         return None
 
-    if not (isinstance(consequent, SList) and len(consequent) == 3 and _head(consequent) == "="):
+    if not (isinstance(consequent, list) and len(consequent) == 3 and _head(consequent) == "="):
         return None
     output: int | None = None
     for var_side, other in ((consequent[1], consequent[2]), (consequent[2], consequent[1])):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import random
 import sys
 from pathlib import Path
@@ -25,8 +26,6 @@ from bvsynth import frontend
 from bvsynth.frontend import (
     Example,
     Problem,
-    SList,
-    atom_offset,
     detect_pbe,
     emit_solution,
     parse_literal,
@@ -560,27 +559,31 @@ def shape(forms: list, pos) -> list:
     return out
 
 
-def frontend_pos(text: str):
-    """``pos`` for the frontend's tree of ``text``, through the views its errors
-    use: a list's own offset, an atom's offset derived from its parent."""
+def frontend_pos(text: str, forms: list):
+    """``pos`` for the frontend's tree ``forms`` of ``text``, through the view its
+    errors use: every node's offset from one reading of ``text`` in step with
+    ``forms``, where a list's own offset must be its offset in its parent."""
+    offsets = {}
+    for parent, i, offset in frontend._nodes(text, forms):
+        if parent is not None and i is None:
+            assert offsets[id(parent)] == offset  # the list itself, just after its place
+        elif parent is not None:
+            assert type(parent[i]) in (str, list), parent[i]  # plain strings and lists
+            offsets[id(parent), i] = offset
+            offsets[id(parent[i])] = offset
+    return lambda parent, i: position(text, offsets[id(parent), i])
 
-    def pos(parent: list, i: int) -> tuple[int, int]:
-        node = parent[i]
-        if type(node) is SList:
-            return position(text, node.offset)
-        assert type(node) is str, node  # atoms are plain strings
-        return position(text, atom_offset(text, parent, i))
 
-    return pos
-
-
-def reference_pos(parent: list, i: int) -> tuple[int, int]:
-    return parent[i].line, parent[i].col
+def reference_pos(text: str, forms: list):
+    return lambda parent, i: (parent[i].line, parent[i].col)
 
 
 def read_outcome(read, text: str, pos):
+    """The tree ``read`` makes of ``text`` with ``pos(text, tree)`` giving its
+    positions, or its error with line and column."""
     try:
-        return shape(read(text), pos)
+        forms = read(text)
+        return shape(forms, pos(text, forms))
     except SygusSyntaxError as err:
         return ("error", str(err), err.line, err.col)
 
@@ -588,7 +591,7 @@ def read_outcome(read, text: str, pos):
 def test_reader_matches_reference_reader_on_canary_documents():
     # the documents the error digest edits, read whole: every node's position
     for text in canary_texts("enum32")[:40] + canary_texts("wide200")[:10]:
-        got = read_outcome(read_sexprs, text, frontend_pos(text))
+        got = read_outcome(read_sexprs, text, frontend_pos)
         assert got == read_outcome(reference_reader.read_sexprs, text, reference_pos)
 
 
@@ -603,7 +606,7 @@ READER_PIECES = st.sampled_from(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(READER_PIECES, max_size=60).map("".join))
 def test_reader_matches_reference_reader(text):
-    assert read_outcome(read_sexprs, text, frontend_pos(text)) == (
+    assert read_outcome(read_sexprs, text, frontend_pos) == (
         read_outcome(reference_reader.read_sexprs, text, reference_pos)
     )
 
@@ -686,6 +689,111 @@ def reference_atoms(text: str) -> list:
     return atoms
 
 
+def reference_lists(text: str) -> list:
+    """Every list of the reference reader's tree of ``text``, in document order."""
+    lists, todo = [], list(reversed(reference_reader.read_sexprs(text)))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, list):
+            lists.append(node)
+            todo += reversed(node)
+    return lists
+
+
+SYNTH8 = "(synth-fun f ((x (BitVec 8))) (BitVec 8) ((Start (BitVec 8) (x (if0 Start Start Start)))))"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, head",
+    [
+        # each after a comment that holds a bracket, and a CRLF line end
+        (
+            parse_problem,
+            "(set-logic BV) ; (\r\n(synth-fun f ((x (BitVec 8))) (BitVec 8)\r\n"
+            "  ((Start (BitVec 8) (x (bvfoo Start) (if0 Start Start Start)))))",
+            "unknown operator 'bvfoo'",
+            ("bvfoo", 0),
+        ),
+        (
+            parse_problem,
+            "(synth-fun f ((x (BitVec 8))) (BitVec 8) ; )\r\n"
+            "  ((Start (BitVec 8) (x (bvnot Start Start) (if0 Start Start Start)))))",
+            "bvnot expects 1 operands, got 2",
+            ("bvnot", 0),
+        ),
+        (
+            parse_solution,
+            "(define-fun f ((x (BitVec 64))) (BitVec 64) ; (\r\n  (bvnot (bvfoo x)))",
+            "unknown operator 'bvfoo'",
+            ("bvfoo", 0),
+        ),
+        (
+            parse_solution,
+            "(define-fun f ((x (BitVec 64))) (BitVec 64) ; )\r\n  (bvnot (bvadd x)))",
+            "bvadd expects 2 operands, got 1",
+            ("bvadd", 0),
+        ),
+        (
+            parse_problem,
+            "(set-logic BV) ; (\r\n(declare-var v (_ BitVec 8))",
+            "SMT-LIB '(_ BitVec N)' sort is v2 syntax; use '(BitVec N)'",
+            ("_", 0),
+        ),
+        (
+            parse_problem,
+            f"{SYNTH8} ; )\r\n{SYNTH8}",
+            "multiple synth-fun forms",
+            ("synth-fun", 1),
+        ),
+        # the reader's own errors, placed where the reference reader places them
+        (parse_problem, "(set-logic BV) ; )\r\n (check-synth))\n", "unbalanced ')'", None),
+        (
+            parse_problem,
+            "(set-logic BV) ; (\r\n(check-synth (x (y)) (z (w)\r\n",
+            "unclosed '('",
+            None,
+        ),
+    ],
+)
+def test_list_error_positions_match_reference_reader(parse, text, message, head):
+    # ``head`` names the list by its first atom and how many lists with that
+    # head come before it; the reference reader counts lines and columns by
+    # hand, and raises the bracket errors itself.
+    if head is None:
+        with pytest.raises(SygusSyntaxError) as want:
+            reference_reader.read_sexprs(text)
+        assert want.value.message == message
+        line, col = want.value.line, want.value.col
+    else:
+        name, n = head
+        found = [sx for sx in reference_lists(text) if sx and getattr(sx[0], "text", None) == name]
+        line, col = found[n].line, found[n].col
+    with pytest.raises(SygusSyntaxError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+# Every character ``str.isspace`` accepts but the reader keeps inside atoms.
+OTHER_SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in " \t\r\n"]
+
+
+@pytest.mark.parametrize("c", OTHER_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_space_tab_cr_and_lf_separate_tokens(c):
+    # A reader that splits on all whitespace reads ``a`` and ``b`` apart; one
+    # that ends a line where ``str.splitlines`` does ends the comment early.
+    text = f"(a{c}b ;{c})\n)"
+    assert read_sexprs(text) == [[f"a{c}b"]]
+    for text in (text, text + ")", "(" + text):
+        assert read_outcome(read_sexprs, text, frontend_pos) == (
+            read_outcome(reference_reader.read_sexprs, text, reference_pos)
+        )
+
+
+@pytest.mark.parametrize("parse", [parse_problem, parse_solution, read_sexprs])
+def test_public_parsers_take_only_the_text(parse):
+    assert list(inspect.signature(parse).parameters) == ["text"]
+
+
 # -- the example matcher against the reference ----------------------------------
 
 MATCH_DECLARED = {"v": 8, "w": 8, "o": 8}  # u and x are not declared
@@ -737,8 +845,9 @@ def test_matcher_parses_every_call_argument_before_rejecting_one():
     terms = read_sexprs(term)
     err = pbe_outcome(terms)
     assert outcome_key(err) == ("SygusSyntaxError", "malformed literal '#xZZ'")
-    assert err.atom == (terms[0][1][2], 2) and err.offset is None
-    assert position(term, atom_offset(term, *err.atom)) == (1, 15)
+    assert err.at == (terms[0][1][2], 2) and err.at[0] is terms[0][1][2] and err.offset is None
+    [offset] = [o for p, i, o in frontend._nodes(term, terms) if p is err.at[0] and i == 2]
+    assert position(term, offset) == (1, 15)
     assert isinstance(reference_pbe_outcome(read_sexprs(term)), NotPBE)
 
 
@@ -838,7 +947,7 @@ def test_matcher_agrees_with_reference_matcher(text):
         # Each such literal is mended in place and the two compared again,
         # until they agree.
         assert isinstance(new, SygusSyntaxError) and isinstance(old, NotPBE), (new, old)
-        call, index = new.atom
+        call, index = new.at
         chain = parent_chain(terms, call)
         term = chain[0]
         assert term[0] == "=>" and len(chain) >= 3 and chain[1] is term[1], new
