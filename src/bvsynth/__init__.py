@@ -7,8 +7,8 @@ if0 conditions.
 
 from .semantics import App, BitVecValue, Const, Expr, OPERATORS, Var, eval_expr, expr_to_sexpr
 from .frontend import Example, Grammar, Problem, emit_solution, parse_problem, parse_solution
-from .enumeration import EnumerationState, signature_of
-from .solver import RunStats, SearchLimits, SolveResult, solve_problem
+from .enumeration import EnumerationState, SearchLimits, signature_of
+from .solver import RunStats, SolveResult, solve_problem
 
 __all__ = [
     "App",

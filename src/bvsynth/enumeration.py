@@ -15,6 +15,10 @@ never enumerated: all branching comes from the decision tree.
 One generator is both the construction stream and the search over it:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
 sends the generator its search, which runs until it must stop (see there).
+The state owns the solve's :class:`SearchLimits`.  The size bound ends the
+stream for good at the first block of constructions above it, none of which
+is built; the candidate budget is per search, and the next search resumes
+the stream where the last one ran out.
 Each construction computes its signature, is deduplicated by one set
 insertion, and builds its node only when the signature is new or the
 candidate is accepted.  A node is one tuple with its signature at index 0:
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import operator
 import time
+from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, TimeoutExceeded
@@ -44,10 +49,26 @@ from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators, eval
 Packed = int  # a signature with example i's value in lane i
 Node = tuple  # (sig, leaf) for a Var/Const terminal, or (sig, op, child_node, ...)
 
-Search = tuple[Callable[[Packed], bool], str, int, int, int]  # accept, nt, budgets, re-scanned
+Search = tuple[Callable[[Packed], bool], str, int]  # accept, nt, candidates re-scanned
 Hit = tuple[int, Node]  # an accepted candidate's size and node
 _UNIT = [(0,)]  # the second operand list of a terminal or a unary block
 _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    # The largest expression any search may find; the enumeration ends
+    # before it builds anything larger, so it bounds the whole store.
+    max_size: int = 12
+    # Re-scanned plus constructed candidates per search; mirrors are never constructed.
+    max_candidates: int = 5_000_000
+    # Seconds of wall clock for the whole solve.  The enumeration checks it
+    # every 4,096 constructed and every 4,096 re-scanned candidates, so a
+    # search overshoots by at most that much work.  Outside its searches,
+    # phase 2 only tests covers, one AND per found expression per set of
+    # examples, and does not check it; nor does verification: one pass over
+    # the solution costing its node count times the example count.
+    timeout: float | None = None
 
 
 class SearchResult(NamedTuple):
@@ -145,7 +166,8 @@ class EnumerationState:
     The state is single-threaded: searches advance a single cursor and
     every retained subexpression stays available to later searches, so the
     per-example terminal searches and the condition searches of the
-    unifier all resume the same stream.
+    unifier all resume the same stream, under the budgets of ``limits``;
+    the deadline starts when the state is built.
     """
 
     def __init__(
@@ -154,14 +176,14 @@ class EnumerationState:
         params: Sequence[str],
         rows: Sequence[Sequence[int]],
         width: int,
-        *,
-        deadline: float | None = None,
+        limits: SearchLimits = SearchLimits(),
     ):
         self.grammar = grammar
         self.params = tuple(params)
         self.rows = [tuple(r) for r in rows]
         self.width = width
-        self.deadline = deadline
+        self.max_size, self.max_candidates = limits.max_size, limits.max_candidates
+        self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
         self._fns = packed_operators(width, len(self.rows))
         self._mask = (1 << width) - 1
@@ -177,9 +199,11 @@ class EnumerationState:
         next(self._stream)  # sets the counters to 0 and waits for the first search
 
     @classmethod
-    def for_problem(cls, problem: Problem, *, deadline: float | None = None) -> "EnumerationState":
+    def for_problem(
+        cls, problem: Problem, limits: SearchLimits = SearchLimits()
+    ) -> EnumerationState:
         rows = [ex.inputs for ex in problem.examples]
-        return cls(problem.grammar, problem.params, rows, problem.width, deadline=deadline)
+        return cls(problem.grammar, problem.params, rows, problem.width, limits)
 
     # -- the search loop ----------------------------------------------------
 
@@ -221,25 +245,25 @@ class EnumerationState:
         self.stored = sum(map(len, self._store.values()))  # every new signature is stored
         self.evaluations, self.inspected, self.pruned = count, inspected, count - self.stored
 
-    def _stop(self, out: Hit | str, count: int, inspected: int, size: int, nt: str, offered=0):
+    def _stop(self, out: Hit | str, count: int, inspected: int, nt: str):
         """Publish the counters, yield ``out`` and return the next search as the loop keeps
-        it: ``limit`` is its last construction count, ``due`` the count at which budgets and
-        deadline are next checked.  ``offered`` is 1 if it is offered the last construction."""
+        it: ``limit`` is its last construction count, ``due`` the count at which its
+        candidate budget and the deadline are next checked."""
         self._publish(count, inspected)
-        accept, target, max_size, max_candidates, used = yield out
-        limit = count - offered + max_candidates - used
-        due = count + 1 if size > max_size else min(limit, count | 4095) + 1
-        return accept, target, nt == target, max_size, limit, due, self.inspected
+        accept, target, used = yield out
+        limit = count + self.max_candidates - used
+        return accept, target, nt == target, limit, min(limit, count | 4095) + 1, self.inspected
 
     def _search_loop(self) -> Generator[Hit | str, Search, None]:
-        count = 0  # constructions so far: the evaluations counter
-        search = yield from self._stop("", count, 0, 1, "")
-        accept, target, looking, max_size, limit, due, inspected = search
+        count, max_size, end = 0, self.max_size, "exhausted"  # count: the evaluations counter
+        search = yield from self._stop("", count, 0, "")
+        accept, target, looking, limit, due, inspected = search
         for size, nt, op, arity, fn, first, second in self._blocks():
+            if size > max_size:  # ends the stream before its first construction
+                end = "size"
+                break
             layer, store, looking = self._pools[nt][size], self._store[nt], nt == target
             add = store.add
-            if size > max_size:
-                due = count + 1
             for ea in first:
                 sa = ea[0]
                 for eb in second:
@@ -254,23 +278,20 @@ class EnumerationState:
                         if not count & 4095:
                             self._publish(count, inspected)
                             self._check_deadline(f"{count} evaluations")
-                        while size > max_size:  # the next search allowing it is offered it
-                            search = yield from self._stop("size", count, inspected, size, nt, 1)
-                            accept, target, looking, max_size, limit, due, inspected = search
                         if count > limit:
-                            search = yield from self._stop("candidates", count, inspected, size, nt)
-                            accept, target, looking, max_size, limit, due, inspected = search
+                            search = yield from self._stop("candidate", count, inspected, nt)
+                            accept, target, looking, limit, due, inspected = search
                             continue
                         due = min(limit, count | 4095) + 1
                     if looking:
                         inspected += 1
                         if accept(sig):
                             node = (sig, op, ea, eb)[: arity + 2] if arity else ea
-                            search = yield from self._stop((size, node), count, inspected, size, nt)
-                            accept, target, looking, max_size, limit, due, inspected = search
-        yield from self._stop("exhausted", count, inspected, 0, "")
+                            search = yield from self._stop((size, node), count, inspected, nt)
+                            accept, target, looking, limit, due, inspected = search
+        self._publish(count, inspected)
         while True:
-            yield "exhausted"
+            yield end
 
     def _check_deadline(self, spent: str) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -304,12 +325,7 @@ class EnumerationState:
         )
 
     def enumerate_until(
-        self,
-        accept: Callable[[Packed], bool],
-        *,
-        max_size: int,
-        max_candidates: int,
-        nt: str | None = None,
+        self, accept: Callable[[Packed], bool], nt: str | None = None
     ) -> SearchResult:
         """First candidate whose packed signature satisfies ``accept``.
 
@@ -322,30 +338,30 @@ class EnumerationState:
         satisfying ``accept``.
 
         Then the search is sent to the stream's generator, which yields only on an accepted
-        candidate, at the first construction of a layer above the size budget (offered first to
-        the next search allowing its size), or when the candidate budget (the re-scan plus every
-        construction) runs out.  A construction's node is built only if its signature is new or
-        it is accepted.  The deadline is checked every 4,096 re-scanned and every 4,096
-        constructed candidates.
+        candidate, when the candidate budget (the re-scan plus every construction) runs out,
+        or at the first block of constructions above the size budget.  That block is not
+        built, and the stream stays ended: every later search only re-scans.  A construction's
+        node is built only if its signature is new or it is accepted.  The deadline is checked
+        every 4,096 re-scanned and every 4,096 constructed candidates.
         """
         target = nt if nt is not None else self.grammar.start
         used = 0
-        for layer in self._pools[target][1 : max_size + 1]:
+        for layer in self._pools[target][1:]:  # no layer above the size budget is built
             for node in layer:
                 used += 1
-                if used > max_candidates:
-                    raise NotFound(f"candidate budget {max_candidates} exhausted")
+                if used > self.max_candidates:
+                    raise NotFound(f"candidate budget {self.max_candidates} exhausted")
                 if (used & 4095) == 0:
                     self._check_deadline(f"{used} re-scanned candidates")
                 self.inspected += 1
                 if accept(node[0]):
                     return SearchResult(expr_of(node), node[0])
-        stream, search = self._stream, (accept, target, max_size, max_candidates, used)
-        out = stream.send(search) if stream.gi_frame else "exhausted"  # closed or timed out
+        stream = self._stream
+        # A closed or timed-out stream has ended like an exhausted one.
+        out = stream.send((accept, target, used)) if stream.gi_frame else "exhausted"
         if type(out) is tuple:
             return SearchResult(expr_of(out[1]), out[1][0])
-        if out == "candidates":
-            raise NotFound(f"candidate budget {max_candidates} exhausted")
-        if out == "exhausted" and self._max_pooled <= max_size:
+        if out == "exhausted":
             raise Exhausted("grammar language fully enumerated")
-        raise NotFound(f"size budget {max_size} exhausted")  # or the language goes on past it
+        budget = self.max_size if out == "size" else self.max_candidates
+        raise NotFound(f"{out} budget {budget} exhausted")

@@ -6,24 +6,10 @@ import time
 from dataclasses import dataclass
 
 from .errors import VerificationFailed
-from .enumeration import EnumerationState
+from .enumeration import EnumerationState, SearchLimits, signature_of
 from .frontend import Problem
-from .semantics import Expr, eval_columns
+from .semantics import Expr
 from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_terminals, tree_to_expr
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    max_size: int = 12
-    # Re-scanned plus constructed candidates per search; mirrors are never constructed.
-    max_candidates: int = 5_000_000
-    # Seconds of wall clock for the whole solve.  The enumeration checks it
-    # every 4,096 constructed and every 4,096 re-scanned candidates, so a
-    # search overshoots by at most that much work.  Outside its searches,
-    # phase 2 only tests covers, one AND per found expression per set of
-    # examples, and does not check it; nor does verification: one pass over
-    # the solution costing its node count times the example count.
-    timeout: float | None = None
 
 
 @dataclass
@@ -62,10 +48,9 @@ class SolveResult:
 
 def verify_solution(problem: Problem, solution: Expr) -> None:
     """Concrete verification oracle: evaluate the solution once on all examples."""
-    examples = problem.examples
-    columns = {p: [ex.inputs[i] for ex in examples] for i, p in enumerate(problem.params)}
-    values = eval_columns(solution, columns, problem.width, len(examples))
-    for example, value in zip(examples, values):
+    rows = [ex.inputs for ex in problem.examples]
+    values = signature_of(solution, problem.params, rows, problem.width)
+    for example, value in zip(problem.examples, values):
         if value != example.output:
             raise VerificationFailed(example.index)
 
@@ -76,16 +61,14 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     Terminal and condition enumeration both exclude the if0 production; all
     branching in the solution comes from the decision tree.
     """
-    limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.timeout if limits.timeout is not None else None
-    engine = EnumerationState.for_problem(problem, deadline=deadline)
+    engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 
     try:
         t0 = time.perf_counter()
-        tmap = map_terminals(problem, engine, limits)
+        tmap = map_terminals(problem, engine)
         t1 = time.perf_counter()
 
-        tree = build_tree(problem, engine, tmap, limits)
+        tree = build_tree(problem, engine, tmap)
         solution = tree_to_expr(tree, problem.grammar)
         t2 = time.perf_counter()
     finally:

@@ -65,7 +65,7 @@ def condition_nonterminal(grammar: Grammar) -> str:
     return rule.operands[0]
 
 
-def map_terminals(problem: Problem, engine: EnumerationState, limits) -> TerminalMap:
+def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     """Assign a consistent terminal expression to every example.
 
     The lowest example that no found expression fits is searched for next;
@@ -78,11 +78,7 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
     while unmapped:
         k = (unmapped & -unmapped).bit_length() - 1
         try:
-            expr, sig = engine.enumerate_until(
-                engine.example_equals(k, problem.examples[k].output),
-                max_size=limits.max_size,
-                max_candidates=limits.max_candidates,
-            )
+            expr, sig = engine.enumerate_until(engine.example_equals(k, problem.examples[k].output))
         except (NotFound, Exhausted) as exc:
             raise UnsolvableExample(k, str(exc)) from exc
         tmap.masks[expr] = fits = engine.agreement(sig, outputs)
@@ -90,26 +86,20 @@ def map_terminals(problem: Problem, engine: EnumerationState, limits) -> Termina
     return tmap
 
 
-def find_condition(
-    problem: Problem, engine: EnumerationState, a: int, b: int, limits
-) -> tuple[Expr, int]:
+def find_condition(problem: Problem, engine: EnumerationState, a: int, b: int) -> tuple[Expr, int]:
     """Smallest condition that is non-constant over all example inputs and
     evaluates to 1 on exactly one of examples ``a`` and ``b``, with its mask
     of the examples it evaluates to 1 on: those occupy the then-branch.
     """
+    nt = condition_nonterminal(problem.grammar)
     try:
-        expr, sig = engine.enumerate_until(
-            engine.separates(a, b),
-            max_size=limits.max_size,
-            max_candidates=limits.max_candidates,
-            nt=condition_nonterminal(problem.grammar),
-        )
+        expr, sig = engine.enumerate_until(engine.separates(a, b), nt)
     except (NotFound, Exhausted) as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc
     return expr, engine.agreement(sig, engine.ones)
 
 
-def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, limits) -> Tree:
+def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) -> Tree:
     """Unify the terminal map top-down from the set of all examples, then-sides
     first.  A set that one found expression fits is a leaf of the first such
     expression.  Any other set is split on ``find_condition`` for its lowest
@@ -129,7 +119,7 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap, li
         a = (examples & -examples).bit_length() - 1
         unfit = examples & ~next(m for m in tmap.masks.values() if m >> a & 1)
         b = (unfit & -unfit).bit_length() - 1
-        condition, mask = find_condition(problem, engine, a, b, limits)
+        condition, mask = find_condition(problem, engine, a, b)
         todo += ((examples, (condition, mask)), (examples & ~mask, None), (examples & mask, None))
     return done[0]
 

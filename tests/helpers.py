@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator
 
-from bvsynth.enumeration import _UNIT, _first, EnumerationState, expr_of, size_splits, unpack
+from bvsynth.enumeration import (
+    _UNIT, _first, EnumerationState, SearchLimits, expr_of, size_splits, unpack
+)
 from bvsynth.errors import Exhausted, NotFound
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import (
     COMMUTATIVE, OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
 )
-from bvsynth.solver import SearchLimits
 from bvsynth.unify import Internal, Leaf, Tree
 
 LIMITS = SearchLimits()
@@ -57,38 +57,36 @@ def problem_of(grammar, pairs, width=64, name="f") -> Problem:
     return Problem(name=name, params=("x",), width=width, grammar=grammar, examples=examples)
 
 
-def engine_for(problem, deadline=None) -> EnumerationState:
-    return EnumerationState.for_problem(problem, deadline=deadline)
+def engine_for(problem, limits=LIMITS) -> EnumerationState:
+    return EnumerationState.for_problem(problem, limits)
 
 
 def events(engine: EnumerationState) -> Iterator[tuple]:
     """The engine's construction stream at the start nonterminal: one
     (nonterminal, size, expr, packed signature) event per constructed
     expression, pruned ones included, ending when the pruned language is
-    exhausted.  It drives the engine's search loop with a search that
-    accepts every candidate and has no budgets, so each construction comes
-    back as a hit, ``(size, node)``; the node is expanded here with
-    ``expr_of`` and carries its signature at index 0."""
+    exhausted or the engine's size budget is reached.  It drives the
+    engine's search loop with a search that accepts every candidate, so each
+    construction comes back as a hit, ``(size, node)``; the node is expanded
+    here with ``expr_of`` and carries its signature at index 0."""
     start = engine.grammar.start
-    search = (lambda sig: True, start, sys.maxsize, sys.maxsize, 0)
+    search = (lambda sig: True, start, 0)
     while type(hit := engine._stream.send(search)) is tuple:
         size, node = hit
         yield start, size, expr_of(node), node[0]
 
 
-def retained(
-    engine: EnumerationState, nt: str, max_size: int
-) -> list[tuple[Expr, tuple[int, ...]]]:
-    """Every retained (expr, signature) pair at ``nt`` of size at most
-    ``max_size``, in stream order.  A search that accepts nothing first
-    drives the stream until layer ``max_size`` is complete (or the stream
-    runs out).  Signatures are unpacked into per-example tuples."""
+def retained(engine: EnumerationState, nt: str) -> list[tuple[Expr, tuple[int, ...]]]:
+    """Every retained (expr, signature) pair at ``nt``, in stream order.  A
+    search that accepts nothing first drives the stream to the engine's size
+    budget (or until it runs out of candidates or language).  Signatures are
+    unpacked into per-example tuples."""
     try:
-        engine.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
+        engine.enumerate_until(lambda sig: False)
     except (NotFound, Exhausted):
         pass
-    layers, w, n = engine._pools[nt][: max_size + 1], engine.width, len(engine.rows)
-    return [(expr_of(node), unpack(node[0], w, n)) for layer in layers for node in layer]
+    w, n = engine.width, len(engine.rows)
+    return [(expr_of(node), unpack(node[0], w, n)) for layer in engine._pools[nt] for node in layer]
 
 
 class UnskippedState(EnumerationState):
@@ -120,8 +118,9 @@ class UnskippedState(EnumerationState):
             size += 1
 
 
-def mirror_pairs(engine: EnumerationState, last: int) -> int:
-    """How many constructions of layers 2 to ``last`` are commutative mirrors:
+def mirror_pairs(engine: EnumerationState) -> int:
+    """How many constructions of the layers from 2 to the size budget are
+    commutative mirrors, once the stream has built all of them:
     per production ``op(A, A)`` with a commutative ``op``, ``|P_s|*|P_t|``
     per size split ``(s, t)`` with ``s > t`` and ``|P_s|*(|P_s|-1)/2`` per
     equal split, where ``P_s`` is the pool of ``A`` at size ``s``."""
@@ -130,7 +129,7 @@ def mirror_pairs(engine: EnumerationState, last: int) -> int:
         for prod in prods:
             if isinstance(prod, OpRule) and prod.op in COMMUTATIVE and len(set(prod.operands)) == 1:
                 pool = engine._pools[prod.operands[0]]
-                for size in range(2, last + 1):
+                for size in range(2, min(len(pool), engine.max_size + 1)):
                     for s, t in size_splits(size - 1, 2):
                         if s > t:
                             pairs += len(pool[s]) * len(pool[t])

@@ -122,8 +122,8 @@ def test_criterion_2_phase1_minimality_oracle():
         output = bruteforce.value_on(target, ("x",), (value,), width)
         problem = problem_of(grammar, [(value, output)], width=width)
 
-        engine = EnumerationState.for_problem(problem)
-        tmap = map_terminals(problem, engine, limits)
+        engine = EnumerationState.for_problem(problem, limits)
+        tmap = map_terminals(problem, engine)
         solver_size = assigned(tmap, 0).size
 
         oracle = bruteforce.min_matching(
@@ -189,9 +189,9 @@ def test_criterion_3_pruning_soundness_oracle():
         instances.append((grammar, rows, width))
 
     for grammar, rows, width in instances:
-        engine = EnumerationState(grammar, ("x",), rows, width)
+        engine = EnumerationState(grammar, ("x",), rows, width, SearchLimits(max_size=5))
         for nt in grammar.nonterminals:
-            pruned = {sig for _, sig in retained(engine, nt, 5)}
+            pruned = {sig for _, sig in retained(engine, nt)}
             unpruned = bruteforce.signatures_up_to(
                 grammar, nt, 5, ("x",), rows, width, exclude=frozenset({"if0"})
             )

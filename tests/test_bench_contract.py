@@ -140,7 +140,7 @@ def test_solutions_and_counters_match_pinned_identity():
 # solve's error text and its engine's counters (built, stored, pruned,
 # inspected), hashed together.  IDENTITY_SHA256 covers only solves that
 # succeed; this covers the path that builds the whole store and gives up.
-VERDICT_SHA256 = "a4801b904220f5a1b2bd4d2a45d2cda3fa82e981156929a7f85b4f8f776bbc55"
+VERDICT_SHA256 = "a27dcf1bc0f9fcac01ae0daa0eed90b5c080a507cc3c54354995eab3b2a40140"
 
 
 def test_budget_verdicts_and_counters_match_pinned_identity(monkeypatch):

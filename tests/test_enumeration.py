@@ -11,19 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvsynth.enumeration import EnumerationState, expr_of, pack, signature_of, size_splits
+from bvsynth.enumeration import (
+    EnumerationState, SearchLimits, expr_of, pack, signature_of, size_splits
+)
 from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
 from bvsynth.frontend import Grammar, OpRule
 from bvsynth.semantics import COMMUTATIVE, App, BitVecValue, Const, Var, subexpressions
-from bvsynth.solver import SearchLimits
 
 import bruteforce
 from helpers import (
     UnskippedState, app, const, engine_for, events, grammar_of, mirror_pairs, problem_of,
     retained, rows_of,
 )
-
-LIMITS = SearchLimits()
 
 
 def test_size_splits_are_lexicographic():
@@ -62,9 +61,9 @@ def test_indistinguishable_expr_never_composed():
     # bvand(#x0, x) evaluates like #x0 everywhere, so it may appear as a
     # top-level candidate but never inside a retained subexpression.
     p = small_problem()
-    eng = engine_for(p)
+    eng = engine_for(p, SearchLimits(max_size=4))
     dead = App("bvand", (const(8, 0), Var("x")))
-    entries = retained(eng, "Start", 4)
+    entries = retained(eng, "Start")
     assert all(dead not in subexpressions(e) for e, _ in entries)
     sig = signature_of(dead, ("x",), rows_of(p), 8)
     rep = dict((s, e) for e, s in entries)[sig]
@@ -73,8 +72,8 @@ def test_indistinguishable_expr_never_composed():
 
 def test_retained_signatures_match_unpruned_bruteforce_size3():
     p = small_problem()
-    eng = engine_for(p)
-    kept = retained(eng, "Start", 3)
+    eng = engine_for(p, SearchLimits(max_size=3))
+    kept = retained(eng, "Start")
     unpruned = bruteforce.signatures_up_to(
         p.grammar, "Start", 3, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
@@ -85,8 +84,8 @@ def test_retained_signatures_match_unpruned_bruteforce_size3():
 @pytest.mark.parametrize("max_size", [4, 5])
 def test_pruning_soundness_on_fixed_instance(max_size):
     p = problem_of(grammar_of(["bvnot", "shr1", "bvadd"], width=8), [(3, 1), (7, 2), (10, 5)], width=8)
-    eng = engine_for(p)
-    kept = {s for _, s in retained(eng, "Start", max_size)}
+    eng = engine_for(p, SearchLimits(max_size=max_size))
+    kept = {s for _, s in retained(eng, "Start")}
     assert kept == bruteforce.signatures_up_to(
         p.grammar, "Start", max_size, ("x",), rows_of(p), 8, exclude=frozenset({"if0"})
     )
@@ -94,8 +93,8 @@ def test_pruning_soundness_on_fixed_instance(max_size):
 
 def test_enumerate_until_identity():
     p = problem_of(grammar_of(["bvnot", "bvand"]), [(5, 5)])
-    eng = engine_for(p)
-    found = eng.enumerate_until(eng.example_equals(0, 5), max_size=6, max_candidates=10_000)
+    eng = engine_for(p, SearchLimits(max_size=6, max_candidates=10_000))
+    found = eng.enumerate_until(eng.example_equals(0, 5))
     assert found.expr == Var("x")
     assert found.expr.size == 1
 
@@ -107,23 +106,23 @@ def test_enumerate_until_doubling_needs_size3():
         grammar, ("x",), rows_of(p), 64, lambda sig: sig[0] == 10, 5, exclude=frozenset({"if0"})
     )
     assert oracle is not None and oracle[0] == 3  # no size-1/2 solution exists
-    eng = engine_for(p)
-    found = eng.enumerate_until(eng.example_equals(0, 10), max_size=6, max_candidates=100_000)
+    eng = engine_for(p, SearchLimits(max_size=6, max_candidates=100_000))
+    found = eng.enumerate_until(eng.example_equals(0, 10))
     assert found.expr == app("bvadd", Var("x"), Var("x"))
 
 
 def test_enumerate_until_not_found_on_size_budget():
     p = problem_of(grammar_of(["bvnot", "bvand"]), [(5, 5)])
-    eng = engine_for(p)
+    eng = engine_for(p, SearchLimits(max_size=5, max_candidates=10_000_000))
     with pytest.raises(NotFound):
-        eng.enumerate_until(lambda sig: False, max_size=5, max_candidates=10_000_000)
+        eng.enumerate_until(lambda sig: False)
 
 
 def test_enumerate_until_not_found_on_candidate_budget():
     p = problem_of(grammar_of(["bvnot", "bvand", "bvor", "bvadd"]), [(5, 5)])
-    eng = engine_for(p)
+    eng = engine_for(p, SearchLimits(max_size=30, max_candidates=100))
     with pytest.raises(NotFound, match="candidate budget"):
-        eng.enumerate_until(lambda sig: False, max_size=30, max_candidates=100)
+        eng.enumerate_until(lambda sig: False)
 
 
 def test_deadline_checked_during_pool_rescan():
@@ -132,12 +131,12 @@ def test_deadline_checked_during_pool_rescan():
     # expired deadline.
     grammar = grammar_of(["bvnot", "shr1", "bvand", "bvadd", "bvxor"])
     p = problem_of(grammar, [(3, 1), (7, 2), (10, 5), (200, 9)])
-    eng = engine_for(p)
-    assert len(retained(eng, "Start", 9)) > 4096
+    eng = engine_for(p, SearchLimits(max_size=9, max_candidates=10**6))
+    assert len(retained(eng, "Start")) > 4096
     built = (eng.evaluations, eng.stored, eng.pruned)
     eng.deadline = time.monotonic() - 1.0
     with pytest.raises(TimeoutExceeded):
-        eng.enumerate_until(lambda sig: False, max_size=9, max_candidates=10**6)
+        eng.enumerate_until(lambda sig: False)
     assert (eng.evaluations, eng.stored, eng.pruned) == built
 
 
@@ -148,83 +147,109 @@ def counters(eng):
 def test_deadline_stops_the_stream_with_published_counters():
     # An expired deadline is seen at the 4,096th construction, which is
     # stored or pruned like any other but not inspected.
-    eng = engine_for(LAZY_PROBLEM, deadline=time.monotonic() - 1.0)
+    eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=8, max_candidates=10**6))
+    eng.deadline = time.monotonic() - 1.0
     with pytest.raises(TimeoutExceeded, match="after 4096 evaluations"):
-        eng.enumerate_until(lambda sig: False, max_size=8, max_candidates=10**6)
+        eng.enumerate_until(lambda sig: False)
     assert eng.evaluations == eng.stored + eng.pruned == 4096
     assert eng.inspected == 4095
     # The stream has ended; a later search fails like a search of an exhausted one.
     with pytest.raises((NotFound, Exhausted)):
-        eng.enumerate_until(lambda sig: False, max_size=8, max_candidates=10**6)
+        eng.enumerate_until(lambda sig: False)
 
 
-def test_size_stop_offers_its_construction_to_the_next_search():
+def test_size_stop_ends_the_stream_before_the_next_layer():
     # Layer 2 holds 5 retained expressions (shl1(#x00) repeats #x00), and the
-    # first construction of layer 3 is shl1(shl1(x)).  It is built and stored
-    # before the size-2 search stops, so the size-3 search finds it at the end
-    # of its re-scan.  It is still offered live to the next search that allows
-    # size 3, which therefore builds only one more construction, the one that
-    # trips its candidate budget.
+    # first construction of layer 3 would be shl1(shl1(x)).  The size-2 search
+    # stops before building it, and the stream stays ended: a second search
+    # re-scans the 8 retained expressions and stops on the size budget again
+    # without building anything.
     p = problem_of(grammar_of(["shl1", "bvnot", "bvand"], width=8), [(3, 0), (5, 0)], width=8)
-    eng = engine_for(p)
-    with pytest.raises(NotFound, match="size budget 2"):
-        eng.enumerate_until(lambda sig: False, max_size=2, max_candidates=10**6)
-    assert counters(eng) == (10, 9, 1, 9)
-    stopping = app("shl1", app("shl1", Var("x")))
-    target = signature_of(stopping, ("x",), rows_of(p), 8)
-    found = eng.enumerate_until(
-        lambda sig: sig == pack(target, 8), max_size=3, max_candidates=10**6
-    )
-    assert found.expr == stopping and found.signature == pack(target, 8)
-    assert counters(eng) == (10, 9, 1, 18)
-    # 9 re-scanned, then the stopping construction live: the 10th candidate
-    with pytest.raises(NotFound, match="candidate budget 10"):
-        eng.enumerate_until(lambda sig: False, max_size=3, max_candidates=10)
-    assert counters(eng) == (11, 10, 1, 28)
+    eng = engine_for(p, SearchLimits(max_size=2))
+    with pytest.raises(NotFound, match="^size budget 2 exhausted$"):
+        eng.enumerate_until(lambda sig: False)
+    assert counters(eng) == (9, 8, 1, 9)
+    assert not any(layer for pools in eng._pools.values() for layer in pools[3:])
+    with pytest.raises(NotFound, match="^size budget 2 exhausted$"):
+        eng.enumerate_until(lambda sig: False)
+    assert counters(eng) == (9, 8, 1, 17)
+
+
+# x | bvadd: x, then (bvadd x x) at size 3 and (bvadd x (bvadd x x)) at size 5;
+# no even size exists, and the language never runs out.  x | bvnot: x, (bvnot
+# x), then (bvnot (bvnot x)) at size 3 repeats x, so the pruned language ends
+# at size 2 and budgets from 3 on see it run out.
+SIZE_VERDICTS = [
+    ("bvadd", 1, NotFound, "size budget 1 exhausted"),
+    ("bvadd", 2, NotFound, "size budget 2 exhausted"),
+    ("bvadd", 3, NotFound, "size budget 3 exhausted"),
+    ("bvadd", 4, NotFound, "size budget 4 exhausted"),
+    ("bvnot", 1, NotFound, "size budget 1 exhausted"),
+    ("bvnot", 2, NotFound, "size budget 2 exhausted"),
+    ("bvnot", 3, Exhausted, "grammar language fully enumerated"),
+    ("bvnot", 4, Exhausted, "grammar language fully enumerated"),
+]
+
+
+@pytest.mark.parametrize(
+    "op, budget, kind, text", SIZE_VERDICTS, ids=[f"{op}-{b}" for op, b, _, _ in SIZE_VERDICTS]
+)
+def test_size_budget_verdicts_build_nothing_above_the_budget(op, budget, kind, text):
+    p = problem_of(grammar_of([op], consts=()), [(5, 5)])
+    eng = engine_for(p, SearchLimits(max_size=budget))
+    with pytest.raises(kind) as verdict:
+        eng.enumerate_until(lambda sig: False)
+    assert str(verdict.value) == text
+    # Exactly the constructions of sizes up to the budget are built.
+    wider = engine_for(p, SearchLimits(max_size=budget + 2))
+    assert eng.evaluations == sum(1 for _, size, _, _ in events(wider) if size <= budget)
+    assert all(e.size <= budget for e, _ in retained(eng, "Start"))
 
 
 def test_candidate_budgeted_searches_share_one_stream():
     # The searches target a nonterminal that has no productions, so none of
     # them re-scans anything or inspects anything: each uses its 7 candidates
-    # on the next 7 constructions and stops on building the 8th.  Until the
-    # last, stopped by the size budget, they build what one unbudgeted search
-    # builds, in the same order.
+    # on the next 7 constructions and stops on building the 8th.  The last
+    # stops on the size budget, after the 52nd construction, the last of layer
+    # 4, and before the first of layer 5.  Together they build what one search builds that only
+    # the size budget stops, in the same order.
     base = grammar_of(["shl1", "bvnot", "bvand"], width=8)
     grammar = Grammar(
         base.nonterminals + ("Never",), {**base.productions, "Never": ()}, "Start"
     )
     p = problem_of(grammar, [(3, 0), (5, 0)], width=8)
-    eng = engine_for(p)
+    eng = engine_for(p, SearchLimits(max_size=4, max_candidates=7))
     built = []
     while True:
         try:
-            eng.enumerate_until(lambda sig: False, max_size=4, max_candidates=7, nt="Never")
+            eng.enumerate_until(lambda sig: False, nt="Never")
         except NotFound as exc:
             built.append(eng.evaluations)
             if "size budget" in str(exc):
                 break
-    assert built == [8, 16, 24, 32, 40, 48, 53]
-    assert counters(eng) == (53, 27, 26, 0)
-    fresh = engine_for(p)
-    assert retained(fresh, "Start", 4) == retained(eng, "Start", 4)
-    assert counters(fresh)[:3] == counters(eng)[:3] == (53, 27, 26)
+    assert built == [8, 16, 24, 32, 40, 48, 52]
+    assert counters(eng) == (52, 26, 26, 0)
+    fresh = engine_for(p, SearchLimits(max_size=4))
+    assert retained(fresh, "Start") == retained(eng, "Start")
+    assert counters(fresh)[:3] == counters(eng)[:3] == (52, 26, 26)
 
 
 def test_exhausted_when_pruned_language_is_finite():
     # With only x and bvnot, every expression beyond size 2 repeats a
     # signature, so the pruned language is finite.
     p = problem_of(grammar_of(["bvnot"], consts=()), [(5, 5)])
-    eng = engine_for(p)
+    limits = SearchLimits(max_size=50, max_candidates=10_000)
+    eng = engine_for(p, limits)
     stream = [e for _, _, e, _ in events(eng)]
     assert stream == [Var("x"), app("bvnot", Var("x")), app("bvnot", app("bvnot", Var("x")))]
     # The double negation was constructed but not retained.
-    assert [e for e, _ in retained(eng, "Start", 50)] == stream[:2]
+    assert [e for e, _ in retained(eng, "Start")] == stream[:2]
     assert (eng.evaluations, eng.stored, eng.pruned) == (3, 2, 1)
     with pytest.raises(Exhausted):
-        eng.enumerate_until(lambda sig: False, max_size=50, max_candidates=10_000)
-    eng2 = engine_for(p)
+        eng.enumerate_until(lambda sig: False)
+    eng2 = engine_for(p, limits)
     with pytest.raises(Exhausted):
-        eng2.enumerate_until(lambda sig: False, max_size=50, max_candidates=10_000)
+        eng2.enumerate_until(lambda sig: False)
 
 
 def test_emission_sizes_are_monotone():
@@ -249,13 +274,12 @@ def test_resumed_search_preserves_minimality():
     # expression of globally minimal size, as a fresh engine would.
     grammar = grammar_of(["bvnot", "shr1", "bvand", "bvadd"], width=8)
     p = problem_of(grammar, [(3, 6), (5, 0xFA)], width=8)
-    eng = engine_for(p)
-    eng.enumerate_until(eng.example_equals(0, 6), max_size=8, max_candidates=10**6)
-    resumed = eng.enumerate_until(eng.example_equals(1, 0xFA), max_size=8, max_candidates=10**6)
-    fresh_eng = engine_for(p)
-    fresh = fresh_eng.enumerate_until(
-        fresh_eng.example_equals(1, 0xFA), max_size=8, max_candidates=10**6
-    )
+    limits = SearchLimits(max_size=8, max_candidates=10**6)
+    eng = engine_for(p, limits)
+    eng.enumerate_until(eng.example_equals(0, 6))
+    resumed = eng.enumerate_until(eng.example_equals(1, 0xFA))
+    fresh_eng = engine_for(p, limits)
+    fresh = fresh_eng.enumerate_until(fresh_eng.example_equals(1, 0xFA))
     assert resumed.expr.size == fresh.expr.size
     oracle = bruteforce.min_matching(
         grammar, ("x",), rows_of(p), 8, lambda sig: sig[1] == 0xFA, 8, exclude=frozenset({"if0"})
@@ -280,10 +304,8 @@ def test_minimality_matches_oracle_on_random_predicates():
             grammar, ("x",), rows, 8, lambda sig: sig == sig_target, 4, exclude=frozenset({"if0"})
         )
         assert oracle is not None
-        eng = engine_for(p)
-        found = eng.enumerate_until(
-            lambda s: s == pack(sig_target, 8), max_size=4, max_candidates=10**6
-        )
+        eng = engine_for(p, SearchLimits(max_size=4, max_candidates=10**6))
+        found = eng.enumerate_until(lambda s: s == pack(sig_target, 8))
         assert found.expr.size == oracle[0], sig_target
 
 
@@ -291,21 +313,22 @@ def test_exclusion_set_is_respected():
     # if0 is never enumerated, not even as a pruned candidate: the engine
     # builds exactly what it builds for the same grammar without if0.
     p = small_problem(ops=("bvnot", "bvadd"))
-    eng = engine_for(p)
-    kept = retained(eng, "Start", 5)
+    limits = SearchLimits(max_size=5)
+    eng = engine_for(p, limits)
+    kept = retained(eng, "Start")
     for expr, _ in kept:
         assert all(not (isinstance(e, App) and e.op == "if0") for e in subexpressions(expr))
     no_if0 = grammar_of(["bvnot", "bvadd"], width=8, with_if0=False)
-    plain = EnumerationState(no_if0, ("x",), rows_of(p), 8)
-    assert retained(plain, "Start", 5) == kept
+    plain = EnumerationState(no_if0, ("x",), rows_of(p), 8, limits)
+    assert retained(plain, "Start") == kept
     counters = lambda e: (e.evaluations, e.stored, e.pruned)
     assert counters(plain) == counters(eng)
 
 
 def test_stats_counters_consistent():
     p = small_problem(ops=("bvnot", "bvand", "bvadd"))
-    eng = engine_for(p)
-    retained(eng, "Start", 5)
+    eng = engine_for(p, SearchLimits(max_size=5))
+    retained(eng, "Start")
     assert eng.stored + eng.pruned == eng.evaluations
     pools = eng._pools.values()
     assert eng.stored == sum(len(layer) for layer_list in pools for layer in layer_list)
@@ -340,18 +363,16 @@ LAZY_PROBLEM, LAZY_OUTPUTS = _lazy_store_problem()
 
 
 def test_failed_search_builds_no_expression(apps_built):
-    eng = engine_for(LAZY_PROBLEM)
+    eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=6, max_candidates=10**6))
     with pytest.raises(NotFound):
-        eng.enumerate_until(lambda sig: False, max_size=6, max_candidates=10**6)
+        eng.enumerate_until(lambda sig: False)
     assert eng.evaluations > 1000
     assert apps_built[0] == 0
 
 
 def test_successful_search_builds_only_the_accepted_expression(apps_built):
-    eng = engine_for(LAZY_PROBLEM)
-    result = eng.enumerate_until(
-        lambda sig: sig == pack(LAZY_OUTPUTS, 64), max_size=8, max_candidates=10**6
-    )
+    eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=8, max_candidates=10**6))
+    result = eng.enumerate_until(lambda sig: sig == pack(LAZY_OUTPUTS, 64))
     assert result.expr.size == 7 and eng.evaluations > 4000
     assert 1 <= apps_built[0] <= result.expr.size
 
@@ -360,13 +381,13 @@ def test_each_stored_expression_is_one_tracked_object():
     # A retained expression is one tuple that carries its own signature.  With
     # the collector off, tracked objects are freed only by reference counting,
     # so what is left after the search is the store plus a few lists and frames.
-    eng = engine_for(LAZY_PROBLEM)
+    eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=6, max_candidates=10**6))
     enabled = gc.isenabled()
     gc.disable()
     try:
         before = len(gc.get_objects())
         try:
-            eng.enumerate_until(lambda sig: False, max_size=6, max_candidates=10**6)
+            eng.enumerate_until(lambda sig: False)
         except NotFound:
             pass
         grown = len(gc.get_objects()) - before
@@ -379,7 +400,8 @@ def test_each_stored_expression_is_one_tracked_object():
 
 @st.composite
 def mirror_cases(draw):
-    """A two-nonterminal grammar, its example inputs and a search sequence.
+    """A two-nonterminal grammar, its example inputs, a size budget and a
+    search sequence.
 
     Start always has a commutative operator over Start and B and a bvsub over
     Start twice, neither of which has mirrors; the commutative productions over
@@ -408,37 +430,35 @@ def mirror_cases(draw):
         st.integers(0, n - 1),
         st.integers(0, top),
         st.sampled_from(["Start", "B"]),
-        st.integers(1, 5),
     )
-    return grammar, width, rows, draw(st.lists(search, min_size=1, max_size=6))
+    max_size = draw(st.integers(1, 5))
+    return grammar, width, rows, max_size, draw(st.lists(search, min_size=1, max_size=6))
 
 
-def outcome(engine, kind, k, value, nt, max_size):
+def engine_of(cls, grammar, width, rows, max_size):
+    """An engine of ``cls`` whose searches are bounded by ``max_size`` only."""
+    return cls(grammar, ("x",), rows, width, SearchLimits(max_size, sys.maxsize))
+
+
+def outcome(engine, kind, k, value, nt):
     """The hit of one search, or the name and text of the error that ends it."""
     if kind == "equals":
         accept = engine.example_equals(k, value)
     else:
         accept = engine.separates(k, value % len(engine.rows))
     try:
-        found = engine.enumerate_until(accept, max_size=max_size, max_candidates=sys.maxsize, nt=nt)
+        found = engine.enumerate_until(accept, nt)
     except (NotFound, Exhausted) as exc:
         return type(exc).__name__, str(exc)
     return found.expr, found.signature
 
 
-def drive_to_layer(engine, max_size):
-    """Complete layer ``max_size`` with a search that accepts nothing; the name
-    of the error that ends it."""
+def drive_to_budget(engine):
+    """Build every layer up to the size budget with a search that accepts
+    nothing; the name of the error that ends it."""
     with pytest.raises((NotFound, Exhausted)) as stop:
-        engine.enumerate_until(lambda sig: False, max_size=max_size, max_candidates=sys.maxsize)
+        engine.enumerate_until(lambda sig: False)
     return stop.type.__name__
-
-
-def completed_pools(*engines):
-    """Each engine's retained pools over the layers all of them have completed:
-    every layer before the last one begun by the engine furthest behind."""
-    done = min(len(e._pools[e.grammar.start]) for e in engines) - 1
-    return [{nt: pools[:done] for nt, pools in e._pools.items()} for e in engines]
 
 
 MIRROR_GRAMMAR = Grammar(
@@ -462,39 +482,33 @@ MIRROR_GRAMMAR = Grammar(
 
 @settings(max_examples=150, deadline=None)
 @given(mirror_cases())
-# After the size-3 hit (bvadd #b011 x), the size-1 search at B resumes the
-# stream for one construction: (bvadd x x) in the skipping engine, the pruned
-# mirror (bvadd x #b011) in the other, so the partial layers 3 differ.
+# After the size-3 hit (bvadd #b011 x), the last search resumes the stream in
+# the middle of layer 3: its hit (bvadd x x) is the next construction in the
+# skipping engine, and the one after the mirror (bvadd x #b011) in the other.
 @example(
     (
         MIRROR_GRAMMAR,
         3,
         [(4,), (1,)],
-        [("equals", 0, 0, "Start", 1), ("equals", 0, 7, "Start", 3), ("equals", 0, 0, "B", 1)],
+        3,
+        [("equals", 0, 0, "Start"), ("equals", 0, 7, "Start"), ("equals", 1, 2, "Start")],
     )
 )
 def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
     # Against the stream that builds every mirror: the same hits in the same
-    # order and the same retained pools, and exactly the mirrors fewer built.
-    # A search whose size budget is below the stream's layer still builds the
-    # next construction before it stops, and that construction may be a mirror
-    # in one engine only, so after a search only completed layers are equal.
-    grammar, width, rows, searches = case
-    skipping = EnumerationState(grammar, ("x",), rows, width)
-    unskipped = UnskippedState(grammar, ("x",), rows, width)
+    # order and the same retained pools after every search, and exactly the
+    # mirrors fewer built.  A mirror repeats the signature of a construction
+    # before it, so it is never stored and never the first hit.
+    grammar, width, rows, max_size, searches = case
+    skipping = engine_of(EnumerationState, grammar, width, rows, max_size)
+    unskipped = engine_of(UnskippedState, grammar, width, rows, max_size)
     for search in searches:
         assert outcome(skipping, *search) == outcome(unskipped, *search)
-        first, second = completed_pools(skipping, unskipped)
-        assert first == second
-    # Complete layer 5: the stream stops on the next layer's first construction,
-    # which no engine skips, unless the language runs out first.
-    final = [drive_to_layer(engine, 5) for engine in (skipping, unskipped)]
+        assert skipping._pools == unskipped._pools
+    final = [drive_to_budget(engine) for engine in (skipping, unskipped)]
     assert final[0] == final[1]
     assert skipping._pools == unskipped._pools and skipping.stored == unskipped.stored
-    # A pool list has one entry per layer begun; unless the language ran out,
-    # the stream stopped on the first construction of the last layer begun.
-    last = len(skipping._pools["Start"]) - 1 - (final[0] != "Exhausted")
-    assert unskipped.evaluations - skipping.evaluations == mirror_pairs(skipping, last)
+    assert unskipped.evaluations - skipping.evaluations == mirror_pairs(skipping)
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,14 +516,14 @@ def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
 def test_every_node_carries_its_own_signature(case):
     # Index 0 of every retained node, and of every hit, is the packed signature
     # the column evaluator gives the expression the node spells.
-    grammar, width, rows, searches = case
+    grammar, width, rows, _, searches = case
     evaluated = lambda expr: pack(signature_of(expr, ("x",), rows, width), width)
-    engine = EnumerationState(grammar, ("x",), rows, width)
+    engine = engine_of(EnumerationState, grammar, width, rows, 5)
     for search in searches:
         found = outcome(engine, *search)
         if not isinstance(found[0], str):
             assert found[1] == evaluated(found[0])
-    drive_to_layer(engine, 5)
+    drive_to_budget(engine)
     nodes = [node for pools in engine._pools.values() for layer in pools for node in layer]
     assert len(nodes) == engine.stored
     assert all(node[0] == evaluated(expr_of(node)) for node in nodes)

@@ -28,6 +28,8 @@ def test_conflict_free_identity_instance():
     assert result.stats.solution_size == 1
     assert result.stats.examples == 4
     assert not contains_op(result.solution, "if0")
+    # An explicit None means the default budgets.
+    assert solve_problem(p, None).solution == Var("x")
 
 
 def test_one_expression_solve_is_one_leaf_of_every_example():

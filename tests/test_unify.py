@@ -13,7 +13,7 @@ from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
 from bvsynth.frontend import Grammar, OpRule, emit_solution
 from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
-from bvsynth.solver import SearchLimits, solve_problem, verify_solution
+from bvsynth.solver import solve_problem, verify_solution
 from bvsynth.unify import (
     Internal,
     Leaf,
@@ -45,7 +45,6 @@ from helpers import (
     rows_of,
 )
 
-LIMITS = SearchLimits()
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 # Conditions come from Cond, and both if0 branches from Term.
 START_COND_TERM = Grammar(
@@ -84,7 +83,7 @@ def assert_tree_sound(problem, tree, tmap):
 def test_map_terminals_reuses_found_expressions():
     grammar = grammar_of(["bvadd", "bvand", "bvor"])
     p = problem_of(grammar, [(5, 5), (9, 9), (3, 6)])
-    tmap = map_terminals(p, engine_for(p), LIMITS)
+    tmap = map_terminals(p, engine_for(p))
     assert assigned(tmap, 0) == Var("x")
     assert assigned(tmap, 1) == Var("x")
     assert assigned(tmap, 2) == app("bvadd", Var("x"), Var("x"))
@@ -97,21 +96,21 @@ def test_map_terminals_reuses_found_expressions():
 
 def test_map_terminals_single_example():
     p = problem_of(grammar_of(BASE_OPS), [(5, 5)])
-    tmap = map_terminals(p, engine_for(p), LIMITS)
+    tmap = map_terminals(p, engine_for(p))
     assert tmap.masks == {Var("x"): 0b1}
     assert tmap.distinct() == 1
 
 
 def test_map_terminals_conflict_free():
     p = problem_of(grammar_of(BASE_OPS), [(1, 1), (7, 7), (42, 42)])
-    tmap = map_terminals(p, engine_for(p), LIMITS)
+    tmap = map_terminals(p, engine_for(p))
     assert tmap.distinct() == 1
     assert tmap.masks[Var("x")] == 0b111
 
 
 def test_map_terminals_never_assigns_if0():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(3, 1), (12, 9), (7, 2)], width=8)
-    tmap = map_terminals(p, engine_for(p), LIMITS)
+    tmap = map_terminals(p, engine_for(p))
     for expr in tmap.masks:
         assert not contains_op(expr, "if0")
 
@@ -119,7 +118,7 @@ def test_map_terminals_never_assigns_if0():
 def test_map_terminals_unsolvable_within_budget():
     p = problem_of(grammar_of([]), [(3, 6)])  # only x, 0, 1: cannot reach 6
     with pytest.raises(UnsolvableExample) as info:
-        map_terminals(p, engine_for(p), LIMITS)
+        map_terminals(p, engine_for(p))
     assert info.value.index == 0
 
 
@@ -131,7 +130,7 @@ def test_find_condition_low_bit_discriminator():
     p = problem_of(grammar_of(BASE_OPS), [(0x0, 0), (mask, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 6)
     assert oracle is not None and oracle[0] == 3
-    expr, mask = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    expr, mask = find_condition(p, engine_for(p), 0, 1)
     assert expr == app("bvand", Var("x"), const(64, 1))
     assert mask == bits_where(bruteforce.signature_on(expr, ("x",), rows_of(p), 64), 1)
     assert mask == 0b10  # value 0 on A, 1 on B: B takes the then-branch
@@ -141,7 +140,7 @@ def test_find_condition_identity_when_one_input_is_one():
     p = problem_of(grammar_of(BASE_OPS), [(0x1, 0), (0x2, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 4)
     assert oracle is not None and oracle[0] == 1
-    expr, mask = find_condition(p, engine_for(p), 0, 1, LIMITS)
+    expr, mask = find_condition(p, engine_for(p), 0, 1)
     assert expr == Var("x")
     assert mask == 0b01  # 1 on A only (2 on B): A takes the then-branch
 
@@ -149,7 +148,7 @@ def test_find_condition_identity_when_one_input_is_one():
 def test_find_condition_ununifiable_when_language_runs_out():
     p = problem_of(grammar_of(["bvnot"], width=8, consts=()), [(5, 5), (9, 0xF6)], width=8)
     with pytest.raises(UnunifiablePair):
-        find_condition(p, engine_for(p), 0, 1, LIMITS)
+        find_condition(p, engine_for(p), 0, 1)
 
 
 def test_condition_nonterminal_is_if0_first_operand():
@@ -189,8 +188,8 @@ def test_route_single_leaf_is_empty_path():
 def test_build_tree_two_conflicting_examples():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(4, 4), (3, 0xFC)], width=8)
     engine = engine_for(p)
-    tmap = map_terminals(p, engine, LIMITS)
-    tree = build_tree(p, engine, tmap, LIMITS)
+    tmap = map_terminals(p, engine)
+    tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) == 1
     assert_tree_sound(p, tree, tmap)
     # Orientation: the then-side creation example evaluates the condition to 1.
@@ -207,7 +206,7 @@ def test_build_tree_parity_scenario():
     # example needs one more node with bvand(x, #x01).
     p = parity_problem()
     engine = engine_for(p)
-    tmap = map_terminals(p, engine, LIMITS)
+    tmap = map_terminals(p, engine)
     assert tmap.masks[Var("x")] == 0b0011
     assert tmap.masks[app("bvnot", Var("x"))] == 0b1100
 
@@ -215,7 +214,7 @@ def test_build_tree_parity_scenario():
     assert oracle_root is not None
     assert oracle_root[0] == 1 and oracle_root[1] == Var("x")
 
-    tree = build_tree(p, engine, tmap, LIMITS)
+    tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) == 2  # <= examples - 1
     assert tree.condition == Var("x")
     inner = tree.else_child
@@ -244,7 +243,7 @@ def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
         width=8,
     )
     engine = engine_for(p)
-    tmap = map_terminals(p, engine, LIMITS)
+    tmap = map_terminals(p, engine)
     assert tmap.masks[Var("x")] == 0b0011
     assert tmap.masks[app("bvnot", Var("x"))] == 0b1100
 
@@ -254,7 +253,7 @@ def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
     # ... and that condition routes example 1 away from example 0:
     assert bruteforce.value_on(second_split[1], ("x",), (0x12,), 8) == 1
 
-    tree = build_tree(p, engine, tmap, LIMITS)
+    tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) <= len(p.examples) - 1
     leaf_of_0, _ = route(p, tree, p.examples[0])
     leaf_of_1, _ = route(p, tree, p.examples[1])
@@ -265,9 +264,9 @@ def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
 def test_build_tree_one_expression_is_one_leaf_of_every_example():
     p = problem_of(grammar_of(BASE_OPS), [(5, 5), (9, 9)])
     engine = engine_for(p)
-    tmap = map_terminals(p, engine, LIMITS)
+    tmap = map_terminals(p, engine)
     assert tmap.distinct() == 1
-    assert build_tree(p, engine, tmap, LIMITS) == Leaf(Var("x"), 0b11)
+    assert build_tree(p, engine, tmap) == Leaf(Var("x"), 0b11)
 
 
 def test_an_expression_found_later_takes_every_example_it_fits():
@@ -319,7 +318,7 @@ def test_terminal_masks_and_buckets_partition_the_examples(p):
     buckets partition them, soundly and with the cover property."""
     n = len(p.examples)
     engine = engine_for(p)
-    tmap = map_terminals(p, engine, LIMITS)
+    tmap = map_terminals(p, engine)
     rows = rows_of(p)
     union = 0
     for expr, mask in tmap.masks.items():
@@ -332,7 +331,7 @@ def test_terminal_masks_and_buckets_partition_the_examples(p):
         assert missing and mask & missing & -missing, "misses the lowest example not yet held"
         union |= mask
     assert union == (1 << n) - 1
-    tree = build_tree(p, engine, tmap, LIMITS)
+    tree = build_tree(p, engine, tmap)
     buckets = [leaf.bucket for leaf in leaves(tree)]
     assert sum(b.bit_count() for b in buckets) == n
     assert reduce(or_, buckets) == (1 << n) - 1
