@@ -183,7 +183,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser, timeout: float | None) ->
     parser.add_argument("--timeout", type=seconds, default=timeout, help="wall seconds per solve")
     parser.add_argument("--max-size", type=count, default=12, help="largest expression size searched")
     parser.add_argument(
-        "--max-candidates", type=count, default=5_000_000, help="candidate budget per search"
+        "--max-candidates", type=count, default=5_000_000, help="constructions per solve"
     )
 
 

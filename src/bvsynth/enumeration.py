@@ -14,11 +14,11 @@ never enumerated: all branching comes from the decision tree.
 
 One generator is both the construction stream and the search over it:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
-sends the generator its search, which runs until it must stop (see there).
-The state owns the solve's :class:`SearchLimits`.  The size bound ends the
-stream for good at the first block of constructions above it, none of which
-is built; the candidate budget is per search, and the next search resumes
-the stream where the last one ran out.
+sends the generator its search, which yields only hits (see there).
+The state owns the solve's :class:`SearchLimits`, and every budget in them
+is per solve: the size bound, the candidate budget and the deadline each end
+the stream for good, as exhaustion does, and every later search raises the
+same end after its re-scan.
 Each construction computes its signature, is deduplicated by one set
 insertion, and builds its node only when the signature is new or the
 candidate is accepted.  A node is one tuple with its signature at index 0:
@@ -42,14 +42,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
-from .errors import Exhausted, NotFound, TimeoutExceeded
+from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
 from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators, eval_columns
 
 Packed = int  # a signature with example i's value in lane i
 Node = tuple  # (sig, leaf) for a Var/Const terminal, or (sig, op, child_node, ...)
 
-Search = tuple[Callable[[Packed], bool], str, int]  # accept, nt, candidates re-scanned
+Search = tuple[Callable[[Packed], bool], str]  # accept, nt
 Hit = tuple[int, Node]  # an accepted candidate's size and node
 _UNIT = [(0,)]  # the second operand list of a terminal or a unary block
 _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
@@ -60,7 +60,10 @@ class SearchLimits:
     # The largest expression any search may find; the enumeration ends
     # before it builds anything larger, so it bounds the whole store.
     max_size: int = 12
-    # Re-scanned plus constructed candidates per search; mirrors are never constructed.
+    # Constructions per solve, the ``evaluations`` counter; mirrors are never
+    # constructed.  The first construction past it is built and ends the
+    # enumeration, so a solve succeeds exactly when the budget is at least its
+    # unbudgeted count.  Re-scans of the pools count against the deadline only.
     max_candidates: int = 5_000_000
     # Seconds of wall clock for the whole solve.  The enumeration checks it
     # every 4,096 constructed and every 4,096 re-scanned candidates, so a
@@ -195,6 +198,7 @@ class EnumerationState:
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
         self._max_pooled = 0
+        self._end: tuple[type[SynthesisFailure], str] | None = None  # how the stream ended
         self._stream = self._search_loop()
         next(self._stream)  # sets the counters to 0 and waits for the first search
 
@@ -245,53 +249,46 @@ class EnumerationState:
         self.stored = sum(map(len, self._store.values()))  # every new signature is stored
         self.evaluations, self.inspected, self.pruned = count, inspected, count - self.stored
 
-    def _stop(self, out: Hit | str, count: int, inspected: int, nt: str):
-        """Publish the counters, yield ``out`` and return the next search as the loop keeps
-        it: ``limit`` is its last construction count, ``due`` the count at which its
-        candidate budget and the deadline are next checked."""
-        self._publish(count, inspected)
-        accept, target, used = yield out
-        limit = count + self.max_candidates - used
-        return accept, target, nt == target, limit, min(limit, count | 4095) + 1, self.inspected
-
-    def _search_loop(self) -> Generator[Hit | str, Search, None]:
-        count, max_size, end = 0, self.max_size, "exhausted"  # count: the evaluations counter
-        search = yield from self._stop("", count, 0, "")
-        accept, target, looking, limit, due, inspected = search
-        for size, nt, op, arity, fn, first, second in self._blocks():
-            if size > max_size:  # ends the stream before its first construction
-                end = "size"
-                break
-            layer, store, looking = self._pools[nt][size], self._store[nt], nt == target
-            add = store.add
-            for ea in first:
-                sa = ea[0]
-                for eb in second:
-                    sig = fn(sa, eb[0])
-                    n = len(store)
-                    add(sig)
-                    if len(store) != n:
-                        node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
-                        layer.append(node)
-                    count += 1
-                    if count >= due:
-                        if not count & 4095:
-                            self._publish(count, inspected)
+    def _search_loop(self) -> Generator[Hit | None, Search, None]:
+        """Yield each accepted candidate's hit.  Every other end of the stream is raised once,
+        with the counters published, and its type and text kept for every later search."""
+        count, inspected, max_size, budget = 0, 0, self.max_size, self.max_candidates
+        due = min(budget, 4095) + 1  # the count at which the budget and deadline are checked
+        try:
+            self._publish(count, inspected)
+            accept, target = yield None
+            for size, nt, op, arity, fn, first, second in self._blocks():
+                if size > max_size:  # ends the stream before its first construction
+                    raise NotFound(f"size budget {max_size} exhausted")
+                layer, store, looking = self._pools[nt][size], self._store[nt], nt == target
+                add = store.add
+                for ea in first:
+                    sa = ea[0]
+                    for eb in second:
+                        sig = fn(sa, eb[0])
+                        n = len(store)
+                        add(sig)
+                        if len(store) != n:
+                            node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
+                            layer.append(node)
+                        count += 1
+                        if count >= due:
+                            if count > budget:
+                                raise NotFound(f"candidate budget {budget} exhausted")
                             self._check_deadline(f"{count} evaluations")
-                        if count > limit:
-                            search = yield from self._stop("candidate", count, inspected, nt)
-                            accept, target, looking, limit, due, inspected = search
-                            continue
-                        due = min(limit, count | 4095) + 1
-                    if looking:
-                        inspected += 1
-                        if accept(sig):
-                            node = (sig, op, ea, eb)[: arity + 2] if arity else ea
-                            search = yield from self._stop((size, node), count, inspected, nt)
-                            accept, target, looking, limit, due, inspected = search
-        self._publish(count, inspected)
-        while True:
-            yield end
+                            due = min(budget, count | 4095) + 1
+                        if looking:
+                            inspected += 1
+                            if accept(sig):
+                                self._publish(count, inspected)
+                                hit = (sig, op, ea, eb)[: arity + 2] if arity else ea
+                                accept, target = yield size, hit
+                                looking, inspected = nt == target, self.inspected
+            raise Exhausted("grammar language fully enumerated")
+        except SynthesisFailure as end:  # kept as type and text: its traceback holds this state
+            self._publish(count, inspected)
+            self._end = type(end), str(end)
+            raise
 
     def _check_deadline(self, spent: str) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -301,8 +298,10 @@ class EnumerationState:
 
     def close(self) -> None:
         """End the search loop, whose frame holds this state, so the store is
-        freed without a cyclic collection; pools and counters stay."""
+        freed without a cyclic collection; pools and counters stay, and a
+        later search only re-scans them."""
         self._stream.close()
+        self._end = self._end or (SynthesisFailure, "enumeration closed")
 
     def agreement(self, sig: Packed, want: Packed) -> int:
         """Example mask: bit ``i`` is set when lane ``i`` of ``sig`` equals lane ``i`` of ``want``."""
@@ -337,31 +336,26 @@ class EnumerationState:
         therefore the minimum size of any grammar-derivable expression
         satisfying ``accept``.
 
-        Then the search is sent to the stream's generator, which yields only on an accepted
-        candidate, when the candidate budget (the re-scan plus every construction) runs out,
-        or at the first block of constructions above the size budget.  That block is not
-        built, and the stream stays ended: every later search only re-scans.  A construction's
-        node is built only if its signature is new or it is accepted.  The deadline is checked
+        Then the search is sent to the stream's generator, which yields only an accepted
+        candidate and raises every other end of the stream: the size budget, at the first
+        block of constructions above it, none of which is built; the candidate budget, on
+        building its first construction past the budget; the deadline; or exhaustion.  Every
+        later search re-scans the pools and raises the same end again.  A construction's node
+        is built only if its signature is new or it is accepted.  The deadline is checked
         every 4,096 re-scanned and every 4,096 constructed candidates.
         """
         target = nt if nt is not None else self.grammar.start
-        used = 0
+        rescanned = 0
         for layer in self._pools[target][1:]:  # no layer above the size budget is built
             for node in layer:
-                used += 1
-                if used > self.max_candidates:
-                    raise NotFound(f"candidate budget {self.max_candidates} exhausted")
-                if (used & 4095) == 0:
-                    self._check_deadline(f"{used} re-scanned candidates")
+                rescanned += 1
+                if (rescanned & 4095) == 0:
+                    self._check_deadline(f"{rescanned} re-scanned candidates")
                 self.inspected += 1
                 if accept(node[0]):
                     return SearchResult(expr_of(node), node[0])
-        stream = self._stream
-        # A closed or timed-out stream has ended like an exhausted one.
-        out = stream.send((accept, target, used)) if stream.gi_frame else "exhausted"
-        if type(out) is tuple:
-            return SearchResult(expr_of(out[1]), out[1][0])
-        if out == "exhausted":
-            raise Exhausted("grammar language fully enumerated")
-        budget = self.max_size if out == "size" else self.max_candidates
-        raise NotFound(f"{out} budget {budget} exhausted")
+        if self._end is not None:
+            kind, text = self._end
+            raise kind(text)
+        size, node = self._stream.send((accept, target))
+        return SearchResult(expr_of(node), node[0])

@@ -64,15 +64,19 @@ def engine_for(problem, limits=LIMITS) -> EnumerationState:
 def events(engine: EnumerationState) -> Iterator[tuple]:
     """The engine's construction stream at the start nonterminal: one
     (nonterminal, size, expr, packed signature) event per constructed
-    expression, pruned ones included, ending when the pruned language is
-    exhausted or the engine's size budget is reached.  It drives the
-    engine's search loop with a search that accepts every candidate, so each
-    construction comes back as a hit, ``(size, node)``; the node is expanded
-    here with ``expr_of`` and carries its signature at index 0."""
+    expression, pruned ones included, ending when the stream raises its end:
+    the pruned language is exhausted, or the engine's size or candidate budget
+    is reached.  It drives the engine's search loop with a search that accepts
+    every candidate, so each construction comes back as a hit, ``(size,
+    node)``; the node is expanded here with ``expr_of`` and carries its
+    signature at index 0."""
     start = engine.grammar.start
-    search = (lambda sig: True, start, 0)
-    while type(hit := engine._stream.send(search)) is tuple:
-        size, node = hit
+    search = (lambda sig: True, start)
+    while True:
+        try:
+            size, node = engine._stream.send(search)
+        except (NotFound, Exhausted):
+            return
         yield start, size, expr_of(node), node[0]
 
 

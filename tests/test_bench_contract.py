@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import bvsynth
+from bvsynth.errors import UnsolvableExample, UnunifiablePair
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import selftest  # noqa: E402
@@ -98,6 +99,39 @@ def test_closed_engine_keeps_counters_and_store_for_the_bench(monkeypatch):
     pooled = [node[0] for layers in engine._pools.values() for layer in layers for node in layer]
     assert len(pooled) == engine.stored > 1000
     assert spans.deep_size(engine) >= sum(map(sys.getsizeof, pooled))
+
+
+def test_a_solve_succeeds_exactly_when_its_candidate_budget_covers_it(monkeypatch):
+    # The candidate budget is per solve.  On the first enum32 canary instances
+    # whose solve takes more than one search (one per distinct terminal and one
+    # per split), a budget of the unbudgeted evaluations gives the same solution,
+    # and one less ends the solve on building the construction past it.
+    engines = []
+    for_problem = bvsynth.EnumerationState.for_problem.__func__
+
+    def capture(cls, *args, **kwargs):
+        engines.append(for_problem(cls, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(bvsynth.EnumerationState, "for_problem", classmethod(capture))
+    texts = workloads.generate(workloads.WORKLOADS["enum32"], workloads.CANARY_SEED)
+    checked = 0
+    for text in texts:
+        problem = bvsynth.parse_problem(text)
+        free = bvsynth.solve_problem(problem)
+        if free.terminal_map.distinct() + free.stats.internal_nodes < 2:
+            continue
+        needed = free.stats.evaluations
+        exact = bvsynth.solve_problem(problem, bvsynth.SearchLimits(max_candidates=needed))
+        assert exact.solution == free.solution and exact.stats.evaluations == needed
+        failures = (UnsolvableExample, UnunifiablePair)
+        with pytest.raises(failures, match=f": candidate budget {needed - 1} exhausted$"):
+            bvsynth.solve_problem(problem, bvsynth.SearchLimits(max_candidates=needed - 1))
+        assert engines[-1].evaluations == needed  # the budget plus the one that ends it
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def test_benchmark_checker_agrees_with_eval_expr():

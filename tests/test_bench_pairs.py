@@ -112,3 +112,32 @@ def test_an_unwritable_out_path_exits_2_with_one_error_line(tmp_path, capsys, wh
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "missing").exists()
+
+
+# Against solve_norm_s's bound of 0.25 in BENCHMARK.json: ten parent runs and
+# ten change runs each, and the verdict.
+BOUND_CASES = {
+    # the change's median is 30% above the parent's
+    "worse": ([1.0] * 10, [1.3] * 10, "worse"),
+    # the parent's runs span 0.8-1.2, 40% of their median, so +10% cannot be told
+    "unresolved": ([0.8, 1.2] * 5, [1.1] * 10, "unresolved"),
+    # the same spread, but every change run beats every parent run
+    "beats every parent run": ([0.8, 1.2] * 5, [0.7] * 10, "within"),
+    # +10% over tight parent runs
+    "within": ([1.0, 1.01] * 5, [1.1] * 10, "within"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_each_end_to_end_metric_gets_a_bound_verdict(tmp_path, capsys, case):
+    base, new, verdict = BOUND_CASES[case]
+    parent = write_runs(tmp_path, "p", [("enum32", s, v, 30.0) for s, v in enumerate(base)])
+    change = write_runs(tmp_path, "c", [("enum32", s, v, 30.0) for s, v in enumerate(new)])
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads(out.read_text(encoding="utf-8"))["enum32"]["metrics"]
+    assert metrics["solve_norm_s"]["bound"] == verdict
+    assert metrics["peak_rss_mb"]["bound"] == "within"
+    printed = [line for line in capsys.readouterr().out.splitlines() if "solve_norm_s" in line]
+    assert len(printed) == 1 and printed[0].endswith(f"bound {verdict}")

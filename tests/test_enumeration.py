@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bvsynth.enumeration import (
     EnumerationState, SearchLimits, expr_of, pack, signature_of, size_splits
 )
-from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded
+from bvsynth.errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from bvsynth.frontend import Grammar, OpRule
 from bvsynth.semantics import COMMUTATIVE, App, BitVecValue, Const, Var, subexpressions
 
@@ -153,8 +153,8 @@ def test_deadline_stops_the_stream_with_published_counters():
         eng.enumerate_until(lambda sig: False)
     assert eng.evaluations == eng.stored + eng.pruned == 4096
     assert eng.inspected == 4095
-    # The stream has ended; a later search fails like a search of an exhausted one.
-    with pytest.raises((NotFound, Exhausted)):
+    # The stream has ended; a later search raises the same end.
+    with pytest.raises(TimeoutExceeded, match="^wall clock expired after 4096 evaluations$"):
         eng.enumerate_until(lambda sig: False)
 
 
@@ -206,32 +206,35 @@ def test_size_budget_verdicts_build_nothing_above_the_budget(op, budget, kind, t
     assert all(e.size <= budget for e, _ in retained(eng, "Start"))
 
 
-def test_candidate_budgeted_searches_share_one_stream():
-    # The searches target a nonterminal that has no productions, so none of
-    # them re-scans anything or inspects anything: each uses its 7 candidates
-    # on the next 7 constructions and stops on building the 8th.  The last
-    # stops on the size budget, after the 52nd construction, the last of layer
-    # 4, and before the first of layer 5.  Together they build what one search builds that only
-    # the size budget stops, in the same order.
+def never_grammar() -> Grammar:
+    """``grammar_of(["shl1", "bvnot", "bvand"], width=8)`` plus a nonterminal
+    ``Never`` with no productions, whose searches re-scan and inspect nothing."""
     base = grammar_of(["shl1", "bvnot", "bvand"], width=8)
-    grammar = Grammar(
-        base.nonterminals + ("Never",), {**base.productions, "Never": ()}, "Start"
-    )
-    p = problem_of(grammar, [(3, 0), (5, 0)], width=8)
-    eng = engine_for(p, SearchLimits(max_size=4, max_candidates=7))
-    built = []
-    while True:
-        try:
+    return Grammar(base.nonterminals + ("Never",), {**base.productions, "Never": ()}, "Start")
+
+
+NEVER_PROBLEM = problem_of(never_grammar(), [(3, 0), (5, 0)], width=8)
+
+
+def test_candidate_budget_ends_the_stream_for_every_later_search():
+    # The first search builds x, #x00, #x01, shl1 of each (shl1(#x00) repeats
+    # #x00), bvnot(x) and then bvnot(#x00), the 8th construction, which is past
+    # the budget of 7 and ends the stream.  The later searches build nothing.
+    eng = engine_for(NEVER_PROBLEM, SearchLimits(max_size=4, max_candidates=7))
+    for _ in range(3):
+        with pytest.raises(NotFound, match="^candidate budget 7 exhausted$"):
             eng.enumerate_until(lambda sig: False, nt="Never")
-        except NotFound as exc:
-            built.append(eng.evaluations)
-            if "size budget" in str(exc):
-                break
-    assert built == [8, 16, 24, 32, 40, 48, 52]
-    assert counters(eng) == (52, 26, 26, 0)
-    fresh = engine_for(p, SearchLimits(max_size=4))
-    assert retained(fresh, "Start") == retained(eng, "Start")
-    assert counters(fresh)[:3] == counters(eng)[:3] == (52, 26, 26)
+        assert counters(eng) == (8, 7, 1, 0)
+
+
+def test_a_search_after_close_raises_on_a_stream_that_never_ended():
+    eng = engine_for(small_problem())
+    eng.enumerate_until(lambda sig: True)
+    eng.close()
+    assert eng.enumerate_until(lambda sig: True).expr == Var("x")  # the re-scan still answers
+    with pytest.raises(SynthesisFailure, match="^enumeration closed$"):
+        eng.enumerate_until(lambda sig: False)
+    assert counters(eng) == (1, 1, 0, 3)
 
 
 def test_exhausted_when_pruned_language_is_finite():
@@ -360,6 +363,44 @@ def _lazy_store_problem():
 
 # Built before any test counts App constructions.
 LAZY_PROBLEM, LAZY_OUTPUTS = _lazy_store_problem()
+
+
+# Each end of the stream: a problem, its budgets, and the type and text the end
+# raises.  LAZY_PROBLEM's expired deadline is seen at the 4,096th construction.
+STREAM_ENDS = {
+    "size": (NEVER_PROBLEM, SearchLimits(max_size=2), NotFound, "size budget 2 exhausted"),
+    "candidate": (
+        NEVER_PROBLEM, SearchLimits(max_size=4, max_candidates=7),
+        NotFound, "candidate budget 7 exhausted",
+    ),
+    "exhaustion": (
+        problem_of(grammar_of(["bvnot"], consts=()), [(5, 5)]), SearchLimits(),
+        Exhausted, "grammar language fully enumerated",
+    ),
+    "deadline": (
+        LAZY_PROBLEM, SearchLimits(max_size=8, timeout=0.0),
+        TimeoutExceeded, "wall clock expired after 4096 evaluations",
+    ),
+}
+
+
+@pytest.mark.parametrize("end", sorted(STREAM_ENDS))
+def test_every_end_of_the_stream_is_raised_again_by_every_later_search(end):
+    problem, limits, kind, text = STREAM_ENDS[end]
+    eng = engine_for(problem, limits)
+    with pytest.raises(kind, match=f"^{text}$"):
+        eng.enumerate_until(lambda sig: False)
+    # A later search only re-scans the pools, then raises the same end.
+    *built, inspected = counters(eng)
+    rescanned = sum(map(len, eng._pools["Start"]))
+    with pytest.raises(kind, match=f"^{text}$"):
+        eng.enumerate_until(lambda sig: False)
+    assert counters(eng) == (*built, inspected + rescanned)
+    # Closing keeps the end, so a search after close() raises it too.
+    eng.close()
+    with pytest.raises(kind, match=f"^{text}$"):
+        eng.enumerate_until(lambda sig: False)
+    assert counters(eng) == (*built, inspected + 2 * rescanned)
 
 
 def test_failed_search_builds_no_expression(apps_built):

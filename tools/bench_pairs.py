@@ -15,7 +15,10 @@ its solutions held.  Each side's pass counts are listed in pair order, since
 ``peak_rss_mb`` grows with the number of passes a run makes.  A gain is
 ``claimable`` only over at least ten pairs, when the change wins at least
 nine in ten and the medians differ by more than the parent's interquartile
-range.
+range.  Each end-to-end metric also gets a ``bound`` verdict against its
+``bound`` in ``BENCHMARK.json`` (see ``bound_verdict``): ``worse``,
+``unresolved`` when the parent's own runs spread too widely to tell, or
+``within``.
 
 Standard library only, so it runs on any checkout without the package.
 """
@@ -59,12 +62,28 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def directions() -> dict[str, str]:
+def metric_specs() -> dict[str, dict]:
+    """Every metric of ``BENCHMARK.json`` by name: its ``better`` direction and,
+    for an end-to-end metric, its ``bound``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def bound_verdict(base: list[float], new: list[float], sign: int, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median; else ``unresolved`` when the parent's
+    runs span more than that and not every change run beats every parent run;
+    else ``within``.  ``sign`` is 1 when lower is better and -1 when higher is."""
+    parent = statistics.median(base)
+    if sign * (statistics.median(new) - parent) > bound * abs(parent):
+        return "worse"
+    beats_all = max(sign * v for v in new) < min(sign * v for v in base)
+    if max(base) - min(base) > bound * abs(parent) and not beats_all:
+        return "unresolved"
+    return "within"
+
+
+def summarise(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> dict:
     sides: dict[tuple, dict[str, list[dict]]] = defaultdict(lambda: {"parent": [], "change": []})
     for side, runs in (("parent", parent), ("change", change)):
         for run in runs:
@@ -95,19 +114,22 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         for name in pairs[0][0]["metrics"]:
             base = [p["metrics"][name] for p, _ in pairs]
             new = [c["metrics"][name] for _, c in pairs]
+            spec = specs.get(name, {})
             metric = {
                 "unit": pairs[0][0]["units"][name],
-                "better": better.get(name),
+                "better": spec.get("better"),
                 "parent": spread(base),
                 "change": spread(new),
             }
-            sign = {"lower": 1, "higher": -1}.get(better.get(name))
+            sign = {"lower": 1, "higher": -1}.get(spec.get("better"))
             if sign is not None:
                 wins = sum(sign * (b - n) > 0 for b, n in zip(base, new))
                 gain = sign * (metric["parent"]["median"] - metric["change"]["median"])
                 metric["change_wins"] = f"{wins}/{len(pairs)}"
                 enough = len(pairs) >= 10 and wins * 10 >= 9 * len(pairs)
                 metric["claimable"] = enough and gain > metric["parent"]["iqr"]
+                if "bound" in spec:
+                    metric["bound"] = bound_verdict(base, new, sign, spec["bound"])
             entry["metrics"][name] = metric
     return out
 
@@ -136,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parent = [read_run(p) for p in args.parent]
         change = [read_run(p) for p in args.change]
-        summary = summarise(parent, change, directions())
+        summary = summarise(parent, change, metric_specs())
         args.out.write_text(render(summary), encoding="utf-8")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -149,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, m in entry["metrics"].items():
             wins = m.get("change_wins", "-")
             print(f"  {name:<28} {m['parent']['median']:12.4f} -> {m['change']['median']:12.4f} "
-                  f"{m['unit']:<5} wins {wins}")
+                  f"{m['unit']:<5} wins {wins}{'  bound ' + m['bound'] if 'bound' in m else ''}")
     return 0
 
 
