@@ -177,14 +177,15 @@ def _budget(convert, ok):
     return budget
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser, timeout: float | None) -> None:
+def _add_budget_flags(parser: argparse.ArgumentParser, defaults: SearchLimits) -> None:
     count = _budget(int, lambda n: n >= 0)
     seconds = _budget(float, lambda t: 0 < t < float("inf"))  # neither nan nor inf
-    parser.add_argument("--timeout", type=seconds, default=timeout, help="wall seconds per solve")
-    parser.add_argument("--max-size", type=count, default=12, help="largest expression size searched")
-    parser.add_argument(
-        "--max-candidates", type=count, default=5_000_000, help="constructions per solve"
-    )
+    for flag, kind, default, text in (
+        ("--timeout", seconds, defaults.timeout, "wall seconds per solve"),
+        ("--max-size", count, defaults.max_size, "largest expression size searched"),
+        ("--max-candidates", count, defaults.max_candidates, "constructions per solve"),
+    ):
+        parser.add_argument(flag, type=kind, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one SyGuS problem file")
     solve.add_argument("file")
-    _add_budget_flags(solve, timeout=None)
+    _add_budget_flags(solve, SearchLimits())
     solve.add_argument("--stats", action="store_true", help="print run statistics to stderr")
     solve.set_defaults(func=cmd_solve)
 
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="solve every .sl file in a directory")
     bench.add_argument("dir")
-    _add_budget_flags(bench, timeout=60.0)  # one instance cannot stall a corpus run
+    _add_budget_flags(bench, SearchLimits(timeout=60.0))  # one instance cannot stall a corpus run
     bench.add_argument("--csv", default=None, help="also write results as CSV")
     bench.add_argument("--solutions", default=None, help="write each solution next to its name")
     bench.set_defaults(func=cmd_bench)

@@ -7,10 +7,10 @@ bits ``[i*width, (i+1)*width)``, and every operator acts on all lanes at once
 knows the lane layout: searches take their acceptance predicates from the
 state, and :meth:`EnumerationState.agreement` turns a hit's signature into an
 *example mask*, an int whose bit ``i`` stands for example ``i``.  Per
-nonterminal, only the first expression seen with a given signature is kept
-as a reusable subexpression; later duplicates are still emitted as top-level
-candidates but never composed into anything larger.  The if0 production is
-never enumerated: all branching comes from the decision tree.
+nonterminal, only the first expression seen with a given signature is
+stored; a later duplicate is pruned: counted, but never offered to a search
+and never composed into anything larger.  The if0 production is never
+enumerated: all branching comes from the decision tree.
 
 One generator is both the construction stream and the search over it:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
@@ -19,12 +19,12 @@ The state owns the solve's :class:`SearchLimits`, and every budget in them
 is per solve: the size bound, the candidate budget and the deadline each end
 the stream for good, as exhaustion does, and every later search raises the
 same end after its re-scan.
-Each construction computes its signature, is deduplicated by one set
-insertion, and builds its node only when the signature is new or the
-candidate is accepted.  A node is one tuple with its signature at index 0:
-``(sig, leaf)`` for a ``Var``/``Const`` terminal, ``(sig, op, child_node,
-...)`` over retained children.  :func:`expr_of` builds the ``App`` tree
-only for an accepted candidate.
+Each construction computes its signature and is deduplicated by one set
+insertion; only a new signature builds its node, which is stored and then
+tested by a search at its nonterminal, so a hit is the node just stored.  A
+node is one tuple with its signature at index 0: ``(sig, leaf)`` for a
+``Var``/``Const`` terminal, ``(sig, op, child_node, ...)`` over retained
+children.  :func:`expr_of` builds the ``App`` tree only for a hit.
 
 Candidate order is fully deterministic: sizes ascend; within one size,
 nonterminals and productions follow grammar declaration order, operand
@@ -50,7 +50,6 @@ Packed = int  # a signature with example i's value in lane i
 Node = tuple  # (sig, leaf) for a Var/Const terminal, or (sig, op, child_node, ...)
 
 Search = tuple[Callable[[Packed], bool], str]  # accept, nt
-Hit = tuple[int, Node]  # an accepted candidate's size and node
 _UNIT = [(0,)]  # the second operand list of a terminal or a unary block
 _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
 
@@ -249,8 +248,8 @@ class EnumerationState:
         self.stored = sum(map(len, self._store.values()))  # every new signature is stored
         self.evaluations, self.inspected, self.pruned = count, inspected, count - self.stored
 
-    def _search_loop(self) -> Generator[Hit | None, Search, None]:
-        """Yield each accepted candidate's hit.  Every other end of the stream is raised once,
+    def _search_loop(self) -> Generator[Node | None, Search, None]:
+        """Yield each accepted node, just stored.  Every other end of the stream is raised once,
         with the counters published, and its type and text kept for every later search."""
         count, inspected, max_size, budget = 0, 0, self.max_size, self.max_candidates
         due = min(budget, 4095) + 1  # the count at which the budget and deadline are checked
@@ -268,7 +267,7 @@ class EnumerationState:
                         sig = fn(sa, eb[0])
                         n = len(store)
                         add(sig)
-                        if len(store) != n:
+                        if new := len(store) != n:
                             node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
                             layer.append(node)
                         count += 1
@@ -277,12 +276,11 @@ class EnumerationState:
                                 raise NotFound(f"candidate budget {budget} exhausted")
                             self._check_deadline(f"{count} evaluations")
                             due = min(budget, count | 4095) + 1
-                        if looking:
+                        if new and looking:
                             inspected += 1
                             if accept(sig):
                                 self._publish(count, inspected)
-                                hit = (sig, op, ea, eb)[: arity + 2] if arity else ea
-                                accept, target = yield size, hit
+                                accept, target = yield node
                                 looking, inspected = nt == target, self.inspected
             raise Exhausted("grammar language fully enumerated")
         except SynthesisFailure as end:  # kept as type and text: its traceback holds this state
@@ -336,13 +334,13 @@ class EnumerationState:
         therefore the minimum size of any grammar-derivable expression
         satisfying ``accept``.
 
-        Then the search is sent to the stream's generator, which yields only an accepted
-        candidate and raises every other end of the stream: the size budget, at the first
-        block of constructions above it, none of which is built; the candidate budget, on
-        building its first construction past the budget; the deadline; or exhaustion.  Every
-        later search re-scans the pools and raises the same end again.  A construction's node
-        is built only if its signature is new or it is accepted.  The deadline is checked
-        every 4,096 re-scanned and every 4,096 constructed candidates.
+        Then the search is sent to the stream's generator, which yields only an accepted node
+        and raises every other end of the stream: the size budget, at the first block of
+        constructions above it, none of which is built; the candidate budget, on building its
+        first construction past the budget; the deadline; or exhaustion.  Every later search
+        re-scans the pools and raises the same end again.  So a search tests each signature
+        stored at its nonterminal once, in pool order, and never a pruned construction.  The
+        deadline is checked every 4,096 re-scanned and every 4,096 constructed candidates.
         """
         target = nt if nt is not None else self.grammar.start
         rescanned = 0
@@ -357,5 +355,5 @@ class EnumerationState:
         if self._end is not None:
             kind, text = self._end
             raise kind(text)
-        size, node = self._stream.send((accept, target))
+        node = self._stream.send((accept, target))
         return SearchResult(expr_of(node), node[0])

@@ -14,7 +14,7 @@ from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_termi
 
 @dataclass
 class RunStats:
-    candidates: int  # candidates inspected by acceptance predicates
+    candidates: int  # stored candidates tested by searches, once per search; never a pruned one
     signatures_stored: int
     pruned_duplicates: int
     evaluations: int  # constructed subexpressions; stored + pruned

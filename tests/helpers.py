@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from bvsynth.enumeration import (
-    _UNIT, _first, EnumerationState, SearchLimits, expr_of, size_splits, unpack
+    _UNIT, _first, EnumerationState, SearchLimits, SearchResult, expr_of, size_splits, unpack
 )
 from bvsynth.errors import Exhausted, NotFound
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
@@ -61,23 +61,22 @@ def engine_for(problem, limits=LIMITS) -> EnumerationState:
     return EnumerationState.for_problem(problem, limits)
 
 
-def events(engine: EnumerationState) -> Iterator[tuple]:
-    """The engine's construction stream at the start nonterminal: one
-    (nonterminal, size, expr, packed signature) event per constructed
-    expression, pruned ones included, ending when the stream raises its end:
-    the pruned language is exhausted, or the engine's size or candidate budget
-    is reached.  It drives the engine's search loop with a search that accepts
-    every candidate, so each construction comes back as a hit, ``(size,
-    node)``; the node is expanded here with ``expr_of`` and carries its
-    signature at index 0."""
-    start = engine.grammar.start
-    search = (lambda sig: True, start)
+def events(engine: EnumerationState) -> Iterator[SearchResult]:
+    """The engine's retained expressions at the start nonterminal in stream
+    order, one search result each, ending when the stream raises its end: the
+    pruned language is exhausted, or the engine's size or candidate budget is
+    reached.  Each comes from a search that accepts only a signature no earlier
+    one returned; a search tests each stored signature once, in pool order, so
+    it returns the next one stored.  Pruned constructions show only in the
+    engine's counters."""
+    returned: set[int] = set()
     while True:
         try:
-            size, node = engine._stream.send(search)
+            found = engine.enumerate_until(lambda sig: sig not in returned)
         except (NotFound, Exhausted):
             return
-        yield start, size, expr_of(node), node[0]
+        returned.add(found.signature)
+        yield found
 
 
 def retained(engine: EnumerationState, nt: str) -> list[tuple[Expr, tuple[int, ...]]]:

@@ -152,7 +152,7 @@ def test_workload_generation_matches_pinned_fingerprint(name):
 # keeps this hash.  A change that alters solutions or counters on purpose
 # says which and why, and re-pins it.
 IDENTITY_SLICE = {"enum32": 300, "wide200": 60}
-IDENTITY_SHA256 = "6fa574ca550c9f47189ed689d2bcfcb05de77d0278f62ef5ab95c290bedda223"
+IDENTITY_SHA256 = "ae907b59f80b3787b95c7cfc58333c932d792237dc576232aa3de63f8e4ad01e"
 
 
 def test_solutions_and_counters_match_pinned_identity():
@@ -174,7 +174,7 @@ def test_solutions_and_counters_match_pinned_identity():
 # solve's error text and its engine's counters (built, stored, pruned,
 # inspected), hashed together.  IDENTITY_SHA256 covers only solves that
 # succeed; this covers the path that builds the whole store and gives up.
-VERDICT_SHA256 = "a27dcf1bc0f9fcac01ae0daa0eed90b5c080a507cc3c54354995eab3b2a40140"
+VERDICT_SHA256 = "0ad374b311bb6f192eb6e53d34947aab00921b87f74880eb826f60e545fb18a9"
 
 
 def test_budget_verdicts_and_counters_match_pinned_identity(monkeypatch):

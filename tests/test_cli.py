@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bvsynth.cli import build_parser, main
+from bvsynth.cli import _limits, build_parser, main
 from bvsynth.corpus import CorpusSpec, generate_corpus
+from bvsynth.enumeration import SearchLimits
 from bvsynth.frontend import parse_problem, parse_solution
 from bvsynth.semantics import eval_expr
 
@@ -211,6 +212,9 @@ def test_only_bench_has_a_default_timeout():
     assert parser.parse_args(["solve", "problem.sl"]).timeout is None
     assert parser.parse_args(["bench", "corpus"]).timeout == 60.0
     assert parser.parse_args(["bench", "corpus", "--timeout", "2.5"]).timeout == 2.5
+    # Every other default is the library's own.
+    assert _limits(parser.parse_args(["solve", "problem.sl"])) == SearchLimits()
+    assert _limits(parser.parse_args(["bench", "corpus"])) == SearchLimits(timeout=60.0)
 
 
 def test_bench_timeout_makes_a_budget_row_and_the_run_goes_on(tmp_path, capsys):

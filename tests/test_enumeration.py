@@ -53,13 +53,13 @@ def small_problem(pairs=((0x0, 0x0), (0xF, 0xF)), ops=("bvnot", "bvand"), width=
 def test_first_candidates_are_terminals_in_production_order():
     p = small_problem()
     eng = engine_for(p)
-    first_three = [e for _, _, e, _ in islice(events(eng), 3)]
+    first_three = [found.expr for found in islice(events(eng), 3)]
     assert first_three == [Var("x"), const(8, 0), const(8, 1)]
 
 
 def test_indistinguishable_expr_never_composed():
-    # bvand(#x0, x) evaluates like #x0 everywhere, so it may appear as a
-    # top-level candidate but never inside a retained subexpression.
+    # bvand(#x0, x) evaluates like #x0 everywhere, so it is pruned: never
+    # stored, never offered to a search and never inside a retained subexpression.
     p = small_problem()
     eng = engine_for(p, SearchLimits(max_size=4))
     dead = App("bvand", (const(8, 0), Var("x")))
@@ -146,13 +146,14 @@ def counters(eng):
 
 def test_deadline_stops_the_stream_with_published_counters():
     # An expired deadline is seen at the 4,096th construction, which is
-    # stored or pruned like any other but not inspected.
+    # stored or pruned like any other but not inspected; of those before it,
+    # only the stored ones were.
     eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=8, max_candidates=10**6))
     eng.deadline = time.monotonic() - 1.0
     with pytest.raises(TimeoutExceeded, match="after 4096 evaluations"):
         eng.enumerate_until(lambda sig: False)
     assert eng.evaluations == eng.stored + eng.pruned == 4096
-    assert eng.inspected == 4095
+    assert eng.inspected == 2015
     # The stream has ended; a later search raises the same end.
     with pytest.raises(TimeoutExceeded, match="^wall clock expired after 4096 evaluations$"):
         eng.enumerate_until(lambda sig: False)
@@ -161,48 +162,49 @@ def test_deadline_stops_the_stream_with_published_counters():
 def test_size_stop_ends_the_stream_before_the_next_layer():
     # Layer 2 holds 5 retained expressions (shl1(#x00) repeats #x00), and the
     # first construction of layer 3 would be shl1(shl1(x)).  The size-2 search
-    # stops before building it, and the stream stays ended: a second search
-    # re-scans the 8 retained expressions and stops on the size budget again
-    # without building anything.
+    # stops before building it, having inspected the 8 retained expressions
+    # and not the pruned one, and the stream stays ended: a second search
+    # re-scans the 8 and stops on the size budget again without building anything.
     p = problem_of(grammar_of(["shl1", "bvnot", "bvand"], width=8), [(3, 0), (5, 0)], width=8)
     eng = engine_for(p, SearchLimits(max_size=2))
     with pytest.raises(NotFound, match="^size budget 2 exhausted$"):
         eng.enumerate_until(lambda sig: False)
-    assert counters(eng) == (9, 8, 1, 9)
+    assert counters(eng) == (9, 8, 1, 8)
     assert not any(layer for pools in eng._pools.values() for layer in pools[3:])
     with pytest.raises(NotFound, match="^size budget 2 exhausted$"):
         eng.enumerate_until(lambda sig: False)
-    assert counters(eng) == (9, 8, 1, 17)
+    assert counters(eng) == (9, 8, 1, 16)
 
 
 # x | bvadd: x, then (bvadd x x) at size 3 and (bvadd x (bvadd x x)) at size 5;
 # no even size exists, and the language never runs out.  x | bvnot: x, (bvnot
 # x), then (bvnot (bvnot x)) at size 3 repeats x, so the pruned language ends
-# at size 2 and budgets from 3 on see it run out.
+# at size 2 and budgets from 3 on see it run out.  The last column counts the
+# constructions of sizes up to the budget, the pruned double negation included.
 SIZE_VERDICTS = [
-    ("bvadd", 1, NotFound, "size budget 1 exhausted"),
-    ("bvadd", 2, NotFound, "size budget 2 exhausted"),
-    ("bvadd", 3, NotFound, "size budget 3 exhausted"),
-    ("bvadd", 4, NotFound, "size budget 4 exhausted"),
-    ("bvnot", 1, NotFound, "size budget 1 exhausted"),
-    ("bvnot", 2, NotFound, "size budget 2 exhausted"),
-    ("bvnot", 3, Exhausted, "grammar language fully enumerated"),
-    ("bvnot", 4, Exhausted, "grammar language fully enumerated"),
+    ("bvadd", 1, NotFound, "size budget 1 exhausted", 1),
+    ("bvadd", 2, NotFound, "size budget 2 exhausted", 1),
+    ("bvadd", 3, NotFound, "size budget 3 exhausted", 2),
+    ("bvadd", 4, NotFound, "size budget 4 exhausted", 2),
+    ("bvnot", 1, NotFound, "size budget 1 exhausted", 1),
+    ("bvnot", 2, NotFound, "size budget 2 exhausted", 2),
+    ("bvnot", 3, Exhausted, "grammar language fully enumerated", 3),
+    ("bvnot", 4, Exhausted, "grammar language fully enumerated", 3),
 ]
 
 
 @pytest.mark.parametrize(
-    "op, budget, kind, text", SIZE_VERDICTS, ids=[f"{op}-{b}" for op, b, _, _ in SIZE_VERDICTS]
+    "op, budget, kind, text, built", SIZE_VERDICTS,
+    ids=[f"{op}-{b}" for op, b, *_ in SIZE_VERDICTS],
 )
-def test_size_budget_verdicts_build_nothing_above_the_budget(op, budget, kind, text):
+def test_size_budget_verdicts_build_nothing_above_the_budget(op, budget, kind, text, built):
     p = problem_of(grammar_of([op], consts=()), [(5, 5)])
     eng = engine_for(p, SearchLimits(max_size=budget))
     with pytest.raises(kind) as verdict:
         eng.enumerate_until(lambda sig: False)
     assert str(verdict.value) == text
     # Exactly the constructions of sizes up to the budget are built.
-    wider = engine_for(p, SearchLimits(max_size=budget + 2))
-    assert eng.evaluations == sum(1 for _, size, _, _ in events(wider) if size <= budget)
+    assert eng.evaluations == built
     assert all(e.size <= budget for e, _ in retained(eng, "Start"))
 
 
@@ -243,10 +245,10 @@ def test_exhausted_when_pruned_language_is_finite():
     p = problem_of(grammar_of(["bvnot"], consts=()), [(5, 5)])
     limits = SearchLimits(max_size=50, max_candidates=10_000)
     eng = engine_for(p, limits)
-    stream = [e for _, _, e, _ in events(eng)]
-    assert stream == [Var("x"), app("bvnot", Var("x")), app("bvnot", app("bvnot", Var("x")))]
-    # The double negation was constructed but not retained.
-    assert [e for e, _ in retained(eng, "Start")] == stream[:2]
+    stream = [found.expr for found in events(eng)]
+    assert stream == [Var("x"), app("bvnot", Var("x"))]
+    assert [e for e, _ in retained(eng, "Start")] == stream
+    # The double negation was constructed and pruned.
     assert (eng.evaluations, eng.stored, eng.pruned) == (3, 2, 1)
     with pytest.raises(Exhausted):
         eng.enumerate_until(lambda sig: False)
@@ -258,9 +260,7 @@ def test_exhausted_when_pruned_language_is_finite():
 def test_emission_sizes_are_monotone():
     p = small_problem(ops=("bvnot", "shr1", "bvand", "bvadd"))
     eng = engine_for(p)
-    stream = list(islice(events(eng), 300))
-    assert all(e.size == size for _, size, e, _ in stream)
-    sizes = [size for _, size, _, _ in stream]
+    sizes = [found.expr.size for found in islice(events(eng), 300)]
     assert sizes == sorted(sizes)
 
 
@@ -403,6 +403,21 @@ def test_every_end_of_the_stream_is_raised_again_by_every_later_search(end):
     assert counters(eng) == (*built, inspected + 2 * rescanned)
 
 
+def test_a_search_tests_each_stored_signature_once():
+    # A pruned construction repeats a signature the search has already tested,
+    # by the re-scan or by the stream, so it is never offered again: a search
+    # that fails tests exactly the nodes of its pool, in pool order, whether
+    # it resumes the stream in the middle of a layer or only re-scans.
+    eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=6, max_candidates=10**6))
+    eng.enumerate_until(eng.example_equals(2, 0xDEADBEEFC7 << 1))
+    for _ in range(2):
+        tested = []
+        with pytest.raises(NotFound, match="^size budget 6 exhausted$"):
+            eng.enumerate_until(lambda sig: tested.append(sig))  # None: rejects every one
+        assert tested == [node[0] for layer in eng._pools["Start"] for node in layer]
+    assert eng.pruned > eng.stored > 1000
+
+
 def test_failed_search_builds_no_expression(apps_built):
     eng = engine_for(LAZY_PROBLEM, SearchLimits(max_size=6, max_candidates=10**6))
     with pytest.raises(NotFound):
@@ -481,14 +496,17 @@ def engine_of(cls, grammar, width, rows, max_size):
     return cls(grammar, ("x",), rows, width, SearchLimits(max_size, sys.maxsize))
 
 
+def predicate(engine, kind, k, value):
+    """The acceptance predicate one drawn search names."""
+    if kind == "equals":
+        return engine.example_equals(k, value)
+    return engine.separates(k, value % len(engine.rows))
+
+
 def outcome(engine, kind, k, value, nt):
     """The hit of one search, or the name and text of the error that ends it."""
-    if kind == "equals":
-        accept = engine.example_equals(k, value)
-    else:
-        accept = engine.separates(k, value % len(engine.rows))
     try:
-        found = engine.enumerate_until(accept, nt)
+        found = engine.enumerate_until(predicate(engine, kind, k, value), nt)
     except (NotFound, Exhausted) as exc:
         return type(exc).__name__, str(exc)
     return found.expr, found.signature
@@ -552,6 +570,57 @@ def test_skipping_mirrors_keeps_every_hit_pool_and_store(case):
     assert unskipped.evaluations - skipping.evaluations == mirror_pairs(skipping)
 
 
+# Start: x, #b00, (bvadd Start B), (bvsub Start Start); B: #b01, x, (shl1 B).
+FIRST_HIT_GRAMMAR = Grammar(
+    ("Start", "B"),
+    {
+        "Start": (
+            Var("x"),
+            const(2, 0),
+            OpRule("bvadd", ("Start", "B")),
+            OpRule("bvsub", ("Start", "Start")),
+            OpRule("if0", ("Start",) * 3),
+        ),
+        "B": (const(2, 1), Var("x"), OpRule("shl1", ("B",))),
+    },
+    "Start",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirror_cases())
+# The B search stops on (shl1 #b01), the first of the size-2 shl1 block.  The
+# Start search re-scans x and #b00, then resumes that B block: its next node,
+# (shl1 x), fits the Start predicate but is not a Start node, and Start has
+# nothing of size 2, so the search ends on the size budget.
+@example(
+    (
+        FIRST_HIT_GRAMMAR,
+        2,
+        [(1,), (0,)],
+        2,
+        [("equals", 0, 2, "B"), ("equals", 0, 2, "Start")],
+    )
+)
+def test_each_search_finds_the_first_stored_node_that_fits(case):
+    # On a shared stream, each search's hit is the first node, in pool order,
+    # of the same nonterminal's complete store that its predicate accepts; a
+    # search fails exactly when no such node exists.
+    grammar, width, rows, max_size, searches = case
+    shared = engine_of(EnumerationState, grammar, width, rows, max_size)
+    complete = engine_of(EnumerationState, grammar, width, rows, max_size)
+    drive_to_budget(complete)
+    for kind, k, value, nt in searches:
+        accept = predicate(complete, kind, k, value)
+        pool = (node for layer in complete._pools[nt] for node in layer)
+        first = next((node for node in pool if accept(node[0])), None)
+        found = outcome(shared, kind, k, value, nt)
+        if first is None:
+            assert found[0] in ("NotFound", "Exhausted")
+        else:
+            assert found == (expr_of(first), first[0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(mirror_cases())
 def test_every_node_carries_its_own_signature(case):
@@ -568,6 +637,3 @@ def test_every_node_carries_its_own_signature(case):
     nodes = [node for pools in engine._pools.values() for layer in pools for node in layer]
     assert len(nodes) == engine.stored
     assert all(node[0] == evaluated(expr_of(node)) for node in nodes)
-    # A search that accepts everything gets every construction as a hit.
-    hits = islice(events(EnumerationState(grammar, ("x",), rows, width)), 500)
-    assert all(sig == evaluated(expr) for _, _, expr, sig in hits)
