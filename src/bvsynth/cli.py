@@ -7,13 +7,11 @@ unsolvable within the grammar, 2 parse or shape error.
 from __future__ import annotations
 
 import argparse
-import csv
-import statistics
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import CorpusSpec, GRAMMAR_TEMPLATES, generate_corpus
 from .errors import BvSynthError, ProblemFormatError, SynthesisFailure
@@ -76,8 +74,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class BenchRow:
+class BenchRow(NamedTuple):
     file: str
     status: str
     millis: int
@@ -128,6 +125,7 @@ def bench_directory(
 
 
 def _print_table(rows: list[BenchRow]) -> None:
+    import statistics  # loaded by bench only, not by solve
     widths = [max([len(c)] + [len(r.cells()[i]) for r in rows]) for i, c in enumerate(CSV_COLUMNS)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*CSV_COLUMNS))
@@ -149,6 +147,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: not a directory: {directory}", file=sys.stderr)
         return 2
+    import csv  # loaded by bench only, not by solve
     solutions_dir = Path(args.solutions) if args.solutions else None
     try:
         # opened before the first solve, so an unwritable path fails at once

@@ -9,13 +9,13 @@ construction.  The same spec always produces byte-identical files.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .enumeration import signature_of, size_splits
 from .frontend import Grammar, OpRule, Production
 from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPERATORS, Var
-from .semantics import expr_to_sexpr
+from .semantics import expr_to_sexpr, literal_format
 
 
 # The operators of each grammar template, in production order.
@@ -36,8 +36,7 @@ def template_grammar(name: str, width: int) -> Grammar:
     return Grammar(("Start",), {"Start": tuple(prods)}, "Start")
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     count: int
     size_min: int
     size_max: int
@@ -139,10 +138,9 @@ def render_instance(
         render_grammar_block(grammar, w),
         ")",
     ]
-    for value, output in pairs:
-        in_lit = BitVecValue(w, value).literal()
-        out_lit = BitVecValue(w, output).literal()
-        lines.append(f"(constraint (= (f {in_lit}) {out_lit}))")
+    # both literals of a constraint take the width's literal format
+    constraint = "(constraint (= (f {0}) {0}))".format(literal_format(w))
+    lines += [constraint.format(value, output) for value, output in pairs]
     lines.append("(check-synth)")
     return "\n".join(lines) + "\n"
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
@@ -54,8 +53,7 @@ _UNIT = [(0,)]  # the second operand list of a terminal or a unary block
 _first = operator.or_  # a terminal's signature: its own, or'ed with _UNIT's 0
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     # The largest expression any search may find; the enumeration ends
     # before it builds anything larger, so it bounds the whole store.
     max_size: int = 12

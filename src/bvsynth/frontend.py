@@ -15,7 +15,6 @@ column, found then by reading the text again in step with the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Union
 
 from .errors import (
@@ -158,8 +157,7 @@ def parse_literal(parent: list, index: int, width: int) -> int | None:
 # Problem model
 
 
-@dataclass(frozen=True)
-class OpRule:
+class OpRule(NamedTuple):
     op: str
     operands: tuple[str, ...]
 
@@ -167,8 +165,7 @@ class OpRule:
 Production = Union[Var, Const, OpRule]  # a leaf is the expression it derives
 
 
-@dataclass
-class Grammar:
+class Grammar(NamedTuple):
     nonterminals: tuple[str, ...]
     productions: dict[str, tuple[Production, ...]]
     start: str
@@ -186,8 +183,7 @@ class Example(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     name: str
     params: tuple[str, ...]
     width: int

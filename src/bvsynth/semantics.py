@@ -8,9 +8,8 @@ when the condition value equals 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import UnboundVariable, WidthMismatch
 
@@ -18,30 +17,31 @@ MIN_WIDTH = 1
 MAX_WIDTH = 64
 
 
-@dataclass(frozen=True)
-class BitVecValue:
+def literal_format(width: int) -> str:
+    """The format string of a ``width``-bit SMT-LIB literal, for one int in
+    ``[0, 2**width)``: ``#b`` when the width is not a whole hex digit count."""
+    return f"#x{{:0{width // 4}x}}" if width % 4 == 0 else f"#b{{:0{width}b}}"
+
+
+class BitVecValue(NamedTuple("BitVecValue", [("width", int), ("bits", int)])):
     """Unsigned bitvector; ``bits`` is kept reduced modulo 2**width."""
 
-    width: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not MIN_WIDTH <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be within [{MIN_WIDTH}, {MAX_WIDTH}]: {self.width}")
-        object.__setattr__(self, "bits", self.bits & ((1 << self.width) - 1))
+    def __new__(cls, width: int, bits: int) -> BitVecValue:
+        if not MIN_WIDTH <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be within [{MIN_WIDTH}, {MAX_WIDTH}]: {width}")
+        return super().__new__(cls, width, bits & ((1 << width) - 1))
 
     def literal(self) -> str:
-        """SMT-LIB literal text; ``#b`` when the width is not a whole hex digit count."""
-        if self.width % 4 == 0:
-            return "#x{0:0{1}x}".format(self.bits, self.width // 4)
-        return "#b{0:0{1}b}".format(self.bits, self.width)
+        """SMT-LIB literal text."""
+        return literal_format(self.width).format(self.bits)
 
     def __str__(self) -> str:
         return self.literal()
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(NamedTuple):
     """A named total operation; ``bound_operators`` holds its int-level function."""
 
     name: str
@@ -99,37 +99,39 @@ def bound_operators(width: int) -> dict[str, Callable[..., int]]:
     }
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
-    size: int = field(default=1, init=False, compare=False)
+    size = 1
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r}, size=1)"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: BitVecValue
-    size: int = field(default=1, init=False, compare=False)
+    size = 1
+
+    def __repr__(self) -> str:
+        return f"Const(value={self.value!r}, size=1)"
 
 
-@dataclass(frozen=True)
 class App:
-    """An operator application.  Hashing, equality and repr never recurse:
-    the hash is computed at construction from the operands' hashes, and
-    ``==`` and ``repr`` walk the trees with an explicit stack."""
+    """An operator application; never mutated once built.  Hashing, equality
+    and repr never recurse: the hash is computed at construction from the
+    operands' hashes, and ``==`` and ``repr`` walk the trees with an explicit
+    stack."""
 
-    op: str
-    args: "tuple[Expr, ...]"
-    size: int = field(init=False, compare=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("op", "args", "size", "_hash")
 
-    def __post_init__(self) -> None:
-        operator = OPERATORS.get(self.op)
+    def __init__(self, op: str, args: tuple[Expr, ...]) -> None:
+        operator = OPERATORS.get(op)
         if operator is None:
-            raise ValueError(f"unknown operator: {self.op}")
-        if len(self.args) != operator.arity:
-            raise ValueError(f"{self.op} expects {operator.arity} operands, got {len(self.args)}")
-        object.__setattr__(self, "size", 1 + sum(a.size for a in self.args))
-        object.__setattr__(self, "_hash", hash((self.op, *map(hash, self.args))))
+            raise ValueError(f"unknown operator: {op}")
+        if len(args) != operator.arity:
+            raise ValueError(f"{op} expects {operator.arity} operands, got {len(args)}")
+        self.op, self.args = op, args
+        self.size = 1 + sum(a.size for a in args)
+        self._hash = hash((op, *map(hash, args)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -151,7 +153,7 @@ class App:
                 todo.extend(zip(a.args, b.args))
         return True
 
-    def __repr__(self) -> str:  # the text of the dataclass repr
+    def __repr__(self) -> str:  # the text a dataclass repr would give
         parts: list[str] = []
         todo: list[Union[Expr, str]] = [self]  # expressions, and text to copy as is
         while todo:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import VerificationFailed
 from .enumeration import EnumerationState, SearchLimits, signature_of
@@ -12,8 +12,7 @@ from .semantics import Expr
 from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_terminals, tree_to_expr
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     candidates: int  # stored candidates tested by searches, once per search; never a pruned one
     signatures_stored: int
     pruned_duplicates: int
@@ -38,8 +37,7 @@ class RunStats:
         ]
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     solution: Expr
     stats: RunStats
     tree: Tree

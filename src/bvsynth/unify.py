@@ -13,8 +13,7 @@ bucket, and an if0 node's condition mask (``mask >> i & 1``: the then-branch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     Exhausted,
@@ -29,25 +28,22 @@ from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Expr, fold, operands
 
 
-@dataclass
-class TerminalMap:
+class TerminalMap(NamedTuple):
     """Found expressions, in discovery order, to the masks of all the examples
     each one fits.  The masks may overlap; together they cover every example."""
 
-    masks: dict[Expr, int] = field(default_factory=dict)
+    masks: dict[Expr, int]
 
     def distinct(self) -> int:
         return len(self.masks)
 
 
-@dataclass
-class Leaf:
+class Leaf(NamedTuple):
     expr: Expr
     bucket: int  # bit i set when example i is in the bucket
 
 
-@dataclass
-class Internal:
+class Internal(NamedTuple):
     condition: Expr
     mask: int  # bit i set when the condition is 1 on example i
     then_child: "Tree"
@@ -73,7 +69,7 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     Enumeration resumes across searches instead of restarting.
     """
     outputs = pack([ex.output for ex in problem.examples], problem.width)
-    tmap = TerminalMap()
+    tmap = TerminalMap({})
     unmapped = (1 << len(problem.examples)) - 1
     while unmapped:
         k = (unmapped & -unmapped).bit_length() - 1

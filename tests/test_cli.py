@@ -354,3 +354,24 @@ def test_console_entry_via_python_m(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "(define-fun f ((x (BitVec 64))) (BitVec 64) x)\n"
+
+
+def test_import_loads_no_dataclass_or_bench_machinery():
+    """``import bvsynth`` and its CLI load neither ``dataclasses`` (nor the
+    ``inspect`` it pulls in) nor the ``statistics`` and ``csv`` that only
+    ``bench`` uses: each costs milliseconds of every run's start-up."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bvsynth
+
+    src = str(Path(bvsynth.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bvsynth, bvsynth.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'statistics', 'csv'} & set(sys.modules)))"
+    )
+    # -S: no site-packages, whose start-up hooks may import any module
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -341,13 +341,13 @@ def test_stats_counters_consistent():
 def apps_built(monkeypatch):
     """A one-element list counting every ``App`` constructed from now on."""
     built = [0]
-    post_init = App.__post_init__
+    init = App.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built[0] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(App, "__post_init__", counting)
+    monkeypatch.setattr(App, "__init__", counting)
     return built
 
 
