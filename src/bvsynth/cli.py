@@ -14,18 +14,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import CorpusSpec, GRAMMAR_TEMPLATES, generate_corpus
-from .errors import BvSynthError, ProblemFormatError, SynthesisFailure
-from .frontend import emit_solution, parse_problem
-from .solver import SearchLimits, solve_problem
-
-CSV_COLUMNS = ["file", "status", "millis", "solution_size", "internal_nodes", "candidates"]
-
-
-def _read_text(path: Path) -> str:
-    # newline="" keeps CRLF bytes intact (the reader owns line-ending
-    # tolerance); utf-8-sig swallows a Windows BOM if one is present.
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        return handle.read()
+from .errors import BvSynthError, SynthesisFailure
+from .frontend import Problem, emit_solution, parse_problem
+from .solver import SearchLimits, SolveResult, solve_problem
 
 
 def _limits(args: argparse.Namespace) -> SearchLimits:
@@ -34,23 +25,35 @@ def _limits(args: argparse.Namespace) -> SearchLimits:
     )
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def _solve_file(
+    path: Path, limits: SearchLimits
+) -> tuple[str, Problem | None, SolveResult | Exception]:
+    """Read, parse and solve one file.  Returns its bench status, ``solved``,
+    ``budget`` or ``error``; its problem, or None when the file could not be
+    read or parsed; and the solve's result, or the error that ended the run."""
     try:
-        problem = parse_problem(_read_text(Path(args.file)))
-    except (OSError, UnicodeDecodeError, ProblemFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # newline="" keeps CRLF bytes intact (the reader owns line-ending
+        # tolerance); utf-8-sig swallows a Windows BOM if one is present.
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            problem = parse_problem(handle.read())
+    except (OSError, UnicodeDecodeError, BvSynthError) as exc:
+        return "error", None, exc
     try:
-        result = solve_problem(problem, _limits(args))
+        return "solved", problem, solve_problem(problem, limits)
     except SynthesisFailure as exc:
-        print(f"unsolved: {exc}", file=sys.stderr)
-        return 1
+        return "budget", problem, exc
     except BvSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(emit_solution(problem, result.solution))
+        return "error", problem, exc
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    status, problem, outcome = _solve_file(Path(args.file), _limits(args))
+    if status != "solved":
+        print(f"{'unsolved' if status == 'budget' else 'error'}: {outcome}", file=sys.stderr)
+        return 2 if problem is None else 1
+    print(emit_solution(problem, outcome.solution))
     if args.stats:
-        for line in result.stats.lines():
+        for line in outcome.stats.lines():
             print(line, file=sys.stderr)
     return 0
 
@@ -95,42 +98,32 @@ def bench_directory(
         solutions_dir.mkdir(parents=True, exist_ok=True)
     for path in sorted(directory.glob("*.sl")):
         started = time.perf_counter()
-        try:
-            problem = parse_problem(_read_text(path))
-            result = solve_problem(problem, limits)
-            millis = int((time.perf_counter() - started) * 1000)
-            if solutions_dir is not None:  # an unwritable file is this row's error
-                text = emit_solution(problem, result.solution) + "\n"
+        status, problem, outcome = _solve_file(path, limits)
+        millis = int((time.perf_counter() - started) * 1000)
+        if status == "solved" and solutions_dir is not None:
+            try:  # an unwritable file is this row's error
+                text = emit_solution(problem, outcome.solution) + "\n"
                 (solutions_dir / f"{path.stem}.sol").write_text(text, encoding="utf-8", newline="\n")
-        except SynthesisFailure:
-            millis = int((time.perf_counter() - started) * 1000)
-            rows.append(BenchRow(path.name, "budget", millis))
+            except (OSError, BvSynthError) as exc:
+                status, outcome = "error", exc
+        if status == "error":
+            print(f"{path.name}: {outcome}", file=sys.stderr)
+        if status != "solved":
+            rows.append(BenchRow(path.name, status, millis))
             continue
-        except (OSError, UnicodeDecodeError, BvSynthError) as exc:
-            millis = int((time.perf_counter() - started) * 1000)
-            rows.append(BenchRow(path.name, "error", millis))
-            print(f"{path.name}: {exc}", file=sys.stderr)
-            continue
+        s = outcome.stats
         rows.append(
-            BenchRow(
-                path.name,
-                "solved",
-                millis,
-                solution_size=result.stats.solution_size,
-                internal_nodes=result.stats.internal_nodes,
-                candidates=result.stats.candidates,
-            )
+            BenchRow(path.name, status, millis, s.solution_size, s.internal_nodes, s.candidates)
         )
     return rows
 
 
 def _print_table(rows: list[BenchRow]) -> None:
     import statistics  # loaded by bench only, not by solve
-    widths = [max([len(c)] + [len(r.cells()[i]) for r in rows]) for i, c in enumerate(CSV_COLUMNS)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*CSV_COLUMNS))
-    for row in rows:
-        print(fmt.format(*row.cells()))
+    table = [BenchRow._fields, *(row.cells() for row in rows)]
+    fmt = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*table))
+    for cells in table:
+        print(fmt.format(*cells))
     solved = [r for r in rows if r.status == "solved"]
     if solved:
         times = [r.millis for r in solved]
@@ -157,7 +150,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _print_table(rows)
             if handle is not None:
                 writer = csv.writer(handle)
-                writer.writerow(CSV_COLUMNS)
+                writer.writerow(BenchRow._fields)
                 writer.writerows(row.cells() for row in rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,9 +96,7 @@ def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
                 ]
                 if splits:
                     options.append((prod, splits))
-        if not options:
-            raise ValueError(f"nonterminal {nt!r} derives nothing of size {s}")
-        prod, splits = rng.choice(options)
+        prod, splits = rng.choice(options)  # not empty: the table marks (nt, s) derivable
         if not isinstance(prod, OpRule):
             return prod
         split = rng.choice(splits)

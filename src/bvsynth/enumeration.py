@@ -312,12 +312,10 @@ class EnumerationState:
 
     def separates(self, a: int, b: int) -> Callable[[Packed], bool]:
         """Acceptance predicate: the signature is 1 on exactly one of examples
-        ``a`` and ``b``, and not the same value on every example."""
-        w, mask, ones = self.width, self._mask, self.ones
+        ``a`` and ``b``; it differs between them, so it is never constant."""
+        w, mask = self.width, self._mask
         lane_a, one_a, lane_b, one_b = mask << a * w, 1 << a * w, mask << b * w, 1 << b * w
-        return lambda sig: (
-            ((sig & lane_a) == one_a) != ((sig & lane_b) == one_b) and sig != (sig & mask) * ones
-        )
+        return lambda sig: ((sig & lane_a) == one_a) != ((sig & lane_b) == one_b)
 
     def enumerate_until(
         self, accept: Callable[[Packed], bool], nt: str | None = None

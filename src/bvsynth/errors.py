@@ -69,12 +69,16 @@ class TimeoutExceeded(SynthesisFailure):
 
 
 class UnsolvableExample(SynthesisFailure):
+    """Example ``index`` has no terminal; ``__cause__`` is the end of the stream."""
+
     def __init__(self, index: int, detail: str):
         super().__init__(f"no terminal expression found for example {index}: {detail}")
         self.index = index
 
 
 class UnunifiablePair(SynthesisFailure):
+    """No condition separates ``a`` and ``b``; ``__cause__`` is the end of the stream."""
+
     def __init__(self, a: int, b: int, detail: str):
         super().__init__(f"no condition separates examples {a} and {b}: {detail}")
         self.a = a

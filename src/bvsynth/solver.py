@@ -57,7 +57,10 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     """Run both phases, verify, and collect statistics.
 
     Terminal and condition enumeration both exclude the if0 production; all
-    branching in the solution comes from the decision tree.
+    branching in the solution comes from the decision tree.  Every end of the
+    enumeration fails the search it stopped, so a failure names an example or a
+    pair (``UnsolvableExample``, ``UnunifiablePair``), the solver
+    (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``).
     """
     engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 

@@ -15,14 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .errors import (
-    Exhausted,
-    GrammarViolation,
-    MissingIf0Rule,
-    NotFound,
-    UnsolvableExample,
-    UnunifiablePair,
-)
+from .errors import GrammarViolation, MissingIf0Rule, SynthesisFailure
+from .errors import UnsolvableExample, UnunifiablePair
 from .enumeration import EnumerationState, pack
 from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Expr, fold, operands
@@ -66,7 +60,8 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
 
     The lowest example that no found expression fits is searched for next;
     each found expression keeps the mask of every example it fits.
-    Enumeration resumes across searches instead of restarting.
+    Enumeration resumes across searches instead of restarting.  Any end of
+    the stream fails the example it stopped, as ``UnsolvableExample`` from it.
     """
     outputs = pack([ex.output for ex in problem.examples], problem.width)
     tmap = TerminalMap({})
@@ -75,7 +70,7 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
         k = (unmapped & -unmapped).bit_length() - 1
         try:
             expr, sig = engine.enumerate_until(engine.example_equals(k, problem.examples[k].output))
-        except (NotFound, Exhausted) as exc:
+        except SynthesisFailure as exc:
             raise UnsolvableExample(k, str(exc)) from exc
         tmap.masks[expr] = fits = engine.agreement(sig, outputs)
         unmapped &= ~fits
@@ -83,14 +78,15 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
 
 
 def find_condition(problem: Problem, engine: EnumerationState, a: int, b: int) -> tuple[Expr, int]:
-    """Smallest condition that is non-constant over all example inputs and
-    evaluates to 1 on exactly one of examples ``a`` and ``b``, with its mask
-    of the examples it evaluates to 1 on: those occupy the then-branch.
+    """Smallest condition that evaluates to 1 on exactly one of examples ``a``
+    and ``b``, with its mask of the examples it evaluates to 1 on: those occupy
+    the then-branch.  Any end of the stream fails the pair, as
+    ``UnunifiablePair`` from it.
     """
     nt = condition_nonterminal(problem.grammar)
     try:
         expr, sig = engine.enumerate_until(engine.separates(a, b), nt)
-    except (NotFound, Exhausted) as exc:
+    except SynthesisFailure as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc
     return expr, engine.agreement(sig, engine.ones)
 

@@ -17,7 +17,7 @@ from bvsynth.frontend import parse_problem
 from bvsynth.semantics import eval_expr
 from bvsynth.solver import solve_problem
 
-from helpers import env_of
+from helpers import env_of, grammar_of
 
 
 def read(path):
@@ -49,6 +49,20 @@ def test_sample_expr_has_exact_size():
     for size in range(1, 10):
         for _ in range(20):
             assert sample_expr(grammar, rng, size).size == size
+
+
+@pytest.mark.parametrize(
+    "grammar, size",
+    [
+        (template_grammar("icfp", 64), 0),
+        (grammar_of(["bvand"], with_if0=False), 2),  # binary rules over leaves: odd sizes only
+        (grammar_of(["bvand", "bvadd"], with_if0=False), 6),
+    ],
+)
+def test_sample_expr_rejects_an_underivable_size(grammar, size):
+    with pytest.raises(ValueError) as info:
+        sample_expr(grammar, random.Random(3), size)
+    assert str(info.value) == f"grammar derives nothing of size {size}"
 
 
 def test_derivable_size_table_icfp():

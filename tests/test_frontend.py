@@ -20,6 +20,7 @@ from bvsynth.errors import (
     NotPBE,
     ProblemFormatError,
     SygusSyntaxError,
+    UnboundVariable,
     UnsupportedArity,
 )
 from bvsynth import frontend
@@ -463,6 +464,59 @@ def test_solution_header_errors_keep_message_and_position(text, message):
     with pytest.raises(SygusSyntaxError) as err:
         parse_solution(text)
     assert str(err.value) == message
+
+
+ONE = f"(constraint (= (f {lit64(1)}) {lit64(1)}))"
+TWO_IDENTITIES = "(define-fun f ((x (BitVec 64))) (BitVec 64) x)\n" * 2
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: parse_problem(w64_file(ONE, "()")), SygusSyntaxError,
+         "expected a non-empty grammar block at 3:1"),
+        (lambda: parse_problem(w64_file(ONE, "Start")), SygusSyntaxError,
+         "expected a non-empty grammar block at 3:1"),
+        (lambda: parse_problem(w64_file(ONE, "((Start (BitVec 8) (x (if0 Start Start Start))))")),
+         SygusSyntaxError, "nonterminal sort must be (BitVec 64) at 3:9"),
+        (lambda: parse_problem(w64_file(
+            ONE, "((Start (BitVec 64) (x (if0 Start Start Start)))\n (Start (BitVec 64) (x)))"
+        )), SygusSyntaxError, "duplicate nonterminal 'Start' at 4:3"),
+        (lambda: parse_problem(w64_file(ONE, "((Start (BitVec 64) (x ((bvnot) Start))))")),
+         SygusSyntaxError, "expected '(op Nonterminal...)' at 3:24"),
+        (lambda: parse_problem(w64_file(ONE, "((Start (BitVec 64) (x () (bvnot Start))))")),
+         SygusSyntaxError, "expected '(op Nonterminal...)' at 3:24"),
+        (lambda: parse_problem(w64_file(
+            ONE, "((Start (BitVec 64) (x (if0 Start Start Other)))\n (Other (BitVec 64) ()))"
+        )), SygusSyntaxError, "nonterminal 'Other' has no productions"),
+        (lambda: parse_problem(f"(synth-fun f x (BitVec 64)\n{W64_GRAMMAR})\n{ONE}\n"),
+         SygusSyntaxError, "expected parameter list at 1:14"),
+        (lambda: parse_problem("(define-fun shl1)\n" + w64_file(ONE)), SygusSyntaxError,
+         "malformed define-fun at 1:1"),
+        (lambda: parse_problem(
+            "(define-fun shl1 ((a (BitVec 64)) (b (BitVec 64))) (BitVec 64) a)\n" + w64_file(ONE)
+        ), SygusSyntaxError, "define-fun 'shl1' must take 1 parameters at 1:18"),
+        (lambda: parse_problem(w64_file("(declare-var v)\n" + ONE)), SygusSyntaxError,
+         "expected '(declare-var name sort)' at 5:1"),
+        (lambda: parse_problem(w64_file("(declare-var v (BitVec 8))\n" + ONE)), SygusSyntaxError,
+         "declared variable 'v' has width 8, expected 64"),
+        (lambda: parse_solution(""), SygusSyntaxError, "expected a single define-fun"),
+        (lambda: parse_solution(TWO_IDENTITIES), SygusSyntaxError, "expected a single define-fun"),
+        (lambda: parse_solution("(check-synth)"), SygusSyntaxError, "expected a single define-fun"),
+        (lambda: emit_solution(identity_problem(), Var("y")), UnboundVariable,
+         "unbound variable: y"),
+    ],
+    ids=[
+        "empty-grammar", "atom-grammar", "nonterminal-sort", "duplicate-nonterminal",
+        "production-head-is-a-list", "empty-production", "no-productions", "parameter-list",
+        "malformed-define-fun", "define-fun-arity", "declare-var-shape", "declare-var-width",
+        "no-solution", "two-solutions", "solution-not-a-define-fun", "emit-unbound-variable",
+    ],
+)
+def test_every_rejection_keeps_its_message_and_position(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 # -- hypothesis properties ----------------------------------------------------

@@ -85,6 +85,22 @@ def test_eval_unbound_variable():
         eval_expr(Var("y"), {"x": bv64(1)})
 
 
+@pytest.mark.parametrize(
+    "expr, name",
+    [
+        (Var("y"), "y"),
+        (app("bvand", Var("y"), Var("x")), "y"),
+        (app("bvnot", app("bvadd", Var("z"), app("shl1", Var("y")))), "z"),
+    ],
+)
+def test_eval_without_width_or_constant_names_the_first_variable(expr, name):
+    # No width is given and no constant fixes one, so the first variable in
+    # preorder is the unbound one.
+    with pytest.raises(UnboundVariable) as info:
+        eval_expr(expr, {})
+    assert info.value.name == name and str(info.value) == f"unbound variable: {name}"
+
+
 def test_eval_mixed_width_rejected():
     with pytest.raises(WidthMismatch):
         eval_expr(app("bvand", Var("x"), const(8, 1)), {"x": bv64(1)})

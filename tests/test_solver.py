@@ -8,13 +8,15 @@ import weakref
 import pytest
 
 from bvsynth.enumeration import EnumerationState
-from bvsynth.errors import TimeoutExceeded, UnsolvableExample, VerificationFailed
+from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded, UnsolvableExample
+from bvsynth.errors import UnunifiablePair, VerificationFailed
+from bvsynth.frontend import Grammar, OpRule
 from bvsynth.semantics import App, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import Leaf, internal_node_count
 
 import bruteforce
-from helpers import app, contains_op, env_of, grammar_of, problem_of, rows_of
+from helpers import app, const, contains_op, env_of, grammar_of, problem_of, rows_of
 
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 
@@ -108,12 +110,6 @@ def test_size_budget_maps_to_unsolvable_example():
     assert result.solution == app("bvadd", Var("x"), Var("x"))
 
 
-def test_candidate_budget_maps_to_unsolvable_example():
-    p = problem_of(grammar_of(BASE_OPS), [(0x1234, 0xDEADBEEF)])
-    with pytest.raises(UnsolvableExample):
-        solve_problem(p, SearchLimits(max_size=30, max_candidates=2_000))
-
-
 def test_grammar_violation_surfaces_from_solve():
     # Terminal search draws from Start, but the if0 branch nonterminal can
     # only derive the zero constant, so the assembled tree leaves the grammar.
@@ -150,10 +146,64 @@ def test_grammar_violation_surfaces_from_solve():
 
 def test_timeout_raises_between_batches():
     # An unreachable output forces a long search; a zero budget must stop it
-    # at the first 4096-evaluation checkpoint.
+    # at the first 4096-evaluation checkpoint, and fail the example it stopped.
     p = problem_of(grammar_of(BASE_OPS), [(0x1234, 0xDEADBEEF)])
-    with pytest.raises(TimeoutExceeded):
+    with pytest.raises(UnsolvableExample) as info:
         solve_problem(p, SearchLimits(max_size=30, timeout=0.0))
+    assert isinstance(info.value.__cause__, TimeoutExceeded)
+    assert str(info.value) == (
+        "no terminal expression found for example 0: wall clock expired after 4096 evaluations"
+    )
+
+
+# Start derives x, 1 and if0 only; its conditions come from Cond, whose every
+# expression is an even constant, so no condition ever separates two examples
+# and only a budget or the deadline ends the search for one.
+EVEN_CONDITIONS = Grammar(
+    ("Start", "Cond"),
+    {
+        "Start": (Var("x"), const(64, 1), OpRule("if0", ("Cond", "Start", "Start"))),
+        "Cond": (const(64, 2), const(64, 4), OpRule("bvadd", ("Cond", "Cond")),
+                 OpRule("bvor", ("Cond", "Cond"))),
+    },
+    "Start",
+)
+FAR = [(0x1234, 0xDEADBEEF)]  # an output no small expression of BASE_OPS reaches
+
+
+@pytest.mark.parametrize(
+    "grammar, pairs, limits, failure, end",
+    [
+        # the size budget, the candidate budget, the deadline and exhaustion of a terminal search
+        (grammar_of(BASE_OPS), FAR, SearchLimits(max_size=4),
+         "no terminal expression found for example 0: size budget 4 exhausted", NotFound),
+        (grammar_of(BASE_OPS), FAR, SearchLimits(max_size=30, max_candidates=2_000),
+         "no terminal expression found for example 0: candidate budget 2000 exhausted", NotFound),
+        (grammar_of(BASE_OPS), FAR, SearchLimits(max_size=30, timeout=0.0),
+         "no terminal expression found for example 0: wall clock expired after", TimeoutExceeded),
+        (grammar_of([]), [(1, 1), (3, 6)], SearchLimits(),
+         "no terminal expression found for example 1: grammar language fully enumerated",
+         Exhausted),
+        # the same ends of a condition search, after both terminals are found
+        (grammar_of(BASE_OPS), [(0, 0), (5, 1)], SearchLimits(max_size=1),
+         "no condition separates examples 0 and 1: size budget 1 exhausted", NotFound),
+        (EVEN_CONDITIONS, [(0, 0), (5, 1)], SearchLimits(max_size=400, max_candidates=100),
+         "no condition separates examples 0 and 1: candidate budget 100 exhausted", NotFound),
+        (EVEN_CONDITIONS, [(0, 0), (5, 1)], SearchLimits(max_size=400, timeout=0.0),
+         "no condition separates examples 0 and 1: wall clock expired after", TimeoutExceeded),
+        (grammar_of([]), [(0, 0), (5, 1)], SearchLimits(),
+         "no condition separates examples 0 and 1: grammar language fully enumerated",
+         Exhausted),
+    ],
+    ids=[f"{search}-{end}" for search in ("terminal", "condition")
+         for end in ("size", "candidates", "deadline", "exhausted")],
+)
+def test_every_end_of_the_stream_fails_the_search_it_stopped(grammar, pairs, limits, failure, end):
+    kind = UnsolvableExample if failure.startswith("no terminal") else UnunifiablePair
+    with pytest.raises(kind) as info:
+        solve_problem(problem_of(grammar, pairs), limits)
+    assert str(info.value).startswith(failure)
+    assert type(info.value.__cause__) is end
 
 
 def test_run_stats_lines_render():
@@ -207,8 +257,8 @@ def test_engine_is_freed_when_the_solve_times_out(engine_refs):
     p = problem_of(grammar_of(BASE_OPS), [(0x1234, 0xDEADBEEF)])
     try:
         solve_problem(p, SearchLimits(max_size=30, timeout=0.0))
-    except TimeoutExceeded:
-        pass
+    except UnsolvableExample as exc:
+        assert isinstance(exc.__cause__, TimeoutExceeded)
     else:
         pytest.fail("a zero time budget must stop the search")
     assert len(engine_refs) == 1 and engine_refs[0]() is None

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsynth.corpus import derivable_size_table, sample_expr
-from bvsynth.errors import GrammarViolation, UnsolvableExample, UnunifiablePair
+from bvsynth.errors import GrammarViolation, MissingIf0Rule, SynthesisFailure
+from bvsynth.errors import UnsolvableExample, UnunifiablePair
 from bvsynth.frontend import Grammar, OpRule, emit_solution
 from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import solve_problem, verify_solution
@@ -122,6 +123,16 @@ def test_map_terminals_unsolvable_within_budget():
     assert info.value.index == 0
 
 
+def test_a_search_on_a_closed_engine_fails_its_example():
+    p = problem_of(grammar_of(BASE_OPS), [(3, 6)])
+    engine = engine_for(p)
+    engine.close()
+    with pytest.raises(UnsolvableExample) as info:
+        map_terminals(p, engine)
+    assert str(info.value) == "no terminal expression found for example 0: enumeration closed"
+    assert type(info.value.__cause__) is SynthesisFailure
+
+
 # -- find_condition -----------------------------------------------------------
 
 
@@ -149,6 +160,23 @@ def test_find_condition_ununifiable_when_language_runs_out():
     p = problem_of(grammar_of(["bvnot"], width=8, consts=()), [(5, 5), (9, 0xF6)], width=8)
     with pytest.raises(UnunifiablePair):
         find_condition(p, engine_for(p), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "pairs, solution",
+    [
+        ([(1, 1), (7, 7)], Var("x")),  # one expression fits both: no split, no if0
+        ([(1, 1), (7, 0)], None),  # a split needs the missing if0 rule
+    ],
+)
+def test_a_grammar_without_if0_solves_only_what_needs_no_split(pairs, solution):
+    p = problem_of(grammar_of(BASE_OPS, with_if0=False), pairs)
+    if solution is not None:
+        assert solve_problem(p).solution == solution
+        return
+    with pytest.raises(MissingIf0Rule) as info:
+        solve_problem(p)
+    assert str(info.value) == "grammar has no if0 production"
 
 
 def test_condition_nonterminal_is_if0_first_operand():
