@@ -6,8 +6,9 @@ if0 conditions.
 """
 
 from .semantics import App, BitVecValue, Const, Expr, OPERATORS, Var, eval_expr, expr_to_sexpr
-from .frontend import Example, Grammar, Problem, emit_solution, parse_problem, parse_solution
-from .enumeration import EnumerationState, SearchLimits, signature_of
+from .semantics import signature_of
+from .frontend import Example, Grammar, Problem, emit_solution, parse_problem
+from .enumeration import EnumerationState, SearchLimits
 from .solver import RunStats, SolveResult, solve_problem
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "eval_expr",
     "expr_to_sexpr",
     "parse_problem",
-    "parse_solution",
     "signature_of",
     "solve_problem",
 ]

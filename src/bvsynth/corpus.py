@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .enumeration import signature_of, size_splits
+from .enumeration import size_splits
 from .frontend import Grammar, OpRule, Production
 from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPERATORS, Var
-from .semantics import expr_to_sexpr, literal_format
+from .semantics import expr_to_sexpr, literal_format, signature_of
 
 
 # The operators of each grammar template, in production order.
@@ -58,23 +58,31 @@ class CorpusSpec(NamedTuple):
             raise ValueError("not enough distinct inputs at this width")
 
 
+def _options(
+    grammar: Grammar, table: dict[str, list[bool]], nt: str, s: int
+) -> Iterator[tuple[Production, list[tuple[int, ...]]]]:
+    """Each production of ``nt`` that derives size ``s``, with its operand size splits that
+    ``table`` marks derivable (a leaf has size 1 and none); lazy, as the table needs one."""
+    for prod in grammar.productions[nt]:
+        if not isinstance(prod, OpRule):
+            if s == 1:
+                yield prod, []
+        elif s - 1 >= len(prod.operands):
+            splits = [
+                split
+                for split in size_splits(s - 1, len(prod.operands))
+                if all(table[o][p] for o, p in zip(prod.operands, split))
+            ]
+            if splits:
+                yield prod, splits
+
+
 def derivable_size_table(grammar: Grammar, max_size: int) -> dict[str, list[bool]]:
     """table[nt][s] is True when ``nt`` derives some expression of exactly size s."""
     table = {nt: [False] * (max_size + 1) for nt in grammar.nonterminals}
     for s in range(1, max_size + 1):
         for nt in grammar.nonterminals:
-            for prod in grammar.productions[nt]:
-                if not isinstance(prod, OpRule):
-                    if s == 1:
-                        table[nt][s] = True
-                        break
-                elif s - 1 >= len(prod.operands):
-                    if any(
-                        all(table[o][p] for o, p in zip(prod.operands, split))
-                        for split in size_splits(s - 1, len(prod.operands))
-                    ):
-                        table[nt][s] = True
-                        break
+            table[nt][s] = next(_options(grammar, table, nt, s), None) is not None
     return table
 
 
@@ -83,20 +91,8 @@ def sample_expr(grammar: Grammar, rng: random.Random, size: int) -> Expr:
     table = derivable_size_table(grammar, size)
 
     def sample(nt: str, s: int) -> Expr:
-        options: list[tuple[Production, list[tuple[int, ...]]]] = []
-        for prod in grammar.productions[nt]:
-            if not isinstance(prod, OpRule):
-                if s == 1:
-                    options.append((prod, []))
-            elif s - 1 >= len(prod.operands):
-                splits = [
-                    split
-                    for split in size_splits(s - 1, len(prod.operands))
-                    if all(table[o][p] for o, p in zip(prod.operands, split))
-                ]
-                if splits:
-                    options.append((prod, splits))
-        prod, splits = rng.choice(options)  # not empty: the table marks (nt, s) derivable
+        # not empty: the table marks (nt, s) derivable
+        prod, splits = rng.choice(list(_options(grammar, table, nt, s)))
         if not isinstance(prod, OpRule):
             return prod
         split = rng.choice(splits)

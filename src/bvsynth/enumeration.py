@@ -43,7 +43,8 @@ from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
-from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators, eval_columns
+from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators
+from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
 Packed = int  # a signature with example i's value in lane i
 Node = tuple  # (sig, leaf) for a Var/Const terminal, or (sig, op, child_node, ...)
@@ -92,14 +93,6 @@ def size_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(1, total - parts + 2):
         for rest in size_splits(total - head, parts - 1):
             yield (head, *rest)
-
-
-def signature_of(
-    expr: Expr, params: Sequence[str], rows: Sequence[tuple[int, ...]], width: int
-) -> tuple[int, ...]:
-    """Evaluate ``expr`` on every input row; rows carry parameter bits in order."""
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(params)}
-    return tuple(eval_columns(expr, columns, width, len(rows)))
 
 
 def pack(values: Sequence[int], width: int) -> Packed:

@@ -7,9 +7,9 @@ and ``if0`` in benchmark files).  Both LF and CRLF line endings are fine;
 ``;`` starts a comment that runs to the end of the line.
 
 Atoms are plain ``str`` and lists plain ``list``; an error names its node's
-parent and index, or the list itself.  A syntax error leaves ``read_sexprs``,
-``parse_problem`` and ``parse_solution`` with its node's 1-based line and
-column, found then by reading the text again in step with the tree.
+parent and index, or the list itself.  A syntax error leaves ``read_sexprs``
+and ``parse_problem`` with its node's 1-based line and column, found then by
+reading the text again in step with the tree.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedArity,
 )
 from .semantics import (
-    App,
     BitVecValue,
     Const,
     Expr,
@@ -35,7 +34,6 @@ from .semantics import (
     OPERATORS,
     Var,
     expr_to_sexpr,
-    fold,
     subexpressions,
 )
 
@@ -176,11 +174,10 @@ class Grammar(NamedTuple):
 
 
 class Example(NamedTuple):
-    """Inputs and output are ints in ``[0, 2**width)``; ``index`` is the constraint's number."""
+    """Inputs and output are ints in ``[0, 2**width)``; example ``i`` is constraint ``i``."""
 
     inputs: tuple[int, ...]
     output: int
-    index: int
 
 
 class Problem(NamedTuple):
@@ -450,7 +447,7 @@ def detect_pbe(
             raise NotPBE(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
-        examples.append(Example(inputs, output, i))
+        examples.append(Example(inputs, output))
         j = seen.setdefault(inputs, i)
         if examples[j].output != output:
             raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
@@ -470,49 +467,3 @@ def emit_solution(problem: Problem, solution: Expr) -> str:
     return "(define-fun {} ({}) (BitVec {}) {})".format(
         problem.name, params, problem.width, expr_to_sexpr(solution)
     )
-
-
-class ParsedSolution(NamedTuple):
-    name: str
-    params: tuple[str, ...]
-    width: int
-    body: Expr
-
-
-def parse_term(parent: list, index: int, params: tuple[str, ...], width: int) -> Expr:
-    """Parse the ground term ``parent[index]`` over the parameters and the operator catalogue.
-
-    A fold over (parent, index) pairs, so nesting depth is not bounded by the
-    interpreter's recursion limit.  Nodes are checked in preorder, left to
-    right, so the first error raised is the one a recursive descent would raise.
-    """
-
-    def children(at: tuple[list, int]) -> list[tuple[list, int]] | None:
-        node = at[0][at[1]]
-        if type(node) is str:
-            return None
-        _operator(node)
-        return [(node, i) for i in range(1, len(node))]
-
-    def leaf(at: tuple[list, int]) -> Expr:
-        bits = parse_literal(*at, width)
-        if bits is not None:
-            return Const(BitVecValue(width, bits))
-        name = at[0][at[1]]
-        if name in params:
-            return Var(name)
-        raise _error(f"unknown symbol {name!r}", *at)
-
-    return fold((parent, index), children, leaf, lambda at, args: App(at[0][at[1]][0], tuple(args)))
-
-
-def parse_solution(text: str) -> ParsedSolution:
-    """Parse a define-fun produced by :func:`emit_solution`."""
-    return _reporting_positions(text, _solution)
-
-
-def _solution(forms: list) -> ParsedSolution:
-    if len(forms) != 1 or _head(forms[0]) != "define-fun":
-        raise SygusSyntaxError("expected a single define-fun")
-    name, params, width = _parse_fun(forms[0])
-    return ParsedSolution(name, params, width, parse_term(forms[0], 4, params, width))

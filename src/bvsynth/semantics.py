@@ -4,6 +4,11 @@ Every operator is total on in-range inputs: results are reduced modulo
 2**width, logical shifts by amounts >= width yield 0, and the arithmetic
 shift fills with the sign bit.  ``if0`` selects its second operand exactly
 when the condition value equals 1.
+
+``signature_of`` evaluates one expression on every example input.  It is the
+evaluator that verification and the corpus generator use: it applies each
+operator value by value, never on the enumeration's packed lanes, so a
+solution is checked without the engine that found it.
 """
 
 from __future__ import annotations
@@ -236,6 +241,14 @@ def eval_columns(expr: Expr, columns: Mapping[str, Sequence[int]], width: int, n
     return list(fold(expr, operands, leaf, lambda e, values: list(map(fns[e.op], *values))))
 
 
+def signature_of(
+    expr: Expr, params: Sequence[str], rows: Sequence[tuple[int, ...]], width: int
+) -> tuple[int, ...]:
+    """Evaluate ``expr`` on every input row; rows carry parameter bits in order."""
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(params)}
+    return tuple(eval_columns(expr, columns, width, len(rows)))
+
+
 def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = None) -> BitVecValue:
     """Evaluate ``expr`` under ``env``.  Deterministic; total on in-range inputs."""
     if width is None:
@@ -255,7 +268,7 @@ def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = No
 
 
 def expr_to_sexpr(expr: Expr) -> str:
-    """Canonical S-expression text; round-trips through the frontend reader."""
+    """Canonical S-expression text, in the syntax the frontend reader reads."""
     parts: list[str] = []
     todo: list[Union[Expr, str]] = [expr]  # expressions, and text to copy as is
     while todo:

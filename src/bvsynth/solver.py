@@ -6,9 +6,9 @@ import time
 from typing import NamedTuple
 
 from .errors import VerificationFailed
-from .enumeration import EnumerationState, SearchLimits, signature_of
+from .enumeration import EnumerationState, SearchLimits
 from .frontend import Problem
-from .semantics import Expr
+from .semantics import Expr, signature_of
 from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_terminals, tree_to_expr
 
 
@@ -48,9 +48,9 @@ def verify_solution(problem: Problem, solution: Expr) -> None:
     """Concrete verification oracle: evaluate the solution once on all examples."""
     rows = [ex.inputs for ex in problem.examples]
     values = signature_of(solution, problem.params, rows, problem.width)
-    for example, value in zip(problem.examples, values):
+    for i, (example, value) in enumerate(zip(problem.examples, values)):
         if value != example.output:
-            raise VerificationFailed(example.index)
+            raise VerificationFailed(i)
 
 
 def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> SolveResult:

@@ -53,7 +53,7 @@ def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
 
 def problem_of(grammar, pairs, width=64, name="f") -> Problem:
     mask = (1 << width) - 1
-    examples = tuple(Example((i & mask,), o & mask, k) for k, (i, o) in enumerate(pairs))
+    examples = tuple(Example((i & mask,), o & mask) for i, o in pairs)
     return Problem(name=name, params=("x",), width=width, grammar=grammar, examples=examples)
 
 

@@ -16,15 +16,14 @@ from types import SimpleNamespace
 import pytest
 
 from bvsynth.cli import main as cli_main
-from bvsynth.enumeration import EnumerationState, signature_of
+from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import MissingIf0Rule, UnsupportedArity
 from bvsynth.frontend import (
     Grammar,
     OpRule,
     parse_problem,
-    parse_solution,
 )
-from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr
+from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr, signature_of
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
 from bvsynth.unify import Leaf, internal_node_count, map_terminals
@@ -45,6 +44,7 @@ from helpers import (
     route,
     rows_of,
 )
+from solution_reader import parse_solution
 
 GEN_ARGS = [
     "gen", "--count", "200", "--seed", "1", "--size-min", "3", "--size-max", "7",

@@ -5,7 +5,8 @@ renames a traced entry point, stops calling it through the name the tracer
 wraps, or lets ``eval_expr`` drift from the benchmark's answer checker fails
 here rather than only in a benchmark run.  Likewise a change to the
 generator pieces a workload is built from (``bvsynth.corpus``,
-``signature_of``) fails here before ``perfbench/run.py`` refuses to run.
+``signature_of``) fails here before ``perfbench/run.py`` refuses to run, and
+so does a renamed failure type that the bench child's ``classify`` looks for.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from pathlib import Path
 import pytest
 
 import bvsynth
+from bvsynth import errors as failures
 from bvsynth.errors import UnsolvableExample, UnunifiablePair
 
+from helpers import grammar_of, problem_of
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import child  # noqa: E402
 import selftest  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -134,6 +139,28 @@ def test_a_solve_succeeds_exactly_when_its_candidate_budget_covers_it(monkeypatc
     assert checked == 3
 
 
+def test_workloads_import_the_verifiers_evaluator_from_enumeration():
+    # perfbench/workloads.py builds its outputs with bvsynth.enumeration.signature_of
+    assert bvsynth.enumeration.signature_of is bvsynth.semantics.signature_of
+
+
+# The bench child's verdict of each exhaust7 solve is checked with the pinned
+# verdicts below; these are the two other ends it tells apart.
+@pytest.mark.parametrize(
+    "grammar, pairs, limits, expected",
+    [
+        (grammar_of(["bvand", "bvor", "bvnot", "bvadd"]), [(0x1234, 0xDEADBEEF)],
+         bvsynth.SearchLimits(max_size=30, timeout=0.0), "budget"),
+        (grammar_of([]), [(1, 1), (3, 6)], bvsynth.SearchLimits(), "exhausted"),
+    ],
+    ids=["deadline", "exhausted"],
+)
+def test_bench_classifies_the_end_of_the_stream(grammar, pairs, limits, expected):
+    with pytest.raises(failures.SynthesisFailure) as verdict:
+        bvsynth.solve_problem(problem_of(grammar, pairs), limits)
+    assert child.classify(verdict.value, failures) == expected
+
+
 def test_benchmark_checker_agrees_with_eval_expr():
     selftest.run(cases=50)
 
@@ -193,6 +220,7 @@ def test_budget_verdicts_and_counters_match_pinned_identity(monkeypatch):
         engines.clear()
         with pytest.raises(bvsynth.errors.SynthesisFailure) as verdict:
             bvsynth.solve_problem(bvsynth.parse_problem(text), limits)
+        assert child.classify(verdict.value, failures) == "budget"
         (engine,) = engines
         counters = (engine.evaluations, engine.stored, engine.pruned, engine.inspected)
         line = f"{type(verdict.value).__name__}: {verdict.value}\t{counters}\n"

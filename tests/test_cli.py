@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from bvsynth.cli import _limits, build_parser, main
 from bvsynth.corpus import CorpusSpec, generate_corpus
 from bvsynth.enumeration import SearchLimits
-from bvsynth.frontend import parse_problem, parse_solution
+from bvsynth.frontend import parse_problem
 from bvsynth.semantics import eval_expr
 
 from helpers import env_of
+from solution_reader import parse_solution
 
 IDENTITY = """(set-logic BV)
 (synth-fun f ((x (BitVec 64))) (BitVec 64)

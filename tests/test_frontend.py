@@ -31,7 +31,6 @@ from bvsynth.frontend import (
     emit_solution,
     parse_literal,
     parse_problem,
-    parse_solution,
     position,
     read_sexprs,
 )
@@ -39,6 +38,7 @@ from bvsynth.semantics import BitVecValue, Const, Var, eval_expr
 
 import reference_reader
 from helpers import app, const, grammar_of, problem_of
+from solution_reader import parse_solution
 
 W64_GRAMMAR = """((Start (BitVec 64) (x #x0000000000000000 #x0000000000000001
     (bvnot Start) (bvand Start Start) (bvadd Start Start) (if0 Start Start Start))))"""
@@ -63,10 +63,7 @@ def test_direct_example_both_argument_orders():
         f"(constraint (= {lit64(10)} (f {lit64(5)})))"
     )
     p = parse_problem(text)
-    assert [(e.inputs[0], e.output, e.index) for e in p.examples] == [
-        (3, 6, 0),
-        (5, 10, 1),
-    ]
+    assert [(e.inputs, e.output) for e in p.examples] == [((3,), 6), ((5,), 10)]
     assert p.name == "f" and p.params == ("x",) and p.width == 64
 
 
@@ -918,8 +915,8 @@ def test_matcher_parses_every_call_argument_before_rejecting_one():
 def test_matcher_keeps_zero_values(term):
     # A parsed 0 is a falsy int: a matcher that tests an input, a pinned
     # value or the output for truth rather than for None rejects these.
-    assert pbe_outcome(read_sexprs(term)) == [Example((0,), 0, 0)]
-    assert reference_pbe_outcome(read_sexprs(term)) == [Example((0,), 0, 0)]
+    assert pbe_outcome(read_sexprs(term)) == [Example((0,), 0)]
+    assert reference_pbe_outcome(read_sexprs(term)) == [Example((0,), 0)]
 
 
 GOOD_LITERALS = ["#x00", "#x01", "#x02", "#xfe", "#b00000011"]

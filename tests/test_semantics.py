@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsynth.errors import UnboundVariable, WidthMismatch
-from bvsynth.frontend import parse_term, read_sexprs
+from bvsynth.frontend import read_sexprs
 from bvsynth.semantics import (
     App,
     BitVecValue,
@@ -26,6 +26,7 @@ from bvsynth.semantics import (
 
 import bruteforce
 from helpers import app, const
+from solution_reader import parse_term
 
 MASK64 = (1 << 64) - 1
 

@@ -136,8 +136,8 @@ def test_grammar_violation_surfaces_from_solve():
         "Start",
     )
     examples = (
-        Example((4,), 4, 0),
-        Example((3,), 1, 1),
+        Example((4,), 4),
+        Example((3,), 1),
     )
     problem = Problem("f", ("x",), w, grammar, examples)
     with pytest.raises(GrammarViolation):
