@@ -32,7 +32,7 @@ def template_grammar(name: str, width: int) -> Grammar:
         raise ValueError(f"unknown grammar template {name!r}")
     prods: list[Production] = [Var("x"), Const(BitVecValue(width, 0)), Const(BitVecValue(width, 1))]
     for op in GRAMMAR_TEMPLATES[name]:
-        prods.append(OpRule(op, ("Start",) * OPERATORS[op].arity))
+        prods.append(OpRule(op, ("Start",) * OPERATORS[op]))
     return Grammar(("Start",), {"Start": tuple(prods)}, "Start")
 
 

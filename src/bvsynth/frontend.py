@@ -273,11 +273,11 @@ def _check_productive(grammar: Grammar) -> None:
 def _operator(sx: list) -> str:
     """The operator heading ``sx``, once it is known and given its arity."""
     op_name = _head(sx)
-    operator = OPERATORS.get(op_name)
-    if operator is None:
+    arity = OPERATORS.get(op_name)
+    if arity is None:
         raise _error(f"unknown operator {op_name!r}", sx)
-    if len(sx) - 1 != operator.arity:
-        raise _error(f"{op_name} expects {operator.arity} operands, got {len(sx) - 1}", sx)
+    if len(sx) - 1 != arity:
+        raise _error(f"{op_name} expects {arity} operands, got {len(sx) - 1}", sx)
     return op_name
 
 
@@ -308,11 +308,11 @@ def _check_define_fun(form: list) -> None:
     if len(form) != 5 or type(form[1]) is not str:
         raise _error("malformed define-fun", form)
     name = form[1]
-    operator = OPERATORS.get(name)
-    if operator is None:
+    arity = OPERATORS.get(name)
+    if arity is None:
         raise _error(f"define-fun {name!r} is not a catalogue operator", form, 1)
-    if type(form[2]) is not list or len(form[2]) != operator.arity:
-        raise _error(f"define-fun {name!r} must take {operator.arity} parameters", form, 2)
+    if type(form[2]) is not list or len(form[2]) != arity:
+        raise _error(f"define-fun {name!r} must take {arity} parameters", form, 2)
 
 
 def parse_problem(text: str) -> Problem:

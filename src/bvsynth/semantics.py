@@ -38,39 +38,27 @@ class BitVecValue(NamedTuple("BitVecValue", [("width", int), ("bits", int)])):
             raise ValueError(f"width must be within [{MIN_WIDTH}, {MAX_WIDTH}]: {width}")
         return super().__new__(cls, width, bits & ((1 << width) - 1))
 
-    def literal(self) -> str:
+    def __str__(self) -> str:
         """SMT-LIB literal text."""
         return literal_format(self.width).format(self.bits)
 
-    def __str__(self) -> str:
-        return self.literal()
 
-
-class Operator(NamedTuple):
-    """A named total operation; ``bound_operators`` holds its int-level function."""
-
-    name: str
-    arity: int
-
-
-OPERATORS: dict[str, Operator] = {
-    name: Operator(name, arity)
-    for name, arity in (
-        ("bvnot", 1),
-        ("bvand", 2),
-        ("bvor", 2),
-        ("bvxor", 2),
-        ("bvadd", 2),
-        ("bvsub", 2),
-        ("bvshl", 2),
-        ("bvlshr", 2),
-        ("bvashr", 2),
-        ("shl1", 1),
-        ("shr1", 1),
-        ("shr4", 1),
-        ("shr16", 1),
-        ("if0", 3),
-    )
+# Each catalogue operator's arity; ``bound_operators`` holds its int-level function.
+OPERATORS: dict[str, int] = {
+    "bvnot": 1,
+    "bvand": 2,
+    "bvor": 2,
+    "bvxor": 2,
+    "bvadd": 2,
+    "bvsub": 2,
+    "bvshl": 2,
+    "bvlshr": 2,
+    "bvashr": 2,
+    "shl1": 1,
+    "shr1": 1,
+    "shr4": 1,
+    "shr16": 1,
+    "if0": 3,
 }
 COMMUTATIVE = frozenset({"bvand", "bvor", "bvxor", "bvadd"})  # (op a b) = (op b a)
 
@@ -108,32 +96,26 @@ class Var(NamedTuple):
     name: str
     size = 1
 
-    def __repr__(self) -> str:
-        return f"Var(name={self.name!r}, size=1)"
-
 
 class Const(NamedTuple):
     value: BitVecValue
     size = 1
 
-    def __repr__(self) -> str:
-        return f"Const(value={self.value!r}, size=1)"
-
 
 class App:
     """An operator application; never mutated once built.  Hashing, equality
     and repr never recurse: the hash is computed at construction from the
-    operands' hashes, and ``==`` and ``repr`` walk the trees with an explicit
-    stack."""
+    operands' hashes, ``==`` walks the trees with an explicit stack, and
+    ``repr`` is the S-expression."""
 
     __slots__ = ("op", "args", "size", "_hash")
 
     def __init__(self, op: str, args: tuple[Expr, ...]) -> None:
-        operator = OPERATORS.get(op)
-        if operator is None:
+        arity = OPERATORS.get(op)
+        if arity is None:
             raise ValueError(f"unknown operator: {op}")
-        if len(args) != operator.arity:
-            raise ValueError(f"{op} expects {operator.arity} operands, got {len(args)}")
+        if len(args) != arity:
+            raise ValueError(f"{op} expects {arity} operands, got {len(args)}")
         self.op, self.args = op, args
         self.size = 1 + sum(a.size for a in args)
         self._hash = hash((op, *map(hash, args)))
@@ -158,19 +140,8 @@ class App:
                 todo.extend(zip(a.args, b.args))
         return True
 
-    def __repr__(self) -> str:  # the text a dataclass repr would give
-        parts: list[str] = []
-        todo: list[Union[Expr, str]] = [self]  # expressions, and text to copy as is
-        while todo:
-            e = todo.pop()
-            if type(e) is App:
-                parts.append(f"App(op={e.op!r}, args=(")
-                todo.append(f"{',' * (len(e.args) == 1)}), size={e.size})")
-                for i, a in enumerate(reversed(e.args)):
-                    todo += (", ", a) if i else (a,)
-            else:
-                parts.append(e if isinstance(e, str) else repr(e))
-        return "".join(parts)
+    def __repr__(self) -> str:
+        return f"App({expr_to_sexpr(self)!r})"
 
 
 Expr = Union[Var, Const, App]
@@ -210,18 +181,6 @@ def fold(root: Any, children: Callable, leaf: Callable, node: Callable) -> Any:
     return done[0]
 
 
-def _infer_width(expr: Expr) -> int:
-    first_var = None
-    for e in subexpressions(expr):
-        if isinstance(e, Const):
-            return e.value.width
-        if first_var is None and isinstance(e, Var):
-            first_var = e.name
-    # No constant anywhere means a variable occurs; with an empty
-    # environment that variable is the actual problem.
-    raise UnboundVariable(first_var or "?")
-
-
 def eval_columns(expr: Expr, columns: Mapping[str, Sequence[int]], width: int, n: int) -> list[int]:
     """The values of ``expr`` on ``n`` inputs; ``columns`` maps each variable
     to its ``n`` values.  A fold applies each operator across all inputs at
@@ -249,13 +208,8 @@ def signature_of(
     return tuple(eval_columns(expr, columns, width, len(rows)))
 
 
-def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int | None = None) -> BitVecValue:
-    """Evaluate ``expr`` under ``env``.  Deterministic; total on in-range inputs."""
-    if width is None:
-        widths = {v.width for v in env.values()}
-        if len(widths) > 1:
-            raise WidthMismatch(f"mixed widths in environment: {sorted(widths)}")
-        width = widths.pop() if widths else _infer_width(expr)
+def eval_expr(expr: Expr, env: Mapping[str, BitVecValue], width: int) -> BitVecValue:
+    """Evaluate ``expr`` under ``env`` at ``width``; total on in-range inputs."""
     # A variable of another width is left out, so it fails only where it occurs.
     columns = {name: (v.bits,) for name, v in env.items() if v.width == width}
     try:
@@ -281,5 +235,5 @@ def expr_to_sexpr(expr: Expr) -> str:
         elif isinstance(e, Var):
             parts.append(e.name)
         else:
-            parts.append(e if isinstance(e, str) else e.value.literal())
+            parts.append(e if isinstance(e, str) else str(e.value))
     return "".join(parts)

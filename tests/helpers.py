@@ -45,7 +45,7 @@ def grammar_of(ops, width=64, consts=(0, 1), with_if0=True) -> Grammar:
     prods = [Var("x")]
     prods += [Const(BitVecValue(width, c)) for c in consts]
     for name in ops:
-        prods.append(OpRule(name, ("Start",) * OPERATORS[name].arity))
+        prods.append(OpRule(name, ("Start",) * OPERATORS[name]))
     if with_if0 and "if0" not in ops:
         prods.append(OpRule("if0", ("Start", "Start", "Start")))
     return Grammar(("Start",), {"Start": tuple(prods)}, "Start")

@@ -20,6 +20,7 @@ def run_output(
     sha: str = "a",
     passes: int = 30,
     built: int = 1,
+    failed: int = 0,
 ) -> str:
     report = {
         "workload": workload,
@@ -35,8 +36,8 @@ def run_output(
     }
     final = {
         "correct": True,
-        "attempted": 1,
-        "failed": 0,
+        "attempted": 100,
+        "failed": failed,
         "metrics": {
             "solve_norm_s": {"value": solve_s, "unit": "s"},
             "peak_rss_mb": {"value": rss, "unit": "MB"},
@@ -75,6 +76,7 @@ def test_pairs_by_workload_and_seed_and_counts_wins(tmp_path):
     assert rss["change_wins"] == "0/10" and not rss["claimable"]
     # each side's pass counts, in the pairs' (seed) order
     assert entry["passes"] == {"parent": list(range(30, 40)), "change": list(range(40, 50))}
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
 
 
 def test_a_changed_solution_shows_in_the_identity(tmp_path):
@@ -141,3 +143,39 @@ def test_each_end_to_end_metric_gets_a_bound_verdict(tmp_path, capsys, case):
     assert metrics["peak_rss_mb"]["bound"] == "within"
     printed = [line for line in capsys.readouterr().out.splitlines() if "solve_norm_s" in line]
     assert len(printed) == 1 and printed[0].endswith(f"bound {verdict}")
+
+
+@pytest.mark.parametrize("extra", ["parent", "change"])
+def test_a_run_without_a_partner_exits_2_naming_it(tmp_path, capsys, extra):
+    # Eleven runs on one side and ten on the other: the eleventh is a second
+    # run of seed 0, and a second side holds a workload the other lacks.
+    runs = {side: [("enum32", s, 1.0, 30.0) for s in range(10)] for side in ("parent", "change")}
+    runs[extra].append(("enum32", 0, 0.5, 30.0))
+    runs["change"].append(("wide200", 7, 1.0, 30.0))
+    parent = write_runs(tmp_path, "p", runs["parent"])
+    change = write_runs(tmp_path, "c", runs["change"])
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: runs without a partner: "), err
+    lost = (parent if extra == "parent" else change)[10]
+    assert f"{extra} {lost} (enum32 seed 0)" in err[0]
+    assert f"change {change[-1]} (wide200 seed 7)" in err[0]
+    assert err[0].count(" seed ") == 2
+    assert not out.exists()
+
+
+def test_a_gain_with_more_failures_is_not_claimable(tmp_path, capsys):
+    # The change is faster in all ten pairs, but fails one solve more.
+    parent = [("enum32", s, 1.0 + s / 100, 30.0) for s in range(10)]
+    change = [("enum32", s, 0.5, 30.0, "a", 30, 1, int(s == 4)) for s in range(10)]
+    parent, change = write_runs(tmp_path, "p", parent), write_runs(tmp_path, "c", change)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", *map(str, parent), "--change", *map(str, change), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["enum32"]
+    assert entry["failed_share"] == {"parent": 0.0, "change": 1 / 1000}
+    solve = entry["metrics"]["solve_norm_s"]
+    assert solve["change_wins"] == "10/10" and not solve["claimable"]
+    assert "failed share 0.0000 -> 0.0010" in capsys.readouterr().out

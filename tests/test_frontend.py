@@ -54,7 +54,7 @@ def w64_file(constraints: str, grammar: str = W64_GRAMMAR) -> str:
 
 
 def lit64(bits: int) -> str:
-    return BitVecValue(64, bits).literal()
+    return str(BitVecValue(64, bits))
 
 
 def test_direct_example_both_argument_orders():
@@ -404,7 +404,7 @@ def test_deeply_nested_solution_evaluates_and_emits():
     )
     body = parse_solution(text).body
     # an even number of bvnots is the identity
-    assert eval_expr(body, {"x": BitVecValue(64, 0x1234)}) == BitVecValue(64, 0x1234)
+    assert eval_expr(body, {"x": BitVecValue(64, 0x1234)}, 64) == BitVecValue(64, 0x1234)
     assert emit_solution(identity_problem(), body) == text
 
 

@@ -48,7 +48,7 @@ def assert_lanewise(width: int, columns: list[list[int]]) -> None:
     for column, sig in zip(columns, sigs):
         assert unpack(sig, width, n) == tuple(column)
     for name in ENUMERABLE:
-        arity = OPERATORS[name].arity
+        arity = OPERATORS[name]
         got = packed[name](*sigs[:arity])
         assert 0 <= got < 1 << (width * n), (name, width, n)
         want = tuple(map(per_value[name], *columns[:arity]))

@@ -12,13 +12,16 @@ change won; the direction of "better" comes from ``BENCHMARK.json``.  The
 ``IDENTITY`` report fields that differ in any pair are listed as
 ``identity_moved``, so a change that moves counters on purpose shows that
 its solutions held.  Each side's pass counts are listed in pair order, since
-``peak_rss_mb`` grows with the number of passes a run makes.  A gain is
+``peak_rss_mb`` grows with the number of passes a run makes, and each side's
+``failed_share`` is its failed operations over its attempted ones.  A gain is
 ``claimable`` only over at least ten pairs, when the change wins at least
-nine in ten and the medians differ by more than the parent's interquartile
-range.  Each end-to-end metric also gets a ``bound`` verdict against its
-``bound`` in ``BENCHMARK.json`` (see ``bound_verdict``): ``worse``,
-``unresolved`` when the parent's own runs spread too widely to tell, or
-``within``.
+nine in ten, the medians differ by more than the parent's interquartile
+range, and the change fails no larger share of operations than the parent.
+Each end-to-end metric also gets a ``bound`` verdict against its ``bound`` in
+``BENCHMARK.json`` (see ``bound_verdict``): ``worse``, ``unresolved`` when
+the parent's own runs spread too widely to tell, or ``within``.  A run with
+no partner of the same workload, seed and trace setting on the other side is
+an error: the tool names every such file and exits 2.
 
 Standard library only, so it runs on any checkout without the package.
 """
@@ -46,9 +49,12 @@ def read_run(path: Path) -> dict:
     final = json.loads(lines[-1])
     report = json.loads(reports[-1])
     return {
+        "path": str(path),
         "key": (report["workload"], report["seed"], report["traced_passes"] > 0),
         "report": report,
         "correct": final["correct"],
+        "attempted": final["attempted"],
+        "failed": final["failed"],
         "metrics": {name: m["value"] for name, m in final["metrics"].items()},
         "units": {name: m["unit"] for name, m in final["metrics"].items()},
     }
@@ -88,11 +94,17 @@ def summarise(parent: list[dict], change: list[dict], specs: dict[str, dict]) ->
     for side, runs in (("parent", parent), ("change", change)):
         for run in runs:
             sides[run["key"]][side].append(run)
+    unpaired = [
+        f"{side} {run['path']} ({workload} seed {seed}{' traced' if traced else ''})"
+        for (workload, seed, traced), both in sorted(sides.items())
+        for side, partners in (("parent", "change"), ("change", "parent"))
+        for run in both[side][len(both[partners]) :]
+    ]
+    if unpaired:
+        raise ValueError("runs without a partner: " + ", ".join(unpaired))
     out: dict[str, dict] = {}
     for (workload, seed, traced), both in sorted(sides.items()):
         pairs = list(zip(both["parent"], both["change"]))
-        if not pairs:
-            continue
         entry = out.setdefault(
             f"{workload}{' traced' if traced else ''}",
             {"workload": workload, "traced": traced, "seeds": [], "pairs": [], "metrics": {}},
@@ -107,10 +119,15 @@ def summarise(parent: list[dict], change: list[dict], specs: dict[str, dict]) ->
             k for k in IDENTITY if any(p["report"][k] != c["report"][k] for p, c in pairs)
         ]
         entry["same_identity"] = not entry["identity_moved"]
+        by_side = dict(zip(("parent", "change"), zip(*pairs)))
         entry["passes"] = {
-            side: [run["report"]["passes"] for run in runs]
-            for side, runs in zip(("parent", "change"), zip(*pairs))
+            side: [run["report"]["passes"] for run in runs] for side, runs in by_side.items()
         }
+        entry["failed_share"] = {
+            side: sum(run["failed"] for run in runs) / sum(run["attempted"] for run in runs)
+            for side, runs in by_side.items()
+        }
+        fails_more = entry["failed_share"]["change"] > entry["failed_share"]["parent"]
         for name in pairs[0][0]["metrics"]:
             base = [p["metrics"][name] for p, _ in pairs]
             new = [c["metrics"][name] for _, c in pairs]
@@ -127,7 +144,7 @@ def summarise(parent: list[dict], change: list[dict], specs: dict[str, dict]) ->
                 gain = sign * (metric["parent"]["median"] - metric["change"]["median"])
                 metric["change_wins"] = f"{wins}/{len(pairs)}"
                 enough = len(pairs) >= 10 and wins * 10 >= 9 * len(pairs)
-                metric["claimable"] = enough and gain > metric["parent"]["iqr"]
+                metric["claimable"] = enough and gain > metric["parent"]["iqr"] and not fails_more
                 if "bound" in spec:
                     metric["bound"] = bound_verdict(base, new, sign, spec["bound"])
             entry["metrics"][name] = metric
@@ -167,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         moved = ", ".join(entry["identity_moved"])
         print(f"{key}: {entry['pair_count']} pairs, identity "
               f"{f'differs in {moved}' if moved else 'same'}, passes "
-              f"{entry['passes']['parent']} -> {entry['passes']['change']}")
+              f"{entry['passes']['parent']} -> {entry['passes']['change']}, failed share "
+              f"{entry['failed_share']['parent']:.4f} -> {entry['failed_share']['change']:.4f}")
         for name, m in entry["metrics"].items():
             wins = m.get("change_wins", "-")
             print(f"  {name:<28} {m['parent']['median']:12.4f} -> {m['change']['median']:12.4f} "
