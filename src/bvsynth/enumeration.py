@@ -12,7 +12,8 @@ stored; a later duplicate is pruned: counted, but never offered to a search
 and never composed into anything larger.  The if0 production is never
 enumerated: all branching comes from the decision tree.
 
-One generator is both the construction stream and the search over it:
+One generator, ``_search_loop``, loops over the size layers in order, building
+the blocks of constructions ``_layer(size)`` lists, and is the search over them:
 :meth:`EnumerationState.enumerate_until` re-scans the retained pools, then
 sends the generator its search, which yields only hits (see there).
 The state owns the solve's :class:`SearchLimits`, and every budget in them
@@ -119,11 +120,11 @@ def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
     of the result is the ``bound_operators`` function applied to lane ``i``
     of the operands (Warren, *Hacker's Delight*, ch. 2).  A unary operator
     also takes, and ignores, a second operand: the search loop passes two."""
+    fns = bound_operators(width)
     ones = lane_ones(width, n)
     full = ones * ((1 << width) - 1)
     high = ones << (width - 1)  # the top bit of every lane
     low = full ^ high
-    fns = bound_operators(width)
 
     def shr(k: int) -> Callable[[Packed], Packed]:
         keep = ones * ((1 << (width - k)) - 1) if k < width else 0
@@ -187,7 +188,6 @@ class EnumerationState:
         # pools[nt][size] lists retained nodes; index 0 unused
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
-        self._max_pooled = 0
         self._end: tuple[type[SynthesisFailure], str] | None = None  # how the stream ended
         self._stream = self._search_loop()
         next(self._stream)  # sets the counters to 0 and waits for the first search
@@ -201,78 +201,77 @@ class EnumerationState:
 
     # -- the search loop ----------------------------------------------------
 
-    def _blocks(self) -> Iterator[tuple]:
-        """Every block of constructions in stream order, as ``(size, nt, op,
-        arity, fn, first, second)`` with ``second = [(0,)]`` for terminal
-        and unary blocks, until the pruned language is exhausted."""
-        nonterminals, pools = self.grammar.nonterminals, self._pools
-        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
-        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
-        size = 1
-        # Once no composition fits a full layer, nothing larger can exist either.
-        while size == 1 or size <= max_arity * self._max_pooled + 1:
-            for nt in nonterminals:
-                pools[nt].append([])
-            for nt in nonterminals:
-                for prod in self.grammar.productions[nt]:
-                    if size == 1 and isinstance(prod, Var):
-                        yield 1, nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
-                    elif size == 1 and isinstance(prod, Const):
-                        yield 1, nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
-                    elif isinstance(prod, OpRule) and prod.op != "if0":
-                        mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
-                        for split in size_splits(size - 1, len(prod.operands)):
-                            lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
-                            if not all(lists) or mirrored and split[0] > split[1]:
-                                continue  # (op b a) repeats the earlier (op a b)
-                            block = size, nt, prod.op, len(split), self._fns[prod.op]
-                            if mirrored and split[0] == split[1]:
-                                for i, node in enumerate(lists[0]):
-                                    yield *block, [node], lists[0][i:]
-                            else:
-                                yield *block, *lists[:2]
-            if any(pools[nt][size] for nt in nonterminals):
-                self._max_pooled = size
-            size += 1
+    def _layer(self, size: int) -> Iterator[tuple]:
+        """One size layer's blocks of constructions in stream order, as ``(nt, op, arity,
+        fn, first, second)``, with ``second = [(0,)]`` for terminal and unary blocks."""
+        for nt in self.grammar.nonterminals:
+            for prod in self.grammar.productions[nt]:
+                if size == 1 and isinstance(prod, Var):
+                    yield nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
+                elif size == 1 and isinstance(prod, Const):
+                    yield nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
+                elif isinstance(prod, OpRule) and prod.op != "if0":
+                    mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
+                    for split in size_splits(size - 1, len(prod.operands)):
+                        lists = [self._pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
+                        if not all(lists) or mirrored and split[0] > split[1]:
+                            continue  # (op b a) repeats the earlier (op a b)
+                        block = nt, prod.op, len(split), self._fns[prod.op]
+                        if mirrored and split[0] == split[1]:
+                            for i, node in enumerate(lists[0]):
+                                yield *block, [node], lists[0][i:]
+                        else:
+                            yield *block, *lists[:2]
 
     def _publish(self, count: int, inspected: int) -> None:
         self.stored = sum(map(len, self._store.values()))  # every new signature is stored
         self.evaluations, self.inspected, self.pruned = count, inspected, count - self.stored
 
     def _search_loop(self) -> Generator[Node | None, Search, None]:
-        """Yield each accepted node, just stored.  Every other end of the stream is raised once,
-        with the counters published, and its type and text kept for every later search."""
+        """Build the size layers in order and yield each accepted node, just stored.  Any other end
+        is raised once with the counters published; later searches raise its type and text."""
         count, inspected, max_size, budget = 0, 0, self.max_size, self.max_candidates
         due = min(budget, 4095) + 1  # the count at which the budget and deadline are checked
+        nonterminals, pools = self.grammar.nonterminals, self._pools
+        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
+        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
+        size, pooled = 1, 0  # pooled: the largest size with a stored node
         try:
             self._publish(count, inspected)
             accept, target = yield None
-            for size, nt, op, arity, fn, first, second in self._blocks():
-                if size > max_size:  # ends the stream before its first construction
+            while size <= max_arity * pooled + 1:  # beyond, every operand split has an empty layer
+                for nt in nonterminals:
+                    pools[nt].append([])
+                blocks = self._layer(size)
+                if size > max_size and next(blocks, None) is not None:  # none of it is built
                     raise NotFound(f"size budget {max_size} exhausted")
-                layer, store, looking = self._pools[nt][size], self._store[nt], nt == target
-                add = store.add
-                for ea in first:
-                    sa = ea[0]
-                    for eb in second:
-                        sig = fn(sa, eb[0])
-                        n = len(store)
-                        add(sig)
-                        if new := len(store) != n:
-                            node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
-                            layer.append(node)
-                        count += 1
-                        if count >= due:
-                            if count > budget:
-                                raise NotFound(f"candidate budget {budget} exhausted")
-                            self._check_deadline(f"{count} evaluations")
-                            due = min(budget, count | 4095) + 1
-                        if new and looking:
-                            inspected += 1
-                            if accept(sig):
-                                self._publish(count, inspected)
-                                accept, target = yield node
-                                looking, inspected = nt == target, self.inspected
+                for nt, op, arity, fn, first, second in blocks:
+                    layer, store, looking = pools[nt][size], self._store[nt], nt == target
+                    add = store.add
+                    for ea in first:
+                        sa = ea[0]
+                        for eb in second:
+                            sig = fn(sa, eb[0])
+                            n = len(store)
+                            add(sig)
+                            if new := len(store) != n:
+                                node = (sig, op, ea, eb) if arity == 2 else (sig, op, ea) if arity else ea
+                                layer.append(node)
+                            count += 1
+                            if count >= due:
+                                if count > budget:
+                                    raise NotFound(f"candidate budget {budget} exhausted")
+                                self._check_deadline(f"{count} evaluations")
+                                due = min(budget, count | 4095) + 1
+                            if new and looking:
+                                inspected += 1
+                                if accept(sig):
+                                    self._publish(count, inspected)
+                                    accept, target = yield node
+                                    looking, inspected = nt == target, self.inspected
+                if any(pools[nt][size] for nt in nonterminals):
+                    pooled = size
+                size += 1
             raise Exhausted("grammar language fully enumerated")
         except SynthesisFailure as end:  # kept as type and text: its traceback holds this state
             self._publish(count, inspected)

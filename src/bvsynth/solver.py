@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .errors import VerificationFailed
+from .errors import NotPBE, VerificationFailed
 from .enumeration import EnumerationState, SearchLimits
 from .frontend import Problem
 from .semantics import Expr, signature_of
@@ -60,8 +60,10 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     branching in the solution comes from the decision tree.  Every end of the
     enumeration fails the search it stopped, so a failure names an example or a
     pair (``UnsolvableExample``, ``UnunifiablePair``), the solver
-    (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``).
+    (``GrammarViolation``, ``VerificationFailed``) or the input (``NotPBE``, ``MissingIf0Rule``).
     """
+    if not problem.examples:
+        raise NotPBE("not a PBE task: no constraints")
     engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 
     try:

@@ -132,23 +132,20 @@ def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
     """Whether ``nt`` derives ``expr`` under the grammar.  A fold finds,
     bottom-up, the set of nonterminals deriving each node from the sets of
     its operands."""
-    leaf_nts: dict[Expr, set[str]] = {}
-    op_rules: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for owner, prods in grammar.productions.items():
-        for prod in prods:
-            if isinstance(prod, OpRule):
-                op_rules.setdefault(prod.op, []).append((owner, prod.operands))
-            else:
-                leaf_nts.setdefault(prod, set()).add(owner)
+    rules = [(owner, prod) for owner, prods in grammar.productions.items() for prod in prods]
+
+    def leaf(e: Expr) -> set[str]:
+        return {owner for owner, prod in rules if prod == e}
 
     def node(e: App, args: list[set[str]]) -> set[str]:
         return {
             owner
-            for owner, nts in op_rules.get(e.op, ())
-            if len(nts) == len(args) and all(o in a for o, a in zip(nts, args))
+            for owner, prod in rules
+            if type(prod) is OpRule and prod.op == e.op and len(prod.operands) == len(args)
+            and all(o in a for o, a in zip(prod.operands, args))
         }
 
-    return nt in fold(expr, operands, lambda e: leaf_nts.get(e, set()), node)
+    return nt in fold(expr, operands, leaf, node)
 
 
 def internal_node_count(tree: Tree) -> int:

@@ -97,28 +97,18 @@ class UnskippedState(EnumerationState):
     of every production is one block, so ``(op b a)`` is built after ``(op a b)``
     and pruned.  The reference the skipping engine is tested against."""
 
-    def _blocks(self) -> Iterator[tuple]:
-        nonterminals, pools = self.grammar.nonterminals, self._pools
-        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
-        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
-        size = 1
-        while size == 1 or size <= max_arity * self._max_pooled + 1:
-            for nt in nonterminals:
-                pools[nt].append([])
-            for nt in nonterminals:
-                for prod in self.grammar.productions[nt]:
-                    if size == 1 and isinstance(prod, Var):
-                        yield 1, nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
-                    elif size == 1 and isinstance(prod, Const):
-                        yield 1, nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
-                    elif isinstance(prod, OpRule) and prod.op != "if0":
-                        for split in size_splits(size - 1, len(prod.operands)):
-                            lists = [pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
-                            if all(lists):
-                                yield size, nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
-            if any(pools[nt][size] for nt in nonterminals):
-                self._max_pooled = size
-            size += 1
+    def _layer(self, size: int) -> Iterator[tuple]:
+        for nt in self.grammar.nonterminals:
+            for prod in self.grammar.productions[nt]:
+                if size == 1 and isinstance(prod, Var):
+                    yield nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
+                elif size == 1 and isinstance(prod, Const):
+                    yield nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
+                elif isinstance(prod, OpRule) and prod.op != "if0":
+                    for split in size_splits(size - 1, len(prod.operands)):
+                        lists = [self._pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
+                        if all(lists):
+                            yield nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
 
 
 def mirror_pairs(engine: EnumerationState) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import UnboundVariable, WidthMismatch
 from bvsynth.frontend import read_sexprs
 from bvsynth.semantics import (
@@ -21,10 +22,11 @@ from bvsynth.semantics import (
     eval_expr,
     expr_to_sexpr,
     fold,
+    signature_of,
 )
 
 import bruteforce
-from helpers import app, const
+from helpers import app, const, grammar_of
 from solution_reader import parse_term
 
 MASK64 = (1 << 64) - 1
@@ -47,6 +49,19 @@ def test_bits_are_reduced_modulo_width():
 def test_width_out_of_range_rejected(width):
     with pytest.raises(ValueError):
         BitVecValue(width, 0)
+
+
+@pytest.mark.parametrize("width", [0, 65])
+@pytest.mark.parametrize("entry", ["signature_of", "eval_expr", "EnumerationState"])
+def test_every_evaluator_rejects_an_out_of_range_width(entry, width):
+    # Each reaches bound_operators' range check before any arithmetic on the width.
+    calls = {
+        "signature_of": lambda: signature_of(Var("x"), ("x",), [(1,)], width),
+        "eval_expr": lambda: eval_expr(Var("x"), {}, width),
+        "EnumerationState": lambda: EnumerationState(grammar_of(["bvnot"]), ("x",), [(1,)], width),
+    }
+    with pytest.raises(ValueError, match=rf"^width must be within \[1, 64\]: {width}$"):
+        calls[entry]()
 
 
 def test_literal_rendering():

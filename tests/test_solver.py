@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from bvsynth.enumeration import EnumerationState
-from bvsynth.errors import Exhausted, NotFound, TimeoutExceeded, UnsolvableExample
+from bvsynth.errors import Exhausted, NotFound, NotPBE, TimeoutExceeded, UnsolvableExample
 from bvsynth.errors import UnunifiablePair, VerificationFailed
 from bvsynth.frontend import Grammar, OpRule
 from bvsynth.semantics import App, Var, eval_expr, subexpressions
@@ -78,6 +78,13 @@ def test_solution_size_and_node_bound_on_mixed_instance():
     result = solve_problem(p)
     assert result.stats.internal_nodes <= len(pairs) - 1
     verify_solution(p, result.solution)
+
+
+def test_a_problem_without_examples_is_not_pbe():
+    # Built directly, it skips detect_pbe; the solve must not leak a StopIteration.
+    p = problem_of(grammar_of(["bvnot"], width=8), [], width=8)
+    with pytest.raises(NotPBE, match="^not a PBE task: no constraints$"):
+        solve_problem(p)
 
 
 def test_stats_counters_are_consistent():

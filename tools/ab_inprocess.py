@@ -19,9 +19,16 @@ faster.  One process takes out what differs between processes (memory
 layout, hash seed, the host's load over minutes), which per-process
 benchmark runs cannot; it measures the solver only, not parsing or start-up.
 
-Exit codes: 0 both sides gave the same answers in every pass, 1 an emitted
-solution or a verdict text differs, 2 a tree or the workload could not be set
-up.
+Both sides must give the same answers and the same counters.  Every solve
+builds its engine through ``EnumerationState.for_problem``, which each side
+wraps, as ``perfbench/child.py`` does, so a pass reads every solve's
+``(evaluations, stored, inspected)`` after it, outside the timing.  An engine
+change that keeps every answer, such as one that only ends in the same budget
+verdict, is then still checked construction for construction.
+
+Exit codes: 0 both sides gave the same answers and counters in every pass, 1 an
+emitted solution, a verdict text or a solve's counters differ, 2 a tree or the
+workload could not be set up.
 """
 
 from __future__ import annotations
@@ -54,11 +61,28 @@ def load(name: str, src: Path) -> ModuleType:
     return module
 
 
-def solve_pass(bv: ModuleType, problems: list, limits) -> tuple[float, list[str]]:
-    """Seconds of process CPU spent in ``solve_problem`` over ``problems``, and
-    each problem's emitted solution or its verdict's type and text."""
+def capture_engines(bv: ModuleType) -> list:
+    """The list to which every later ``EnumerationState.for_problem`` call of
+    ``bv`` appends the engine it builds."""
+    engines: list = []
+    for_problem = bv.EnumerationState.for_problem.__func__
+
+    def capture(cls, *args, **kwargs):
+        engines.append(for_problem(cls, *args, **kwargs))
+        return engines[-1]
+
+    bv.EnumerationState.for_problem = classmethod(capture)
+    return engines
+
+
+def solve_pass(
+    bv: ModuleType, engines: list, problems: list, limits
+) -> tuple[float, list[str], list[tuple[int, int, int] | None]]:
+    """Seconds of process CPU spent in ``solve_problem`` over ``problems``, each
+    problem's emitted solution or its verdict's type and text, and its engine's
+    ``(evaluations, stored, inspected)``, or None when it built no engine."""
     gc.collect()
-    spent, answers = 0.0, []
+    spent, answers, counters = 0.0, [], []
     for problem in problems:
         t = time.process_time()
         try:
@@ -66,10 +90,15 @@ def solve_pass(bv: ModuleType, problems: list, limits) -> tuple[float, list[str]
         except bv.errors.BvSynthError as exc:
             spent += time.process_time() - t
             answers.append(f"{type(exc).__name__}: {exc}")
-            continue
-        spent += time.process_time() - t
-        answers.append(bv.emit_solution(problem, result.solution))
-    return spent, answers
+        else:
+            spent += time.process_time() - t
+            answers.append(bv.emit_solution(problem, result.solution))
+        engine = engines.pop() if engines else None
+        engines.clear()
+        if engine is not None:
+            engine = engine.evaluations, engine.stored, engine.inspected
+        counters.append(engine)
+    return spent, answers, counters
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,17 +120,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problems = {side: [bv.parse_problem(text) for text in texts] for side, bv in packages.items()}
+    engines = {side: capture_engines(bv) for side, bv in packages.items()}
     limits = {side: bv.SearchLimits(max_size=workload.max_size) for side, bv in packages.items()}
 
     seconds: dict[str, list[float]] = {side: [] for side in SIDES}
-    expected: list[str] | None = None
-    differing: set[int] = set()
+    expected: dict[str, list] = {}
+    differing: dict[str, set[int]] = {"answers": set(), "counters": set()}
     for round_ in range(args.rounds):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
-            spent, answers = solve_pass(packages[side], problems[side], limits[side])
+            spent, answers, counters = solve_pass(
+                packages[side], engines[side], problems[side], limits[side]
+            )
             seconds[side].append(spent)
-            expected = expected or answers
-            differing.update(i for i, (a, b) in enumerate(zip(expected, answers)) if a != b)
+            for what, values in (("answers", answers), ("counters", counters)):
+                expected.setdefault(what, values)
+                differing[what].update(
+                    i for i, (a, b) in enumerate(zip(expected[what], values)) if a != b
+                )
 
     ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
     wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
@@ -111,10 +146,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {side:<7} median {statistics.median(seconds[side]) * 1000:10.1f} ms")
     print(f"  change/parent median ratio {statistics.median(ratios):.3f}, "
           f"change wins {wins}/{args.rounds}")
-    if differing:
-        print(f"answers differ on instances {sorted(differing)[:10]}", file=sys.stderr)
+    for what, instances in differing.items():
+        if instances:
+            print(f"{what} differ on instances {sorted(instances)[:10]}", file=sys.stderr)
+    if any(differing.values()):
         return 1
-    print("answers: same in every pass")
+    print("answers and counters: same in every pass")
     return 0
 
 
