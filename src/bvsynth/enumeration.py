@@ -9,8 +9,7 @@ state, and :meth:`EnumerationState.agreement` turns a hit's signature into an
 *example mask*, an int whose bit ``i`` stands for example ``i``.  Per
 nonterminal, only the first expression seen with a given signature is
 stored; a later duplicate is pruned: counted, but never offered to a search
-and never composed into anything larger.  The if0 production is never
-enumerated: all branching comes from the decision tree.
+and never composed into anything larger.
 
 One generator, ``_search_loop``, loops over the size layers in order, building
 the blocks of constructions ``_layer(size)`` lists, and is the search over them:
@@ -27,13 +26,15 @@ node is one tuple with its signature at index 0: ``(sig, leaf)`` for a
 ``Var``/``Const`` terminal, ``(sig, op, child_node, ...)`` over retained
 children.  :func:`expr_of` builds the ``App`` tree only for a hit.
 
-Candidate order is fully deterministic: sizes ascend; within one size,
-nonterminals and productions follow grammar declaration order, operand
-size-splits are lexicographic, and pool entries are visited in insertion
-order.  Commutative mirrors are never constructed: ``(op b a)`` for
-``op(A, A)`` with a commutative ``op`` would only repeat the signature of the
-earlier ``(op a b)``.  A candidate budget counts constructions, so it binds
-later in the language than it would if mirrors were built.
+The state reads its grammar once, in declaration order: each ``Var``/``Const``
+leaf as its terminal node, each operator rule but if0 (the decision tree does
+all branching) with its packed operator and mirror flag.  Candidate order is
+fully deterministic: sizes ascend; within one size, nonterminals and
+productions keep that order, operand size-splits are lexicographic, and pool
+entries are visited in insertion order.  Commutative mirrors are never
+constructed: ``(op b a)`` for ``op(A, A)`` with a commutative ``op`` would only
+repeat the signature of the earlier ``(op a b)``.  A candidate budget counts
+constructions, so it binds later in the language than if mirrors were built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from .frontend import Grammar, OpRule, Problem
-from .semantics import COMMUTATIVE, App, Const, Expr, Var, bound_operators
+from .semantics import COMMUTATIVE, App, Const, Expr, bound_operators, eval_columns, fold
 from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
 Packed = int  # a signature with example i's value in lane i
@@ -79,10 +80,8 @@ class SearchResult(NamedTuple):
 
 
 def expr_of(node: Node) -> Expr:
-    """The expression a store node spells; recursion depth is its size at most."""
-    if len(node) == 2:
-        return node[1]
-    return App(node[1], tuple(map(expr_of, node[2:])))
+    """The expression a store node spells, built by one fold, so at any depth."""
+    return fold(node, lambda n: n[2:] or None, lambda n: n[1], lambda n, args: App(n[1], tuple(args)))
 
 
 def size_splits(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -179,12 +178,22 @@ class EnumerationState:
         self.max_size, self.max_candidates = limits.max_size, limits.max_candidates
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
-        self._fns = packed_operators(width, len(self.rows))
+        fns = packed_operators(width, len(self.rows))
         self._mask = (1 << width) - 1
         self.ones = lane_ones(width, len(self.rows))  # the signature of the constant 1
         self._high = self.ones << (width - 1)  # the top bit of every lane
         self._low, self._digits = self._high - self.ones, f"0{len(self.rows) * width}b"
-        self._vars = {x: pack([r[i] for r in self.rows], width) for i, x in enumerate(self.params)}
+        # the grammar, read once: (nt, node) per leaf, (nt, op, operands, fn, mirrored) per rule
+        rows = {x: [pack([r[i] for r in self.rows], width)] for i, x in enumerate(self.params)}
+        self._leaves, self._rules = [], []
+        for nt in grammar.nonterminals:
+            for prod in grammar.productions[nt]:
+                if not isinstance(prod, OpRule):  # eval_columns on one packed row checks the leaf
+                    (sig,) = eval_columns(prod, rows, width, 1)
+                    self._leaves.append((nt, (sig * self.ones if isinstance(prod, Const) else sig, prod)))
+                elif prod.op != "if0":
+                    mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
+                    self._rules.append((nt, prod.op, prod.operands, fns[prod.op], mirrored))
         # pools[nt][size] lists retained nodes; index 0 unused
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
@@ -204,24 +213,18 @@ class EnumerationState:
     def _layer(self, size: int) -> Iterator[tuple]:
         """One size layer's blocks of constructions in stream order, as ``(nt, op, arity,
         fn, first, second)``, with ``second = [(0,)]`` for terminal and unary blocks."""
-        for nt in self.grammar.nonterminals:
-            for prod in self.grammar.productions[nt]:
-                if size == 1 and isinstance(prod, Var):
-                    yield nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
-                elif size == 1 and isinstance(prod, Const):
-                    yield nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
-                elif isinstance(prod, OpRule) and prod.op != "if0":
-                    mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
-                    for split in size_splits(size - 1, len(prod.operands)):
-                        lists = [self._pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
-                        if not all(lists) or mirrored and split[0] > split[1]:
-                            continue  # (op b a) repeats the earlier (op a b)
-                        block = nt, prod.op, len(split), self._fns[prod.op]
-                        if mirrored and split[0] == split[1]:
-                            for i, node in enumerate(lists[0]):
-                                yield *block, [node], lists[0][i:]
-                        else:
-                            yield *block, *lists[:2]
+        for nt, node in self._leaves if size == 1 else ():  # a rule has no split of 0
+            yield nt, None, 0, _first, [node], _UNIT
+        for nt, op, operands, fn, mirrored in self._rules:
+            for split in size_splits(size - 1, len(operands)):
+                lists = [self._pools[o][s] for o, s in zip(operands, split)] + [_UNIT]
+                if not all(lists) or mirrored and split[0] > split[1]:
+                    continue  # (op b a) repeats the earlier (op a b)
+                if mirrored and split[0] == split[1]:
+                    for i, node in enumerate(lists[0]):
+                        yield nt, op, 2, fn, [node], lists[0][i:]
+                else:
+                    yield nt, op, len(split), fn, *lists[:2]
 
     def _publish(self, count: int, inspected: int) -> None:
         self.stored = sum(map(len, self._store.values()))  # every new signature is stored
@@ -233,8 +236,7 @@ class EnumerationState:
         count, inspected, max_size, budget = 0, 0, self.max_size, self.max_candidates
         due = min(budget, 4095) + 1  # the count at which the budget and deadline are checked
         nonterminals, pools = self.grammar.nonterminals, self._pools
-        ops = [p for ps in self.grammar.productions.values() for p in ps if isinstance(p, OpRule)]
-        max_arity = max([len(p.operands) for p in ops if p.op != "if0"], default=0)
+        max_arity = max([len(rule[2]) for rule in self._rules], default=0)
         size, pooled = 1, 0  # pooled: the largest size with a stored node
         try:
             self._publish(count, inspected)

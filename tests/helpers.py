@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from bvsynth.enumeration import (
-    _UNIT, _first, EnumerationState, SearchLimits, SearchResult, expr_of, size_splits, unpack
-)
+from bvsynth.enumeration import EnumerationState, SearchLimits, SearchResult, expr_of, size_splits, unpack
 from bvsynth.errors import Exhausted, NotFound
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import (
@@ -95,20 +93,13 @@ def retained(engine: EnumerationState, nt: str) -> list[tuple[Expr, tuple[int, .
 class UnskippedState(EnumerationState):
     """The enumeration without commutative symmetry breaking: every size split
     of every production is one block, so ``(op b a)`` is built after ``(op a b)``
-    and pruned.  The reference the skipping engine is tested against."""
+    and pruned.  The reference the skipping engine is tested against.  No layer
+    is built before the first search, so the rules can be replaced after the
+    engine is built."""
 
-    def _layer(self, size: int) -> Iterator[tuple]:
-        for nt in self.grammar.nonterminals:
-            for prod in self.grammar.productions[nt]:
-                if size == 1 and isinstance(prod, Var):
-                    yield nt, None, 0, _first, [(self._vars[prod.name], prod)], _UNIT
-                elif size == 1 and isinstance(prod, Const):
-                    yield nt, None, 0, _first, [(prod.value.bits * self.ones, prod)], _UNIT
-                elif isinstance(prod, OpRule) and prod.op != "if0":
-                    for split in size_splits(size - 1, len(prod.operands)):
-                        lists = [self._pools[o][s] for o, s in zip(prod.operands, split)] + [_UNIT]
-                        if all(lists):
-                            yield nt, prod.op, len(split), self._fns[prod.op], *lists[:2]
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rules = [(*rule[:4], False) for rule in self._rules]
 
 
 def mirror_pairs(engine: EnumerationState) -> int:

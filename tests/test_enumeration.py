@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import sys
 import time
 from itertools import islice
@@ -15,14 +16,19 @@ from bvsynth.enumeration import (
     EnumerationState, SearchLimits, expr_of, pack, signature_of, size_splits
 )
 from bvsynth.errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
+from bvsynth.errors import UnboundVariable, WidthMismatch
 from bvsynth.frontend import Grammar, OpRule
-from bvsynth.semantics import COMMUTATIVE, App, BitVecValue, Const, Var, subexpressions
+from bvsynth.semantics import (
+    COMMUTATIVE, App, BitVecValue, Const, Var, expr_to_sexpr, subexpressions
+)
 
 import bruteforce
 from helpers import (
     UnskippedState, app, const, engine_for, events, grammar_of, mirror_pairs, problem_of,
     retained, rows_of,
 )
+from test_solver import EVEN_CONDITIONS
+from test_unify import START_COND_TERM
 
 
 def test_size_splits_are_lexicographic():
@@ -637,3 +643,65 @@ def test_every_node_carries_its_own_signature(case):
     nodes = [node for pools in engine._pools.values() for layer in pools for node in layer]
     assert len(nodes) == engine.stored
     assert all(node[0] == evaluated(expr_of(node)) for node in nodes)
+
+
+# A three-row example list that fits every width below; with the size budget 5
+# every grammar stores nodes at several nonterminals and sizes.
+STREAM_ROWS = [(1,), (2,), (3,)]
+STREAM_ORDER_SHA256 = "4b3f5fb05cc4959a81fc71fb81f746427de66a8190c0e4e132612cabb8d2e872"
+
+
+def test_stream_order_of_multi_nonterminal_grammars_is_pinned():
+    # Every retained node, as (nt, size, expression) in pool order, and the
+    # counters of a stream driven to the size budget, over four grammars with
+    # more than one nonterminal: a change to the order in which leaves, rules
+    # or size splits are built changes the digest.
+    digest = hashlib.sha256()
+    for grammar, width in [
+        (MIRROR_GRAMMAR, 3), (FIRST_HIT_GRAMMAR, 2), (START_COND_TERM, 8), (EVEN_CONDITIONS, 64)
+    ]:
+        engine = engine_of(EnumerationState, grammar, width, STREAM_ROWS, 5)
+        drive_to_budget(engine)
+        for nt in grammar.nonterminals:
+            for size, layer in enumerate(engine._pools[nt]):
+                for node in layer:
+                    digest.update(repr((nt, size, expr_to_sexpr(expr_of(node)))).encode())
+        digest.update(repr((engine.evaluations, engine.stored)).encode())
+    assert digest.hexdigest() == STREAM_ORDER_SHA256
+
+
+def test_expr_of_builds_a_deep_node_chain_without_recursion():
+    node = (0, Var("x"))
+    for _ in range(5_000):
+        node = (0, "bvnot", node)
+    expr = expr_of(node)
+    assert expr.size == 5_001
+    assert expr_to_sexpr(expr) == "(bvnot " * 5_000 + "x" + ")" * 5_000
+
+
+# A Problem built directly, not parsed, reaches the engine with its grammar
+# unchecked; the engine checks each leaf where it packs it.
+UNBOUND_LEAF = problem_of(
+    Grammar(
+        ("Start",),
+        {"Start": (Var("y"), OpRule("bvnot", ("Start",)), OpRule("if0", ("Start",) * 3))},
+        "Start",
+    ),
+    [(1, 0)],
+)
+WIDE_LEAF = problem_of(
+    grammar_of(["bvnot", "bvand"], width=64, consts=(0x1FF,)), [(1, 0x1F), (2, 0xFF)], width=8
+)
+
+
+@pytest.mark.parametrize(
+    "problem, error, text",
+    [
+        (UNBOUND_LEAF, UnboundVariable, "unbound variable: y"),
+        (WIDE_LEAF, WidthMismatch, "constant #x00000000000001ff has width 64, expected 8"),
+    ],
+)
+def test_a_grammar_leaf_outside_the_problem_fails_the_engine(problem, error, text):
+    with pytest.raises(error) as info:
+        engine_for(problem)
+    assert str(info.value) == text

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import sys
+import traceback
 import weakref
 
 import pytest
@@ -85,6 +87,20 @@ def test_a_problem_without_examples_is_not_pbe():
     p = problem_of(grammar_of(["bvnot"], width=8), [], width=8)
     with pytest.raises(NotPBE, match="^not a PBE task: no constraints$"):
         solve_problem(p)
+
+
+def test_a_hit_deeper_than_the_recursion_limit_is_solved():
+    # The first expression worth 300 on input 1 over x and bvadd is the chain
+    # (bvadd x (bvadd x ... x)), 299 applications deep.  No step from the hit to
+    # the verified solution recurses, so it solves with the limit below that depth.
+    p = problem_of(grammar_of(["bvadd"], consts=()), [(1, 300)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(sum(1 for _ in traceback.walk_stack(None)) + 100)
+    try:
+        result = solve_problem(p, SearchLimits(max_size=600))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.stats.solution_size == 599
 
 
 def test_stats_counters_are_consistent():
