@@ -3,10 +3,11 @@
 A signature is an expression's values on every example input.  Inside the
 enumeration it is one packed int: lane ``i`` holds example ``i``'s value in
 bits ``[i*width, (i+1)*width)``, and every operator acts on all lanes at once
-(word-parallel, or lane by lane for the variable shifts).  No other module
-knows the lane layout: searches take their acceptance predicates from the
-state, and :meth:`EnumerationState.agreement` turns a hit's signature into an
-*example mask*, an int whose bit ``i`` stands for example ``i``.  Per
+(word-parallel, or lane by lane for the variable shifts).  The state packs
+the example inputs and outputs once, and no other module knows the lane
+layout: searches take their acceptance predicates from the state, and
+:meth:`EnumerationState.agreement` turns a hit's signature into an *example
+mask*, an int whose bit ``i`` stands for example ``i``.  Per
 nonterminal, only the first expression seen with a given signature is
 stored; a later duplicate is pruned: counted, but never offered to a search
 and never composed into anything larger.
@@ -43,9 +44,9 @@ import operator
 import time
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
-from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
-from .frontend import Grammar, OpRule, Problem
-from .semantics import COMMUTATIVE, App, Const, Expr, bound_operators, eval_columns, fold
+from .errors import Exhausted, NotFound, NotPBE, SynthesisFailure, TimeoutExceeded
+from .frontend import Example, Grammar, OpRule, Problem
+from .semantics import COMMUTATIVE, App, BitVecValue, Const, Expr, bound_operators, eval_columns, fold
 from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
 Packed = int  # a signature with example i's value in lane i
@@ -114,13 +115,13 @@ def unpack(sig: Packed, width: int, n: int) -> tuple[int, ...]:
     return tuple((sig >> (i * width)) & mask for i in range(n))
 
 
-def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
-    """Every enumerable operator on ``n``-lane packed signatures: lane ``i``
-    of the result is the ``bound_operators`` function applied to lane ``i``
-    of the operands (Warren, *Hacker's Delight*, ch. 2).  A unary operator
-    also takes, and ignores, a second operand: the search loop passes two."""
+def packed_operators(width: int, ones: Packed) -> dict[str, Callable[..., Packed]]:
+    """Every enumerable operator on packed signatures with one lane per set bit of
+    ``ones``, as ``lane_ones`` gives it: lane ``i`` of the result is the ``bound_operators``
+    function applied to lane ``i`` of the operands (Warren, *Hacker's Delight*, ch. 2).
+    A unary operator also takes, and ignores, a second operand: the search loop passes two."""
     fns = bound_operators(width)
-    ones = lane_ones(width, n)
+    n = (ones.bit_length() + width - 1) // width
     full = ones * ((1 << width) - 1)
     high = ones << (width - 1)  # the top bit of every lane
     low = full ^ high
@@ -154,42 +155,53 @@ def packed_operators(width: int, n: int) -> dict[str, Callable[..., Packed]]:
 
 
 class EnumerationState:
-    """Shared enumeration stream over one grammar and one example-input list.
+    """Shared enumeration stream over one grammar and one list of examples.
 
     The state is single-threaded: searches advance a single cursor and
     every retained subexpression stays available to later searches, so the
     per-example terminal searches and the condition searches of the
     unifier all resume the same stream, under the budgets of ``limits``;
-    the deadline starts when the state is built.
+    the deadline starts when the state is built.  It packs each input
+    column once, as its variable's signature, and the outputs as ``outputs``.
     """
 
     def __init__(
         self,
         grammar: Grammar,
         params: Sequence[str],
-        rows: Sequence[Sequence[int]],
+        examples: Sequence[Example],
         width: int,
         limits: SearchLimits = SearchLimits(),
     ):
         self.grammar = grammar
-        self.params = tuple(params)
-        self.rows = [tuple(r) for r in rows]
         self.width = width
         self.max_size, self.max_candidates = limits.max_size, limits.max_candidates
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
-        fns = packed_operators(width, len(self.rows))
-        self._mask = (1 << width) - 1
-        self.ones = lane_ones(width, len(self.rows))  # the signature of the constant 1
+        if not examples:
+            raise NotPBE("not a PBE task: no constraints")
+        self._mask = mask = BitVecValue(width, -1).bits  # checks the width before any lane arithmetic
+        inputs, outputs = zip(*examples)
+        columns = [*zip(*inputs), outputs]  # one per parameter, then the outputs
+        arities, lo, hi = {*map(len, inputs)}, min(map(min, columns)), max(map(max, columns))
+        if arities != {len(params)} or lo < 0 or hi > mask:  # only a Problem built without the parser
+            for i, (xs, y) in enumerate(examples):
+                if len(xs) != len(params):
+                    raise NotPBE(f"not a PBE task: example {i} has {len(xs)} inputs, not {len(params)}")
+                if bad := [v for v in (*xs, y) if not 0 <= v <= mask]:
+                    raise NotPBE(f"not a PBE task: example {i} has value {bad[0]} outside [0, {mask}]")
+        self.ones = lane_ones(width, len(examples))  # the signature of the constant 1
         self._high = self.ones << (width - 1)  # the top bit of every lane
-        self._low, self._digits = self._high - self.ones, f"0{len(self.rows) * width}b"
+        self._low, self._digits = self._high - self.ones, f"0{len(examples) * width}b"
+        *packed, self.outputs = [pack(column, width) for column in columns]
+        fns = packed_operators(width, self.ones)
         # the grammar, read once: (nt, node) per leaf, (nt, op, operands, fn, mirrored) per rule
-        rows = {x: [pack([r[i] for r in self.rows], width)] for i, x in enumerate(self.params)}
+        variables = {x: [sig] for x, sig in zip(params, packed)}
         self._leaves, self._rules = [], []
         for nt in grammar.nonterminals:
             for prod in grammar.productions[nt]:
                 if not isinstance(prod, OpRule):  # eval_columns on one packed row checks the leaf
-                    (sig,) = eval_columns(prod, rows, width, 1)
+                    (sig,) = eval_columns(prod, variables, width, 1)
                     self._leaves.append((nt, (sig * self.ones if isinstance(prod, Const) else sig, prod)))
                 elif prod.op != "if0":
                     mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
@@ -205,8 +217,7 @@ class EnumerationState:
     def for_problem(
         cls, problem: Problem, limits: SearchLimits = SearchLimits()
     ) -> EnumerationState:
-        rows = [ex.inputs for ex in problem.examples]
-        return cls(problem.grammar, problem.params, rows, problem.width, limits)
+        return cls(problem.grammar, problem.params, problem.examples, problem.width, limits)
 
     # -- the search loop ----------------------------------------------------
 

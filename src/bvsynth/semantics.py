@@ -66,9 +66,7 @@ COMMUTATIVE = frozenset({"bvand", "bvor", "bvxor", "bvadd"})  # (op a b) = (op b
 @lru_cache(maxsize=None)
 def bound_operators(width: int) -> dict[str, Callable[..., int]]:
     """Width-specialised implementations for every catalogue operator."""
-    if not MIN_WIDTH <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be within [{MIN_WIDTH}, {MAX_WIDTH}]: {width}")
-    mask = (1 << width) - 1
+    mask = BitVecValue(width, -1).bits  # checks the width
     sign = 1 << (width - 1)
 
     def ashr(a: int, b: int) -> int:

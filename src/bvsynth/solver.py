@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .errors import NotPBE, VerificationFailed
+from .errors import VerificationFailed
 from .enumeration import EnumerationState, SearchLimits
 from .frontend import Problem
 from .semantics import Expr, signature_of
@@ -56,14 +56,12 @@ def verify_solution(problem: Problem, solution: Expr) -> None:
 def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> SolveResult:
     """Run both phases, verify, and collect statistics.
 
-    Terminal and condition enumeration both exclude the if0 production; all
-    branching in the solution comes from the decision tree.  Every end of the
-    enumeration fails the search it stopped, so a failure names an example or a
-    pair (``UnsolvableExample``, ``UnunifiablePair``), the solver
-    (``GrammarViolation``, ``VerificationFailed``) or the input (``NotPBE``, ``MissingIf0Rule``).
+    Terminal and condition enumeration both exclude the if0 production; all branching in the
+    solution comes from the decision tree.  Every end of the enumeration fails the search it
+    stopped, so a failure names an example or a pair (``UnsolvableExample``, ``UnunifiablePair``),
+    the solver (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``, or
+    ``NotPBE`` from the engine, which checks the examples when it is built).
     """
-    if not problem.examples:
-        raise NotPBE("not a PBE task: no constraints")
     engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 
     try:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 
 from .errors import GrammarViolation, MissingIf0Rule, SynthesisFailure
 from .errors import UnsolvableExample, UnunifiablePair
-from .enumeration import EnumerationState, pack
+from .enumeration import EnumerationState
 from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Expr, fold, operands
 
@@ -63,7 +63,6 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     Enumeration resumes across searches instead of restarting.  Any end of
     the stream fails the example it stopped, as ``UnsolvableExample`` from it.
     """
-    outputs = pack([ex.output for ex in problem.examples], problem.width)
     tmap = TerminalMap({})
     unmapped = (1 << len(problem.examples)) - 1
     while unmapped:
@@ -72,7 +71,7 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
             expr, sig = engine.enumerate_until(engine.example_equals(k, problem.examples[k].output))
         except SynthesisFailure as exc:
             raise UnsolvableExample(k, str(exc)) from exc
-        tmap.masks[expr] = fits = engine.agreement(sig, outputs)
+        tmap.masks[expr] = fits = engine.agreement(sig, engine.outputs)
         unmapped &= ~fits
     return tmap
 

@@ -86,7 +86,7 @@ def retained(engine: EnumerationState, nt: str) -> list[tuple[Expr, tuple[int, .
         engine.enumerate_until(lambda sig: False)
     except (NotFound, Exhausted):
         pass
-    w, n = engine.width, len(engine.rows)
+    w, n = engine.width, engine.ones.bit_count()  # one bit per lane
     return [(expr_of(node), unpack(node[0], w, n)) for layer in engine._pools[nt] for node in layer]
 
 

@@ -19,6 +19,7 @@ from bvsynth.cli import main as cli_main
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import MissingIf0Rule, UnsupportedArity
 from bvsynth.frontend import (
+    Example,
     Grammar,
     OpRule,
     parse_problem,
@@ -189,7 +190,8 @@ def test_criterion_3_pruning_soundness_oracle():
         instances.append((grammar, rows, width))
 
     for grammar, rows, width in instances:
-        engine = EnumerationState(grammar, ("x",), rows, width, SearchLimits(max_size=5))
+        examples = [Example(row, 0) for row in rows]  # no search here reads the outputs
+        engine = EnumerationState(grammar, ("x",), examples, width, SearchLimits(max_size=5))
         for nt in grammar.nonterminals:
             pruned = {sig for _, sig in retained(engine, nt)}
             unpruned = bruteforce.signatures_up_to(

@@ -17,7 +17,7 @@ from bvsynth.enumeration import (
 )
 from bvsynth.errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from bvsynth.errors import UnboundVariable, WidthMismatch
-from bvsynth.frontend import Grammar, OpRule
+from bvsynth.frontend import Example, Grammar, OpRule
 from bvsynth.semantics import (
     COMMUTATIVE, App, BitVecValue, Const, Var, expr_to_sexpr, subexpressions
 )
@@ -328,7 +328,7 @@ def test_exclusion_set_is_respected():
     for expr, _ in kept:
         assert all(not (isinstance(e, App) and e.op == "if0") for e in subexpressions(expr))
     no_if0 = grammar_of(["bvnot", "bvadd"], width=8, with_if0=False)
-    plain = EnumerationState(no_if0, ("x",), rows_of(p), 8, limits)
+    plain = EnumerationState(no_if0, ("x",), p.examples, 8, limits)
     assert retained(plain, "Start") == kept
     counters = lambda e: (e.evaluations, e.stored, e.pruned)
     assert counters(plain) == counters(eng)
@@ -498,15 +498,17 @@ def mirror_cases(draw):
 
 
 def engine_of(cls, grammar, width, rows, max_size):
-    """An engine of ``cls`` whose searches are bounded by ``max_size`` only."""
-    return cls(grammar, ("x",), rows, width, SearchLimits(max_size, sys.maxsize))
+    """An engine of ``cls`` over ``rows`` whose searches are bounded by
+    ``max_size`` only; no search here reads the outputs, so each is 0."""
+    examples = [Example(row, 0) for row in rows]
+    return cls(grammar, ("x",), examples, width, SearchLimits(max_size, sys.maxsize))
 
 
 def predicate(engine, kind, k, value):
     """The acceptance predicate one drawn search names."""
     if kind == "equals":
         return engine.example_equals(k, value)
-    return engine.separates(k, value % len(engine.rows))
+    return engine.separates(k, value % engine.ones.bit_count())  # one bit per lane
 
 
 def outcome(engine, kind, k, value, nt):

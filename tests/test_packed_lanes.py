@@ -4,16 +4,21 @@ The enumeration keeps a signature as one int with example ``i`` in lane
 ``i``; every packed operator must give, in each lane, exactly what
 ``bound_operators`` gives for that lane's values, and the two acceptance
 predicates and the example mask of ``agreement`` must mean what they mean on
-the per-example tuple.
+the per-example tuple.  No other module of the package may know the layout.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvsynth.enumeration import EnumerationState, pack, packed_operators, unpack
+import bvsynth
+from bvsynth.enumeration import EnumerationState, lane_ones, pack, packed_operators, unpack
+from bvsynth.frontend import Example
 from bvsynth.semantics import OPERATORS, bound_operators
 
 from helpers import bits_where, grammar_of
@@ -41,7 +46,7 @@ def lane_columns(draw):
 
 def assert_lanewise(width: int, columns: list[list[int]]) -> None:
     n = len(columns[0])
-    packed = packed_operators(width, n)
+    packed = packed_operators(width, lane_ones(width, n))
     per_value = bound_operators(width)
     assert set(packed) == set(ENUMERABLE)
     sigs = [pack(column, width) for column in columns]
@@ -79,7 +84,7 @@ def engine_over(width: int, column: list[int]) -> EnumerationState:
     """An engine whose variable ``x`` packs ``column``; a signature can then
     be any packed value of that many lanes."""
     grammar = grammar_of(["bvnot"], width=width)
-    return EnumerationState(grammar, ("x",), [(v,) for v in column], width)
+    return EnumerationState(grammar, ("x",), [Example((v,), 0) for v in column], width)
 
 
 @st.composite
@@ -121,3 +126,22 @@ def test_predicates_match_their_tuple_definitions(case, data):
     assert eng.agreement(sig, sig) == (1 << n) - 1
     assert eng.ones == pack((1,) * n, width)
     assert eng.agreement(sig, eng.ones) == bits_where(lanes, 1)
+
+
+LANE_LAYOUT = {"pack", "unpack", "lane_ones", "packed_operators"}
+
+
+def test_only_the_enumeration_knows_the_lane_layout():
+    # Every other module handles signatures, predicates and example masks only:
+    # none imports, calls or names the functions that build or read lanes.
+    package = Path(bvsynth.__file__).parent
+    users = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "enumeration.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+            users[path.name] = sorted(names & LANE_LAYOUT)
+    assert "unify.py" in users
+    assert {name: used for name, used in users.items() if used} == {}

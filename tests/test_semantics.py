@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import UnboundVariable, WidthMismatch
-from bvsynth.frontend import read_sexprs
+from bvsynth.frontend import Example, read_sexprs
 from bvsynth.semantics import (
     App,
     BitVecValue,
@@ -54,11 +54,13 @@ def test_width_out_of_range_rejected(width):
 @pytest.mark.parametrize("width", [0, 65])
 @pytest.mark.parametrize("entry", ["signature_of", "eval_expr", "EnumerationState"])
 def test_every_evaluator_rejects_an_out_of_range_width(entry, width):
-    # Each reaches bound_operators' range check before any arithmetic on the width.
+    # Each reaches BitVecValue's range check before any arithmetic on the width.
     calls = {
         "signature_of": lambda: signature_of(Var("x"), ("x",), [(1,)], width),
         "eval_expr": lambda: eval_expr(Var("x"), {}, width),
-        "EnumerationState": lambda: EnumerationState(grammar_of(["bvnot"]), ("x",), [(1,)], width),
+        "EnumerationState": lambda: EnumerationState(
+            grammar_of(["bvnot"]), ("x",), [Example((1,), 1)], width
+        ),
     }
     with pytest.raises(ValueError, match=rf"^width must be within \[1, 64\]: {width}$"):
         calls[entry]()

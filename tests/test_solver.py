@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import sys
 import traceback
 import weakref
@@ -12,7 +13,7 @@ import pytest
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import Exhausted, NotFound, NotPBE, TimeoutExceeded, UnsolvableExample
 from bvsynth.errors import UnunifiablePair, VerificationFailed
-from bvsynth.frontend import Grammar, OpRule
+from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import App, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import Leaf, internal_node_count
@@ -82,10 +83,23 @@ def test_solution_size_and_node_bound_on_mixed_instance():
     verify_solution(p, result.solution)
 
 
-def test_a_problem_without_examples_is_not_pbe():
-    # Built directly, it skips detect_pbe; the solve must not leak a StopIteration.
-    p = problem_of(grammar_of(["bvnot"], width=8), [], width=8)
-    with pytest.raises(NotPBE, match="^not a PBE task: no constraints$"):
+@pytest.mark.parametrize(
+    "examples, message",
+    [
+        ((), "no constraints"),
+        ((Example((), 1),), "example 0 has 0 inputs, not 1"),
+        ((Example((1, 5), 1),), "example 0 has 2 inputs, not 1"),
+        ((Example((1,), 0x1FF),), "example 0 has value 511 outside [0, 255]"),
+        ((Example((1,), -1),), "example 0 has value -1 outside [0, 255]"),
+        ((Example((0x1FF,), 0xFF),), "example 0 has value 511 outside [0, 255]"),
+        ((Example((1,), 1), Example((1, 2), 3)), "example 1 has 2 inputs, not 1"),
+    ],
+)
+def test_a_problem_with_malformed_examples_is_not_pbe(examples, message):
+    # Built directly, it skips detect_pbe: the engine checks the examples as it
+    # packs them, before any search, and names the first malformed one.
+    p = Problem("f", ("x",), 8, grammar_of(["bvnot", "bvand", "bvadd"], width=8), examples)
+    with pytest.raises(NotPBE, match=f"^{re.escape('not a PBE task: ' + message)}$"):
         solve_problem(p)
 
 
