@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .enumeration import size_splits
 from .frontend import Grammar, OpRule, Production
-from .semantics import App, BitVecValue, Const, Expr, MAX_WIDTH, MIN_WIDTH, OPERATORS, Var
+from .semantics import App, BitVecValue, Const, Expr, OPERATORS, Var
 from .semantics import expr_to_sexpr, literal_format, signature_of
 
 
@@ -52,8 +52,7 @@ class CorpusSpec(NamedTuple):
             raise ValueError("need 1 <= size-min <= size-max")
         if self.examples < 1:
             raise ValueError("need at least one example per instance")
-        if not MIN_WIDTH <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be within [{MIN_WIDTH}, {MAX_WIDTH}]")
+        BitVecValue(self.width, 0)  # checks the width
         if 2**self.width < self.examples:
             raise ValueError("not enough distinct inputs at this width")
 

@@ -44,9 +44,9 @@ import operator
 import time
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
-from .errors import Exhausted, NotFound, NotPBE, SynthesisFailure, TimeoutExceeded
-from .frontend import Example, Grammar, OpRule, Problem
-from .semantics import COMMUTATIVE, App, BitVecValue, Const, Expr, bound_operators, eval_columns, fold
+from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
+from .frontend import Example, Grammar, Problem, check_examples, check_grammar
+from .semantics import COMMUTATIVE, App, Const, Expr, bound_operators, eval_columns, fold
 from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
 Packed = int  # a signature with example i's value in lane i
@@ -161,8 +161,9 @@ class EnumerationState:
     every retained subexpression stays available to later searches, so the
     per-example terminal searches and the condition searches of the
     unifier all resume the same stream, under the budgets of ``limits``;
-    the deadline starts when the state is built.  It packs each input
-    column once, as its variable's signature, and the outputs as ``outputs``.
+    the deadline starts when the state is built.  It first runs the parser's
+    ``check_grammar`` and ``check_examples``, then packs each input column
+    once, as its variable's signature, and the outputs as ``outputs``.
     """
 
     def __init__(
@@ -173,39 +174,31 @@ class EnumerationState:
         width: int,
         limits: SearchLimits = SearchLimits(),
     ):
+        # the parser's checks, so a Problem built without it fails as a parsed one would
+        leaves, rules = check_grammar(grammar, params)  # (nt, production), in declaration order
+        columns = check_examples(examples, params, width)  # one per parameter, then the outputs
         self.grammar = grammar
         self.width = width
         self.max_size, self.max_candidates = limits.max_size, limits.max_candidates
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
-        if not examples:
-            raise NotPBE("not a PBE task: no constraints")
-        self._mask = mask = BitVecValue(width, -1).bits  # checks the width before any lane arithmetic
-        inputs, outputs = zip(*examples)
-        columns = [*zip(*inputs), outputs]  # one per parameter, then the outputs
-        arities, lo, hi = {*map(len, inputs)}, min(map(min, columns)), max(map(max, columns))
-        if arities != {len(params)} or lo < 0 or hi > mask:  # only a Problem built without the parser
-            for i, (xs, y) in enumerate(examples):
-                if len(xs) != len(params):
-                    raise NotPBE(f"not a PBE task: example {i} has {len(xs)} inputs, not {len(params)}")
-                if bad := [v for v in (*xs, y) if not 0 <= v <= mask]:
-                    raise NotPBE(f"not a PBE task: example {i} has value {bad[0]} outside [0, {mask}]")
+        self._mask = (1 << width) - 1
         self.ones = lane_ones(width, len(examples))  # the signature of the constant 1
         self._high = self.ones << (width - 1)  # the top bit of every lane
         self._low, self._digits = self._high - self.ones, f"0{len(examples) * width}b"
         *packed, self.outputs = [pack(column, width) for column in columns]
         fns = packed_operators(width, self.ones)
-        # the grammar, read once: (nt, node) per leaf, (nt, op, operands, fn, mirrored) per rule
+        # (nt, node) per leaf, (nt, op, operands, fn, mirrored) per rule but if0
         variables = {x: [sig] for x, sig in zip(params, packed)}
-        self._leaves, self._rules = [], []
-        for nt in grammar.nonterminals:
-            for prod in grammar.productions[nt]:
-                if not isinstance(prod, OpRule):  # eval_columns on one packed row checks the leaf
-                    (sig,) = eval_columns(prod, variables, width, 1)
-                    self._leaves.append((nt, (sig * self.ones if isinstance(prod, Const) else sig, prod)))
-                elif prod.op != "if0":
-                    mirrored = prod.op in COMMUTATIVE and prod.operands[0] == prod.operands[1]
-                    self._rules.append((nt, prod.op, prod.operands, fns[prod.op], mirrored))
+        self._leaves = []
+        for nt, leaf in leaves:  # eval_columns on one packed row checks the leaf
+            (sig,) = eval_columns(leaf, variables, width, 1)
+            self._leaves.append((nt, (sig * self.ones if isinstance(leaf, Const) else sig, leaf)))
+        self._rules = [
+            (nt, op, operands, fns[op], op in COMMUTATIVE and operands[0] == operands[1])
+            for nt, (op, operands) in rules
+            if op != "if0"
+        ]
         # pools[nt][size] lists retained nodes; index 0 unused
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}

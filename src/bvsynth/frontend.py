@@ -15,7 +15,7 @@ reading the text again in step with the tree.
 from __future__ import annotations
 
 import re
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     InconsistentExamples,
@@ -188,6 +188,81 @@ class Problem(NamedTuple):
     examples: tuple[Example, ...]
 
 
+# The parser and the engine both run these two checks, so a Problem built
+# without the parser meets the same rules, with the same errors.
+
+
+def check_grammar(grammar: Grammar, params: Sequence[str]) -> tuple[list, list]:
+    """The grammar's leaves and its operator rules, each as ``(nt, production)`` in declaration
+    order, once checked.  ``SygusSyntaxError`` names the first of: a repeated parameter or
+    nonterminal, a start that is not a nonterminal, then per nonterminal in order an empty
+    production tuple, an operator rule off the catalogue or its arity, an operand that is not a
+    nonterminal, a leaf that is not a ``Var`` or a ``Const`` of a ``BitVecValue``; last, an
+    unproductive nonterminal."""
+    for kind, names in (("parameter", params), ("nonterminal", grammar.nonterminals)):
+        if len({*names}) != len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise SygusSyntaxError(f"{kind} {twice!r} is repeated")
+    nonterminals = {*grammar.nonterminals}
+    if grammar.start not in nonterminals:
+        raise SygusSyntaxError(f"start symbol {grammar.start!r} is not a nonterminal")
+    leaves, rules = [], []
+    for nt in grammar.nonterminals:
+        if not grammar.productions.get(nt):
+            raise SygusSyntaxError(f"nonterminal {nt!r} has no productions")
+        for p in grammar.productions[nt]:
+            if isinstance(p, OpRule):
+                op, operands = p
+                if OPERATORS.get(op) != len(operands):
+                    raise SygusSyntaxError(
+                        f"{op!r} of {len(operands)} operands in {nt!r} is not a catalogue operator"
+                    )
+                if not nonterminals.issuperset(operands):
+                    bad = next(o for o in operands if o not in nonterminals)
+                    raise SygusSyntaxError(f"operand {bad!r} of {op!r} in {nt!r} is not a nonterminal")
+                rules.append((nt, p))
+            elif isinstance(p, Var) or isinstance(p, Const) and isinstance(p.value, BitVecValue):
+                leaves.append((nt, p))
+            else:
+                raise SygusSyntaxError(
+                    f"{p!r} in {nt!r} is not a Var, a Const of a BitVecValue or an OpRule"
+                )
+    productive = {nt for nt, _ in leaves}
+    while grown := {nt for nt, p in rules if nt not in productive and productive.issuperset(p.operands)}:
+        productive |= grown
+    if len(productive) < len(nonterminals):
+        vacuous = next(nt for nt in grammar.nonterminals if nt not in productive)
+        raise SygusSyntaxError(f"nonterminal {vacuous!r} derives no finite expression")
+    return leaves, rules
+
+
+def check_examples(examples: Sequence[Example], params: Sequence[str], width: int) -> list[tuple]:
+    """The examples' columns, one per parameter and then the outputs, once checked: ``NotPBE``
+    for no examples, an example with another number of inputs than there are ``params`` or a
+    value outside ``[0, 2**width)``, and ``InconsistentExamples`` for two with the same inputs
+    and different outputs.  When all is well only C-level passes run; on failure a loop names
+    the first bad example or pair."""
+    if not examples:
+        raise NotPBE("not a PBE task: no constraints")
+    mask = BitVecValue(width, -1).bits  # checks the width
+    inputs, outputs = zip(*examples)
+    columns = [*zip(*inputs), outputs]
+    lo, hi = min(map(min, columns)), max(map(max, columns))
+    if {*map(len, inputs)} != {len(params)} or lo < 0 or hi > mask:
+        for i, (xs, y) in enumerate(examples):
+            if len(xs) != len(params):
+                raise NotPBE(f"not a PBE task: example {i} has {len(xs)} inputs, not {len(params)}")
+            if bad := [v for v in (*xs, y) if not 0 <= v <= mask]:
+                raise NotPBE(f"not a PBE task: example {i} has value {bad[0]} outside [0, {mask}]")
+    distinct = len({*inputs})  # distinct examples are as many, unless two inputs disagree
+    if distinct != len(examples) and distinct != len({*examples}):
+        first: dict[tuple[int, ...], int] = {}  # inputs -> the first example's index
+        for i, (xs, y) in enumerate(examples):
+            if examples[j := first.setdefault(xs, i)].output != y:
+                raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
+    return columns
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -244,30 +319,11 @@ def _parse_grammar(parent: list, index: int, params: tuple[str, ...], width: int
                     if not (type(p[j]) is str and p[j] in bodies):
                         raise _error("production operands must be nonterminals", p, j)
                 prods.append(OpRule(op_name, tuple(p[1:])))
-        if not prods:
-            raise SygusSyntaxError(f"nonterminal {name!r} has no productions")
         productions[name] = tuple(prods)
 
     grammar = Grammar(tuple(bodies), productions, next(iter(bodies)))
-    _check_productive(grammar)
+    check_grammar(grammar, params)
     return grammar
-
-
-def _check_productive(grammar: Grammar) -> None:
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for nt in grammar.nonterminals:
-            if nt not in productive and any(
-                not isinstance(p, OpRule) or all(o in productive for o in p.operands)
-                for p in grammar.productions[nt]
-            ):
-                productive.add(nt)
-                changed = True
-    vacuous = [nt for nt in grammar.nonterminals if nt not in productive]
-    if vacuous:
-        raise SygusSyntaxError(f"nonterminal {vacuous[0]!r} derives no finite expression")
 
 
 def _operator(sx: list) -> str:
@@ -434,10 +490,7 @@ def detect_pbe(
     declared: Mapping[str, int],
 ) -> list[Example]:
     """Map every constraint to a concrete input/output example, in file order."""
-    if not constraints:
-        raise NotPBE("not a PBE task: no constraints")
     examples: list[Example] = []
-    seen: dict[tuple[int, ...], int] = {}  # inputs -> the first example's index
     for i, term in enumerate(constraints):
         parsed = _example_of(term, fname, width, declared)
         if parsed is None:
@@ -448,9 +501,7 @@ def detect_pbe(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
         examples.append(Example(inputs, output))
-        j = seen.setdefault(inputs, i)
-        if examples[j].output != output:
-            raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
+    check_examples(examples, params, width)
     return examples
 
 

@@ -60,7 +60,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     solution comes from the decision tree.  Every end of the enumeration fails the search it
     stopped, so a failure names an example or a pair (``UnsolvableExample``, ``UnunifiablePair``),
     the solver (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``, or
-    ``NotPBE`` from the engine, which checks the examples when it is built).
+    the parser's errors from the engine, which checks the grammar and examples when it is built).
     """
     engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 

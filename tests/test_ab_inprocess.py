@@ -9,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = str(ROOT / "tools" / "ab_inprocess.py")
+sys.path.insert(0, str(ROOT / "tools"))
+
+import ab_inprocess  # noqa: E402
 
 
 def run_tool(parent: Path, change: Path, rounds: int) -> subprocess.CompletedProcess:
@@ -25,7 +28,7 @@ def test_a_checkout_against_itself_gives_the_same_answers():
     run = run_tool(ROOT / "src", ROOT / "src", rounds=2)
     assert run.returncode == 0, run.stderr
     assert "change/parent median ratio" in run.stdout
-    assert run.stdout.endswith("answers and counters: same in every pass\n")
+    assert run.stdout.endswith("answers and counters: same on every solve\n")
 
 
 def test_a_counter_difference_with_the_same_answers_fails(tmp_path):
@@ -42,3 +45,26 @@ def test_a_counter_difference_with_the_same_answers_fails(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "answers differ" not in run.stderr
     assert "counters differ on instances [0, 1, 2" in run.stderr
+
+
+def test_the_sides_alternate_within_a_round():
+    # Both sides solve each instance one right after the other; the side that
+    # goes first alternates by instance, and the next round starts with the other.
+    log = []
+
+    def solver(side):
+        def solve(i):
+            log.append((i, side))
+            return 0.0, "", None
+
+        return solve
+
+    solve = {side: solver(side) for side in ab_inprocess.SIDES}
+    for round_ in range(2):
+        results = ab_inprocess.run_round(round_, solve, 4)
+        assert {side: len(r) for side, r in results.items()} == {"parent": 4, "change": 4}
+    P, C = ab_inprocess.SIDES
+    assert log == [
+        (0, P), (0, C), (1, C), (1, P), (2, P), (2, C), (3, C), (3, P),  # round 0
+        (0, C), (0, P), (1, P), (1, C), (2, C), (2, P), (3, P), (3, C),  # round 1
+    ]

@@ -208,6 +208,19 @@ def test_gen_invalid_spec_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["0", "65"])
+def test_gen_out_of_range_width_exits_2_and_names_it(tmp_path, capsys, width):
+    code = main(
+        [
+            "gen", "--count", "1", "--seed", "3", "--size-min", "2", "--size-max", "4",
+            "--examples", "5", "--width", width, "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: width must be within [1, 64]: {width}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_only_bench_has_a_default_timeout():
     parser = build_parser()
     assert parser.parse_args(["solve", "problem.sl"]).timeout is None

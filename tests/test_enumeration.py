@@ -216,9 +216,11 @@ def test_size_budget_verdicts_build_nothing_above_the_budget(op, budget, kind, t
 
 def never_grammar() -> Grammar:
     """``grammar_of(["shl1", "bvnot", "bvand"], width=8)`` plus a nonterminal
-    ``Never`` with no productions, whose searches re-scan and inspect nothing."""
+    ``Never`` whose one rule, ``(bvand Start Start)``, builds nothing below size 3,
+    so its searches re-scan and inspect nothing while the stream ends sooner."""
     base = grammar_of(["shl1", "bvnot", "bvand"], width=8)
-    return Grammar(base.nonterminals + ("Never",), {**base.productions, "Never": ()}, "Start")
+    never = (OpRule("bvand", ("Start", "Start")),)
+    return Grammar(base.nonterminals + ("Never",), {**base.productions, "Never": never}, "Start")
 
 
 NEVER_PROBLEM = problem_of(never_grammar(), [(3, 0), (5, 0)], width=8)

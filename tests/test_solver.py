@@ -12,9 +12,9 @@ import pytest
 
 from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import Exhausted, NotFound, NotPBE, TimeoutExceeded, UnsolvableExample
-from bvsynth.errors import UnunifiablePair, VerificationFailed
+from bvsynth.errors import InconsistentExamples, SygusSyntaxError, UnunifiablePair, VerificationFailed
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
-from bvsynth.semantics import App, Var, eval_expr, subexpressions
+from bvsynth.semantics import App, Const, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import Leaf, internal_node_count
 
@@ -101,6 +101,88 @@ def test_a_problem_with_malformed_examples_is_not_pbe(examples, message):
     p = Problem("f", ("x",), 8, grammar_of(["bvnot", "bvand", "bvadd"], width=8), examples)
     with pytest.raises(NotPBE, match=f"^{re.escape('not a PBE task: ' + message)}$"):
         solve_problem(p)
+
+
+LIBRARY_BASE = grammar_of(["bvnot", "bvand", "bvadd"], width=8)
+
+
+def grammar_with(start_rules=(), **more) -> Grammar:
+    """``LIBRARY_BASE`` with ``start_rules`` appended to Start, and each keyword a
+    further nonterminal with its productions, declared after Start in that order."""
+    start = LIBRARY_BASE.productions["Start"] + tuple(start_rules)
+    return Grammar(("Start", *more), {"Start": start, **more}, "Start")
+
+
+TWO = (Example((3,), 1), Example((5,), 4))
+BINARY_BVNOT = grammar_of(["bvand", "bvadd"], width=8).productions["Start"] + (
+    OpRule("bvnot", ("Start", "Start")),
+)
+# Each Problem the parser would reject, built without it, and the error the
+# parser's checks raise for it.  At width 8 and SearchLimits(max_size=6), before
+# the engine ran those checks, these ended in a bare KeyError (bvmul, the
+# undeclared operand, the start, the empty grammar), an AttributeError
+# (Const(1)), a ValueError from building the binary bvnot hit, UnunifiablePair
+# (equal inputs), or a solve (the other three).
+LIBRARY_INPUT = {
+    "unknown operator": (
+        grammar_with([OpRule("bvmul", ("Start", "Start"))]), ("x",), TWO,
+        SygusSyntaxError, "'bvmul' of 2 operands in 'Start' is not a catalogue operator",
+    ),
+    "undeclared operand": (
+        grammar_with([OpRule("bvand", ("C", "B"))]), ("x",), TWO,
+        SygusSyntaxError, "operand 'C' of 'bvand' in 'Start' is not a nonterminal",
+    ),
+    "start not a nonterminal": (
+        LIBRARY_BASE._replace(start="S"), ("x",), TWO,
+        SygusSyntaxError, "start symbol 'S' is not a nonterminal",
+    ),
+    "no productions": (
+        grammar_with([OpRule("bvand", ("Start", "B"))], B=()), ("x",), TWO,
+        SygusSyntaxError, "nonterminal 'B' has no productions",
+    ),
+    "empty grammar": (
+        Grammar((), {}, "Start"), ("x",), TWO,
+        SygusSyntaxError, "start symbol 'Start' is not a nonterminal",
+    ),
+    "plain-int constant": (
+        grammar_with([Const(1)]), ("x",), TWO,
+        SygusSyntaxError, "Const(value=1) in 'Start' is not a Var, a Const of a BitVecValue or an OpRule",
+    ),
+    "binary bvnot": (
+        Grammar(("Start",), {"Start": BINARY_BVNOT}, "Start"), ("x",), (Example((0x0F,), 0xF0),),
+        SygusSyntaxError, "'bvnot' of 2 operands in 'Start' is not a catalogue operator",
+    ),
+    "vacuous nonterminals": (
+        grammar_with(
+            [OpRule("bvand", ("Start", "C"))],
+            C=(OpRule("bvnot", ("D",)),), D=(OpRule("bvand", ("C", "Start")),),
+        ),
+        ("x",), TWO,
+        SygusSyntaxError, "nonterminal 'C' derives no finite expression",
+    ),
+    "equal inputs": (
+        LIBRARY_BASE, ("x",), (Example((3,), 1), Example((5,), 4), Example((3,), 2)),
+        InconsistentExamples, "examples 0 and 2 share inputs but disagree on output",
+    ),
+    "repeated parameter": (
+        LIBRARY_BASE, ("x", "x"), (Example((3, 3), 1),),
+        SygusSyntaxError, "parameter 'x' is repeated",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "grammar, params, examples, error, message", LIBRARY_INPUT.values(), ids=list(LIBRARY_INPUT)
+)
+def test_a_problem_the_parser_rejects_fails_before_any_search(grammar, params, examples, error, message):
+    # Built directly, it skips the parser, but the engine runs the parser's own
+    # checks when it is built, so no search starts.  Each message names the
+    # first bad parameter, nonterminal or operand in declaration order.
+    p = Problem("f", params, 8, grammar, examples)
+    limits = SearchLimits(max_size=6)
+    for attempt in (lambda: EnumerationState.for_problem(p, limits), lambda: solve_problem(p, limits)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            attempt()
 
 
 def test_a_hit_deeper_than_the_recursion_limit_is_solved():
