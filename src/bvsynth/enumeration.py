@@ -45,7 +45,7 @@ import time
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
-from .frontend import Example, Grammar, Problem, check_examples, check_grammar
+from .frontend import OpRule, Problem
 from .semantics import COMMUTATIVE, App, Const, Expr, bound_operators, eval_columns, fold
 from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
@@ -155,30 +155,21 @@ def packed_operators(width: int, ones: Packed) -> dict[str, Callable[..., Packed
 
 
 class EnumerationState:
-    """Shared enumeration stream over one grammar and one list of examples.
+    """Shared enumeration stream over one problem's grammar and examples.
 
     The state is single-threaded: searches advance a single cursor and
     every retained subexpression stays available to later searches, so the
     per-example terminal searches and the condition searches of the
     unifier all resume the same stream, under the budgets of ``limits``;
-    the deadline starts when the state is built.  It first runs the parser's
-    ``check_grammar`` and ``check_examples``, then packs each input column
-    once, as its variable's signature, and the outputs as ``outputs``.
+    the deadline starts when the state is built.  The ``Problem`` was
+    checked when it was built, so the state runs no check of its own: it
+    packs each input column once, as its variable's signature, and the
+    outputs as ``outputs``.
     """
 
-    def __init__(
-        self,
-        grammar: Grammar,
-        params: Sequence[str],
-        examples: Sequence[Example],
-        width: int,
-        limits: SearchLimits = SearchLimits(),
-    ):
-        # the parser's checks, so a Problem built without it fails as a parsed one would
-        leaves, rules = check_grammar(grammar, params)  # (nt, production), in declaration order
-        columns = check_examples(examples, params, width)  # one per parameter, then the outputs
-        self.grammar = grammar
-        self.width = width
+    def __init__(self, problem: Problem, limits: SearchLimits = SearchLimits()):
+        grammar, width, examples = problem.grammar, problem.width, problem.examples
+        self.grammar, self.width = grammar, width
         self.max_size, self.max_candidates = limits.max_size, limits.max_candidates
         self.deadline = None if limits.timeout is None else time.monotonic() + limits.timeout
 
@@ -186,19 +177,20 @@ class EnumerationState:
         self.ones = lane_ones(width, len(examples))  # the signature of the constant 1
         self._high = self.ones << (width - 1)  # the top bit of every lane
         self._low, self._digits = self._high - self.ones, f"0{len(examples) * width}b"
-        *packed, self.outputs = [pack(column, width) for column in columns]
+        inputs, outputs = zip(*examples)
+        self.outputs = pack(outputs, width)
+        variables = {x: [pack(column, width)] for x, column in zip(problem.params, zip(*inputs))}
         fns = packed_operators(width, self.ones)
-        # (nt, node) per leaf, (nt, op, operands, fn, mirrored) per rule but if0
-        variables = {x: [sig] for x, sig in zip(params, packed)}
-        self._leaves = []
-        for nt, leaf in leaves:  # eval_columns on one packed row checks the leaf
-            (sig,) = eval_columns(leaf, variables, width, 1)
-            self._leaves.append((nt, (sig * self.ones if isinstance(leaf, Const) else sig, leaf)))
-        self._rules = [
-            (nt, op, operands, fns[op], op in COMMUTATIVE and operands[0] == operands[1])
-            for nt, (op, operands) in rules
-            if op != "if0"
-        ]
+        # in declaration order, (nt, node) per leaf and (nt, op, operands, fn, mirrored) per rule but if0
+        self._leaves, self._rules = [], []
+        for nt in grammar.nonterminals:
+            for p in grammar.productions[nt]:
+                if not isinstance(p, OpRule):  # eval_columns on one packed row checks the leaf
+                    (sig,) = eval_columns(p, variables, width, 1)
+                    self._leaves.append((nt, (sig * self.ones if isinstance(p, Const) else sig, p)))
+                elif p.op != "if0":
+                    mirrored = p.op in COMMUTATIVE and p.operands[0] == p.operands[1]
+                    self._rules.append((nt, p.op, p.operands, fns[p.op], mirrored))
         # pools[nt][size] lists retained nodes; index 0 unused
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}
@@ -210,7 +202,7 @@ class EnumerationState:
     def for_problem(
         cls, problem: Problem, limits: SearchLimits = SearchLimits()
     ) -> EnumerationState:
-        return cls(problem.grammar, problem.params, problem.examples, problem.width, limits)
+        return cls(problem, limits)
 
     # -- the search loop ----------------------------------------------------
 
@@ -267,7 +259,7 @@ class EnumerationState:
                             if count >= due:
                                 if count > budget:
                                     raise NotFound(f"candidate budget {budget} exhausted")
-                                self._check_deadline(f"{count} evaluations")
+                                self._enforce_deadline(f"{count} evaluations")
                                 due = min(budget, count | 4095) + 1
                             if new and looking:
                                 inspected += 1
@@ -284,7 +276,7 @@ class EnumerationState:
             self._end = type(end), str(end)
             raise
 
-    def _check_deadline(self, spent: str) -> None:
+    def _enforce_deadline(self, spent: str) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutExceeded(f"wall clock expired after {spent}")
 
@@ -342,7 +334,7 @@ class EnumerationState:
             for node in layer:
                 rescanned += 1
                 if (rescanned & 4095) == 0:
-                    self._check_deadline(f"{rescanned} re-scanned candidates")
+                    self._enforce_deadline(f"{rescanned} re-scanned candidates")
                 self.inspected += 1
                 if accept(node[0]):
                     return SearchResult(expr_of(node), node[0])

@@ -180,7 +180,7 @@ class Example(NamedTuple):
     output: int
 
 
-class Problem(NamedTuple):
+class _ProblemFields(NamedTuple):
     name: str
     params: tuple[str, ...]
     width: int
@@ -188,17 +188,29 @@ class Problem(NamedTuple):
     examples: tuple[Example, ...]
 
 
-# The parser and the engine both run these two checks, so a Problem built
-# without the parser meets the same rules, with the same errors.
+class Problem(_ProblemFields):
+    """One PBE problem, checked when it is built: by the parser, by a library caller, or by
+    ``_replace``.  It runs ``check_grammar`` and then ``check_examples``, and nothing else
+    does, so a Problem built without the parser meets the same rules, with the same errors."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, params: tuple, width: int, grammar: Grammar, examples: tuple) -> Problem:
+        check_grammar(grammar, params)
+        check_examples(examples, params, width)
+        return super().__new__(cls, name, params, width, grammar, examples)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it
+        return cls(*iterable)
 
 
-def check_grammar(grammar: Grammar, params: Sequence[str]) -> tuple[list, list]:
-    """The grammar's leaves and its operator rules, each as ``(nt, production)`` in declaration
-    order, once checked.  ``SygusSyntaxError`` names the first of: a repeated parameter or
-    nonterminal, a start that is not a nonterminal, then per nonterminal in order an empty
-    production tuple, an operator rule off the catalogue or its arity, an operand that is not a
-    nonterminal, a leaf that is not a ``Var`` or a ``Const`` of a ``BitVecValue``; last, an
-    unproductive nonterminal."""
+def check_grammar(grammar: Grammar, params: Sequence[str]) -> None:
+    """Raise ``SygusSyntaxError`` naming the first of: a repeated parameter or nonterminal, a
+    start that is not a nonterminal, then per nonterminal in order an empty production tuple,
+    an operator rule off the catalogue or its arity, an operand that is not a nonterminal, a
+    leaf that is not a ``Var`` or a ``Const`` of a ``BitVecValue``; last, an unproductive
+    nonterminal."""
     for kind, names in (("parameter", params), ("nonterminal", grammar.nonterminals)):
         if len({*names}) != len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
@@ -206,7 +218,7 @@ def check_grammar(grammar: Grammar, params: Sequence[str]) -> tuple[list, list]:
     nonterminals = {*grammar.nonterminals}
     if grammar.start not in nonterminals:
         raise SygusSyntaxError(f"start symbol {grammar.start!r} is not a nonterminal")
-    leaves, rules = [], []
+    productive, rules = set(), []
     for nt in grammar.nonterminals:
         if not grammar.productions.get(nt):
             raise SygusSyntaxError(f"nonterminal {nt!r} has no productions")
@@ -222,23 +234,21 @@ def check_grammar(grammar: Grammar, params: Sequence[str]) -> tuple[list, list]:
                     raise SygusSyntaxError(f"operand {bad!r} of {op!r} in {nt!r} is not a nonterminal")
                 rules.append((nt, p))
             elif isinstance(p, Var) or isinstance(p, Const) and isinstance(p.value, BitVecValue):
-                leaves.append((nt, p))
+                productive.add(nt)
             else:
                 raise SygusSyntaxError(
                     f"{p!r} in {nt!r} is not a Var, a Const of a BitVecValue or an OpRule"
                 )
-    productive = {nt for nt, _ in leaves}
     while grown := {nt for nt, p in rules if nt not in productive and productive.issuperset(p.operands)}:
         productive |= grown
     if len(productive) < len(nonterminals):
         vacuous = next(nt for nt in grammar.nonterminals if nt not in productive)
         raise SygusSyntaxError(f"nonterminal {vacuous!r} derives no finite expression")
-    return leaves, rules
 
 
-def check_examples(examples: Sequence[Example], params: Sequence[str], width: int) -> list[tuple]:
-    """The examples' columns, one per parameter and then the outputs, once checked: ``NotPBE``
-    for no examples, an example with another number of inputs than there are ``params`` or a
+def check_examples(examples: Sequence[Example], params: Sequence[str], width: int) -> None:
+    """Raise ``NotPBE`` for no examples, ``ValueError`` for a width outside ``[1, 64]``,
+    ``NotPBE`` for an example with another number of inputs than there are ``params`` or a
     value outside ``[0, 2**width)``, and ``InconsistentExamples`` for two with the same inputs
     and different outputs.  When all is well only C-level passes run; on failure a loop names
     the first bad example or pair."""
@@ -260,7 +270,6 @@ def check_examples(examples: Sequence[Example], params: Sequence[str], width: in
         for i, (xs, y) in enumerate(examples):
             if examples[j := first.setdefault(xs, i)].output != y:
                 raise InconsistentExamples(f"examples {j} and {i} share inputs but disagree on output")
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +330,7 @@ def _parse_grammar(parent: list, index: int, params: tuple[str, ...], width: int
                 prods.append(OpRule(op_name, tuple(p[1:])))
         productions[name] = tuple(prods)
 
-    grammar = Grammar(tuple(bodies), productions, next(iter(bodies)))
-    check_grammar(grammar, params)
-    return grammar
+    return Grammar(tuple(bodies), productions, next(iter(bodies)))
 
 
 def _operator(sx: list) -> str:
@@ -501,7 +508,6 @@ def detect_pbe(
                 f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
             )
         examples.append(Example(inputs, output))
-    check_examples(examples, params, width)
     return examples
 
 

@@ -59,8 +59,8 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
     Terminal and condition enumeration both exclude the if0 production; all branching in the
     solution comes from the decision tree.  Every end of the enumeration fails the search it
     stopped, so a failure names an example or a pair (``UnsolvableExample``, ``UnunifiablePair``),
-    the solver (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``, or
-    the parser's errors from the engine, which checks the grammar and examples when it is built).
+    the solver (``GrammarViolation``, ``VerificationFailed``) or the input (``MissingIf0Rule``).
+    ``problem`` was checked when it was built, so the solve runs no check of its own on it.
     """
     engine = EnumerationState.for_problem(problem, limits or SearchLimits())
 

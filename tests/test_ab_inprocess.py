@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = str(ROOT / "tools" / "ab_inprocess.py")
@@ -24,11 +27,28 @@ def run_tool(parent: Path, change: Path, rounds: int) -> subprocess.CompletedPro
     )
 
 
-def test_a_checkout_against_itself_gives_the_same_answers():
-    run = run_tool(ROOT / "src", ROOT / "src", rounds=2)
-    assert run.returncode == 0, run.stderr
-    assert "change/parent median ratio" in run.stdout
-    assert run.stdout.endswith("answers and counters: same on every solve\n")
+@pytest.fixture(scope="module")
+def self_run() -> subprocess.CompletedProcess:
+    return run_tool(ROOT / "src", ROOT / "src", rounds=2)
+
+
+def test_a_checkout_against_itself_gives_the_same_answers(self_run):
+    assert self_run.returncode == 0, self_run.stderr
+    assert "change/parent median ratio" in self_run.stdout
+    assert self_run.stdout.endswith("answers and counters: same on every solve\n")
+
+
+def test_parse_solve_and_emit_are_timed_as_the_benchmark_times_them(self_run):
+    # Next to the solve-only ratio, a second line gives the ratio of parse,
+    # solve and emit together, which holds the solve, on each side.
+    lines = self_run.stdout.splitlines()
+    ratio = r"change/parent median ratio \d+\.\d{4}, per-round ratios \d+\.\d{4}-\d+\.\d{4}, change wins [0-2]/2"
+    assert re.fullmatch(rf"  solve +{ratio}", lines[3])
+    assert re.fullmatch(rf"  parse\+solve\+emit {ratio}", lines[4])
+    for side, line in zip(ab_inprocess.SIDES, lines[1:3]):
+        medians = rf"  {side} +median solve +(\S+) ms, parse\+solve\+emit +(\S+) ms"
+        solve, total = map(float, re.fullmatch(medians, line).groups())
+        assert 0 < solve <= total
 
 
 def test_a_counter_difference_with_the_same_answers_fails(tmp_path):
@@ -55,7 +75,7 @@ def test_the_sides_alternate_within_a_round():
     def solver(side):
         def solve(i):
             log.append((i, side))
-            return 0.0, "", None
+            return 0.0, 0.0, "", None
 
         return solve
 

@@ -22,6 +22,7 @@ from bvsynth.frontend import (
     Example,
     Grammar,
     OpRule,
+    Problem,
     parse_problem,
 )
 from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr, signature_of
@@ -191,7 +192,7 @@ def test_criterion_3_pruning_soundness_oracle():
 
     for grammar, rows, width in instances:
         examples = [Example(row, 0) for row in rows]  # no search here reads the outputs
-        engine = EnumerationState(grammar, ("x",), examples, width, SearchLimits(max_size=5))
+        engine = EnumerationState(Problem("f", ("x",), width, grammar, examples), SearchLimits(max_size=5))
         for nt in grammar.nonterminals:
             pruned = {sig for _, sig in retained(engine, nt)}
             unpruned = bruteforce.signatures_up_to(

@@ -17,7 +17,7 @@ from bvsynth.enumeration import (
 )
 from bvsynth.errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from bvsynth.errors import UnboundVariable, WidthMismatch
-from bvsynth.frontend import Example, Grammar, OpRule
+from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import (
     COMMUTATIVE, App, BitVecValue, Const, Var, expr_to_sexpr, subexpressions
 )
@@ -330,7 +330,7 @@ def test_exclusion_set_is_respected():
     for expr, _ in kept:
         assert all(not (isinstance(e, App) and e.op == "if0") for e in subexpressions(expr))
     no_if0 = grammar_of(["bvnot", "bvadd"], width=8, with_if0=False)
-    plain = EnumerationState(no_if0, ("x",), p.examples, 8, limits)
+    plain = EnumerationState(p._replace(grammar=no_if0), limits)
     assert retained(plain, "Start") == kept
     counters = lambda e: (e.evaluations, e.stored, e.pruned)
     assert counters(plain) == counters(eng)
@@ -503,7 +503,7 @@ def engine_of(cls, grammar, width, rows, max_size):
     """An engine of ``cls`` over ``rows`` whose searches are bounded by
     ``max_size`` only; no search here reads the outputs, so each is 0."""
     examples = [Example(row, 0) for row in rows]
-    return cls(grammar, ("x",), examples, width, SearchLimits(max_size, sys.maxsize))
+    return cls(Problem("f", ("x",), width, grammar, examples), SearchLimits(max_size, sys.maxsize))
 
 
 def predicate(engine, kind, k, value):

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import inspect
 import random
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -35,6 +36,7 @@ from bvsynth.frontend import (
     read_sexprs,
 )
 from bvsynth.semantics import BitVecValue, Const, Var, eval_expr
+from bvsynth.solver import solve_problem
 
 import reference_reader
 from helpers import app, const, grammar_of, problem_of
@@ -219,6 +221,41 @@ def test_vacuous_nonterminal_rejected():
     grammar = "((Start (BitVec 64) ((bvnot Start) (if0 Start Start Start))))"
     with pytest.raises(SygusSyntaxError, match="derives no finite"):
         parse_problem(w64_file(f"(constraint (= (f {lit64(1)}) {lit64(1)}))", grammar))
+
+
+def w8_file(productions: str, constraints: str) -> str:
+    return (
+        "(set-logic BV)\n"
+        f"(synth-fun f ((x (BitVec 8))) (BitVec 8)\n  ((Start (BitVec 8) ({productions}))))\n"
+        f"{constraints}\n"
+        "(check-synth)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "productions, constraints, error, message",
+    [
+        (
+            "(bvnot Start)", "(constraint (= (f #x01) #x01))",
+            MissingIf0Rule, "grammar of 'f' has no production named if0",
+        ),
+        (
+            "(bvnot Start) (if0 Start Start Start)", "(constraint (bvult (f #x01) #x01))",
+            NotPBE, "not a PBE task: constraint 0 is not an input/output example",
+        ),
+        (
+            "(bvnot Start) (if0 Start Start Start)",
+            "(constraint (= (f #x01) #x01))\n(constraint (= (f #x01) #x02))",
+            SygusSyntaxError, "nonterminal 'Start' derives no finite expression",
+        ),
+    ],
+    ids=["and no if0", "and a non-example constraint", "and inconsistent examples"],
+)
+def test_a_vacuous_start_with_a_second_fault(productions, constraints, error, message):
+    # The parser's own errors come first, then check_grammar's, then
+    # check_examples', which both run only when the parsed Problem is built.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_problem(w8_file(productions, constraints))
 
 
 def test_literal_width_mismatch_rejected():
@@ -591,6 +628,32 @@ def test_format_errors_match_pinned_digest():
             outcome = f"{type(err).__name__}: {err}"
         digest.update(f"{outcome}\n".encode("utf-8"))
     assert digest.hexdigest() == ERRORS_SHA256
+
+
+def test_a_parsed_solve_checks_its_problem_once(monkeypatch):
+    # Problem's constructor is the one caller of the two checks: parse, solve
+    # and emit run each once, and a solve of a Problem already built runs
+    # neither.  Every binding of a check in a bvsynth module is counted.
+    text = canary_texts("enum32")[0]
+    built = Problem(*parse_problem(text))
+    calls = {"check_grammar": 0, "check_examples": 0}
+    modules = [m for key, m in sys.modules.items() if key == "bvsynth" or key.startswith("bvsynth.")]
+    for name in calls:
+        check = getattr(frontend, name)
+
+        def counted(*args, _check=check, _name=name, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counted)
+    problem = parse_problem(text)
+    emit_solution(problem, solve_problem(problem).solution)
+    assert calls == {"check_grammar": 1, "check_examples": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    solve_problem(built)
+    assert calls == {"check_grammar": 0, "check_examples": 0}
 
 
 def shape(forms: list, pos) -> list:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import bvsynth
 from bvsynth.enumeration import EnumerationState, lane_ones, pack, packed_operators, unpack
-from bvsynth.frontend import Example
+from bvsynth.frontend import Example, Problem
 from bvsynth.semantics import OPERATORS, bound_operators
 
 from helpers import bits_where, grammar_of
@@ -84,7 +84,7 @@ def engine_over(width: int, column: list[int]) -> EnumerationState:
     """An engine whose variable ``x`` packs ``column``; a signature can then
     be any packed value of that many lanes."""
     grammar = grammar_of(["bvnot"], width=width)
-    return EnumerationState(grammar, ("x",), [Example((v,), 0) for v in column], width)
+    return EnumerationState(Problem("f", ("x",), width, grammar, [Example((v,), 0) for v in column]))
 
 
 @st.composite

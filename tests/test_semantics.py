@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import UnboundVariable, WidthMismatch
-from bvsynth.frontend import Example, read_sexprs
+from bvsynth.frontend import Example, Problem, read_sexprs
 from bvsynth.semantics import (
     App,
     BitVecValue,
@@ -52,15 +51,16 @@ def test_width_out_of_range_rejected(width):
 
 
 @pytest.mark.parametrize("width", [0, 65])
-@pytest.mark.parametrize("entry", ["signature_of", "eval_expr", "EnumerationState"])
+@pytest.mark.parametrize("entry", ["signature_of", "eval_expr", "Problem", "Problem._replace"])
 def test_every_evaluator_rejects_an_out_of_range_width(entry, width):
-    # Each reaches BitVecValue's range check before any arithmetic on the width.
+    # Each reaches BitVecValue's range check before any arithmetic on the width;
+    # a Problem checks its width when it is built, so no engine over it exists.
+    good = Problem("f", ("x",), 64, grammar_of(["bvnot"]), (Example((1,), 1),))
     calls = {
         "signature_of": lambda: signature_of(Var("x"), ("x",), [(1,)], width),
         "eval_expr": lambda: eval_expr(Var("x"), {}, width),
-        "EnumerationState": lambda: EnumerationState(
-            grammar_of(["bvnot"]), ("x",), [Example((1,), 1)], width
-        ),
+        "Problem": lambda: Problem("f", ("x",), width, good.grammar, good.examples),
+        "Problem._replace": lambda: good._replace(width=width),
     }
     with pytest.raises(ValueError, match=rf"^width must be within \[1, 64\]: {width}$"):
         calls[entry]()

@@ -96,11 +96,13 @@ def test_solution_size_and_node_bound_on_mixed_instance():
     ],
 )
 def test_a_problem_with_malformed_examples_is_not_pbe(examples, message):
-    # Built directly, it skips detect_pbe: the engine checks the examples as it
-    # packs them, before any search, and names the first malformed one.
-    p = Problem("f", ("x",), 8, grammar_of(["bvnot", "bvand", "bvadd"], width=8), examples)
-    with pytest.raises(NotPBE, match=f"^{re.escape('not a PBE task: ' + message)}$"):
-        solve_problem(p)
+    # Built directly, it skips detect_pbe, but a Problem checks its examples
+    # when it is built, through _replace too, and names the first malformed one.
+    grammar = grammar_of(["bvnot", "bvand", "bvadd"], width=8)
+    good = Problem("f", ("x",), 8, grammar, (Example((1,), 1),))
+    for build in (lambda: Problem("f", ("x",), 8, grammar, examples), lambda: good._replace(examples=examples)):
+        with pytest.raises(NotPBE, match=f"^{re.escape('not a PBE task: ' + message)}$"):
+            build()
 
 
 LIBRARY_BASE = grammar_of(["bvnot", "bvand", "bvadd"], width=8)
@@ -119,10 +121,10 @@ BINARY_BVNOT = grammar_of(["bvand", "bvadd"], width=8).productions["Start"] + (
 )
 # Each Problem the parser would reject, built without it, and the error the
 # parser's checks raise for it.  At width 8 and SearchLimits(max_size=6), before
-# the engine ran those checks, these ended in a bare KeyError (bvmul, the
-# undeclared operand, the start, the empty grammar), an AttributeError
-# (Const(1)), a ValueError from building the binary bvnot hit, UnunifiablePair
-# (equal inputs), or a solve (the other three).
+# any code ran those checks on a built Problem, these ended in a bare KeyError
+# (bvmul, the undeclared operand, the start, the empty grammar), an
+# AttributeError (Const(1)), a ValueError from building the binary bvnot hit,
+# UnunifiablePair (equal inputs), or a solve (the other three).
 LIBRARY_INPUT = {
     "unknown operator": (
         grammar_with([OpRule("bvmul", ("Start", "Start"))]), ("x",), TWO,
@@ -174,15 +176,18 @@ LIBRARY_INPUT = {
 @pytest.mark.parametrize(
     "grammar, params, examples, error, message", LIBRARY_INPUT.values(), ids=list(LIBRARY_INPUT)
 )
-def test_a_problem_the_parser_rejects_fails_before_any_search(grammar, params, examples, error, message):
-    # Built directly, it skips the parser, but the engine runs the parser's own
-    # checks when it is built, so no search starts.  Each message names the
-    # first bad parameter, nonterminal or operand in declaration order.
-    p = Problem("f", params, 8, grammar, examples)
-    limits = SearchLimits(max_size=6)
-    for attempt in (lambda: EnumerationState.for_problem(p, limits), lambda: solve_problem(p, limits)):
+def test_a_problem_the_parser_rejects_fails_when_it_is_built(grammar, params, examples, error, message):
+    # Built directly, it skips the parser, but a Problem runs the parser's own
+    # checks when it is built, and so does ``_replace`` of a good one, so no
+    # engine over it exists.  Each message names the first bad parameter,
+    # nonterminal or operand in declaration order.
+    good = Problem("f", ("x",), 8, LIBRARY_BASE, TWO)
+    fields = dict(grammar=grammar, params=params, examples=examples)
+    bad = {k: v for k, v in fields.items() if v != getattr(good, k)}  # the fields that differ
+    assert bad
+    for build in (lambda: Problem("f", params, 8, grammar, examples), lambda: good._replace(**bad)):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            attempt()
+            build()
 
 
 def test_a_hit_deeper_than_the_recursion_limit_is_solved():

@@ -1,4 +1,4 @@
-"""Compare two source trees' solve CPU in one process, instance by instance.
+"""Compare two source trees' CPU time in one process, instance by instance.
 
     python3 tools/ab_inprocess.py --parent ../parent/src --change src \
         --workload exhaust7 --seed 1 --rounds 20
@@ -7,21 +7,24 @@
 ``bvsynth`` package.  Both packages are imported from where they are, as the
 modules ``bvsynth_parent`` and ``bvsynth_change``, so one process holds both
 and neither tree is copied.  The workload is generated once with
-``perfbench/workloads.py`` and this checkout's package, its fingerprint is
-checked, and each side parses every instance before any timing.
+``perfbench/workloads.py`` and this checkout's package, and its fingerprint
+is checked.
 
-A round runs one full collection, outside the timing, then solves every
+A round runs one full collection, outside the timing, then runs every
 instance with both sides in turn, one right after the other.  The side that
 goes first alternates by instance and by round: the parent goes first on
 even instances of even rounds and on odd instances of odd rounds.  So host
 drift falls on both sides alike, which alternating whole passes cannot
-promise when a pass lasts a fraction of a second.  Each solve is timed in
-process CPU, and each side's times are summed per round.  The output gives
-each side's median round, the median over the rounds of the ratio
-change/parent with the lowest and highest such ratio, and in how many rounds
-the change was faster.  One process takes out what differs between processes
-(memory layout, hash seed, the host's load over minutes), which per-process
-benchmark runs cannot; it measures the solver only, not parsing or start-up.
+promise when a pass lasts a fraction of a second.  Each run parses the
+instance's text, solves it and emits the solution or formats the verdict,
+as ``perfbench/child.py`` does, and two spans of it are timed in process CPU:
+the solve alone, and the whole of parse, solve and emit, which is what the
+benchmark times.  Each side's times are summed per round.  The output gives
+each side's median round of both, and for each the median over the rounds of
+the ratio change/parent with the lowest and highest such ratio, and in how
+many rounds the change was faster.  One process takes out what differs
+between processes (memory layout, hash seed, the host's load over minutes),
+which per-process benchmark runs cannot; it does not measure start-up.
 
 Both sides must give the same answers and the same counters.  Every solve
 builds its engine through ``EnumerationState.for_problem``, which each side
@@ -52,7 +55,8 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
-Solve = Callable[[int], tuple[float, str, tuple[int, int, int] | None]]
+Run = tuple[float, float, str, tuple[int, int, int] | None]  # solve s, total s, answer, counters
+Solve = Callable[[int], Run]
 
 
 def load(name: str, src: Path) -> ModuleType:
@@ -81,29 +85,41 @@ def capture_engines(bv: ModuleType) -> list:
     return engines
 
 
-def solver(bv: ModuleType, problems: list, limits) -> Solve:
-    """``solve(i)``: the seconds of process CPU ``bv.solve_problem`` spends on
-    ``problems[i]``, its emitted solution or its verdict's type and text, and its
-    engine's ``(evaluations, stored, inspected)``, or None when it built no engine."""
+def solver(bv: ModuleType, texts: list[str], limits) -> Solve:
+    """``solve(i)``: the seconds of process CPU ``bv.solve_problem`` spends on the
+    problem ``texts[i]`` holds, those of parsing, solving and emitting it together,
+    its emitted solution or its verdict's type and text, and its engine's
+    ``(evaluations, stored, inspected)``, or None when it built no engine."""
     engines = capture_engines(bv)
 
-    def solve(i: int) -> tuple[float, str, tuple[int, int, int] | None]:
-        problem = problems[i]
+    def solve(i: int) -> Run:
         t = time.process_time()
+        problem = bv.parse_problem(texts[i])
+        s = time.process_time()
         try:
             result = bv.solve_problem(problem, limits)
         except bv.errors.BvSynthError as exc:
-            spent = time.process_time() - t
+            solved = time.process_time() - s
             answer = f"{type(exc).__name__}: {exc}"
         else:
-            spent = time.process_time() - t
+            solved = time.process_time() - s
             answer = bv.emit_solution(problem, result.solution)
+        total = time.process_time() - t
         engine = engines.pop() if engines else None
         engines.clear()
         counters = None if engine is None else (engine.evaluations, engine.stored, engine.inspected)
-        return spent, answer, counters
+        return solved, total, answer, counters
 
     return solve
+
+
+def ratio_line(what: str, parent: list[float], change: list[float]) -> str:
+    """The median, lowest and highest ratio change/parent of the rounds' times of ``what``,
+    and in how many rounds the change was faster."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum(c < p for p, c in zip(parent, change))
+    return (f"  {what:<16} change/parent median ratio {statistics.median(ratios):.4f}, "
+            f"per-round ratios {min(ratios):.4f}-{max(ratios):.4f}, change wins {wins}/{len(ratios)}")
 
 
 def run_round(round_: int, solve: dict[str, Solve], count: int) -> dict[str, list]:
@@ -137,31 +153,31 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ImportError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    solve = {}
-    for side, bv in packages.items():
-        problems = [bv.parse_problem(text) for text in texts]
-        solve[side] = solver(bv, problems, bv.SearchLimits(max_size=workload.max_size))
+    solve = {
+        side: solver(bv, texts, bv.SearchLimits(max_size=workload.max_size)) for side, bv in packages.items()
+    }
 
-    seconds: dict[str, list[float]] = {side: [] for side in SIDES}
+    spans = ("solve", "parse+solve+emit")  # at indices 0 and 1 of a run
+    seconds = {span: {side: [] for side in SIDES} for span in spans}
     expected: list | None = None
     differing: dict[str, set[int]] = {"answers": set(), "counters": set()}
     for round_ in range(args.rounds):
         for side, results in run_round(round_, solve, len(texts)).items():
-            seconds[side].append(sum(spent for spent, _, _ in results))
+            for k, span in enumerate(spans):
+                seconds[span][side].append(sum(run[k] for run in results))
             expected = expected or results
             for i, (want, got) in enumerate(zip(expected, results)):
-                for k, what in enumerate(differing, 1):  # answers at index 1, counters at 2
+                for k, what in enumerate(differing, 2):  # answers at index 2, counters at 3
                     if got[k] != want[k]:
                         differing[what].add(i)
 
-    ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
-    wins = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     print(f"{args.workload} seed {args.seed}: {len(texts)} instances, {args.rounds} rounds, "
-          "solve CPU per round, sides interleaved by instance")
+          "CPU per round, sides interleaved by instance")
     for side in SIDES:
-        print(f"  {side:<7} median {statistics.median(seconds[side]) * 1000:10.1f} ms")
-    print(f"  change/parent median ratio {statistics.median(ratios):.4f}, "
-          f"per-round ratios {min(ratios):.4f}-{max(ratios):.4f}, change wins {wins}/{args.rounds}")
+        medians = [statistics.median(seconds[span][side]) * 1000 for span in spans]
+        print(f"  {side:<7} median solve {medians[0]:10.1f} ms, parse+solve+emit {medians[1]:10.1f} ms")
+    for span in spans:
+        print(ratio_line(span, seconds[span]["parent"], seconds[span]["change"]))
     for what, instances in differing.items():
         if instances:
             print(f"{what} differ on instances {sorted(instances)[:10]}", file=sys.stderr)
