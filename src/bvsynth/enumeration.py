@@ -27,10 +27,11 @@ node is one tuple with its signature at index 0: ``(sig, leaf)`` for a
 ``Var``/``Const`` terminal, ``(sig, op, child_node, ...)`` over retained
 children.  :func:`expr_of` builds the ``App`` tree only for a hit.
 
-The state reads its grammar once, in declaration order: each ``Var``/``Const``
-leaf as its terminal node, each operator rule but if0 (the decision tree does
-all branching) with its packed operator and mirror flag.  Candidate order is
-fully deterministic: sizes ascend; within one size, nonterminals and
+The state reads its grammar once, in declaration order: each leaf as its
+terminal node (a ``Var``'s packed input column, a ``Const``'s value in every
+lane), each operator rule but if0 (the decision tree does all branching) with
+its packed operator and mirror flag; the ``Problem`` checked them.  Candidate
+order is fully deterministic: sizes ascend; within one size, nonterminals and
 productions keep that order, operand size-splits are lexicographic, and pool
 entries are visited in insertion order.  Commutative mirrors are never
 constructed: ``(op b a)`` for ``op(A, A)`` with a commutative ``op`` would only
@@ -46,7 +47,7 @@ from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
 from .frontend import OpRule, Problem
-from .semantics import COMMUTATIVE, App, Const, Expr, bound_operators, eval_columns, fold
+from .semantics import COMMUTATIVE, App, Expr, Var, bound_operators, fold
 from .semantics import signature_of  # re-exported: perfbench/workloads.py imports it from here
 
 Packed = int  # a signature with example i's value in lane i
@@ -162,9 +163,9 @@ class EnumerationState:
     per-example terminal searches and the condition searches of the
     unifier all resume the same stream, under the budgets of ``limits``;
     the deadline starts when the state is built.  The ``Problem`` was
-    checked when it was built, so the state runs no check of its own: it
-    packs each input column once, as its variable's signature, and the
-    outputs as ``outputs``.
+    checked when it was built, leaves too, so the state runs no check or
+    evaluator: it packs each input column and constant once, as its leaf's
+    signature, and the outputs as ``outputs``.
     """
 
     def __init__(self, problem: Problem, limits: SearchLimits = SearchLimits()):
@@ -179,15 +180,15 @@ class EnumerationState:
         self._low, self._digits = self._high - self.ones, f"0{len(examples) * width}b"
         inputs, outputs = zip(*examples)
         self.outputs = pack(outputs, width)
-        variables = {x: [pack(column, width)] for x, column in zip(problem.params, zip(*inputs))}
+        variables = {x: pack(column, width) for x, column in zip(problem.params, zip(*inputs))}
         fns = packed_operators(width, self.ones)
         # in declaration order, (nt, node) per leaf and (nt, op, operands, fn, mirrored) per rule but if0
         self._leaves, self._rules = [], []
         for nt in grammar.nonterminals:
             for p in grammar.productions[nt]:
-                if not isinstance(p, OpRule):  # eval_columns on one packed row checks the leaf
-                    (sig,) = eval_columns(p, variables, width, 1)
-                    self._leaves.append((nt, (sig * self.ones if isinstance(p, Const) else sig, p)))
+                if not isinstance(p, OpRule):
+                    sig = variables[p.name] if isinstance(p, Var) else p.value.bits * self.ones
+                    self._leaves.append((nt, (sig, p)))
                 elif p.op != "if0":
                     mirrored = p.op in COMMUTATIVE and p.operands[0] == p.operands[1]
                     self._rules.append((nt, p.op, p.operands, fns[p.op], mirrored))
@@ -199,9 +200,9 @@ class EnumerationState:
         next(self._stream)  # sets the counters to 0 and waits for the first search
 
     @classmethod
-    def for_problem(
-        cls, problem: Problem, limits: SearchLimits = SearchLimits()
-    ) -> EnumerationState:
+    def for_problem(cls, problem: Problem, limits: SearchLimits = SearchLimits()) -> EnumerationState:
+        """The state over ``problem``: the one constructor ``solve_problem`` calls, so a caller
+        that replaces it (wrapping ``for_problem.__func__``) sees the engine of every solve."""
         return cls(problem, limits)
 
     # -- the search loop ----------------------------------------------------

@@ -196,7 +196,7 @@ class Problem(_ProblemFields):
     __slots__ = ()
 
     def __new__(cls, name: str, params: tuple, width: int, grammar: Grammar, examples: tuple) -> Problem:
-        check_grammar(grammar, params)
+        check_grammar(grammar, params, width)
         check_examples(examples, params, width)
         return super().__new__(cls, name, params, width, grammar, examples)
 
@@ -205,12 +205,13 @@ class Problem(_ProblemFields):
         return cls(*iterable)
 
 
-def check_grammar(grammar: Grammar, params: Sequence[str]) -> None:
+def check_grammar(grammar: Grammar, params: Sequence[str], width: int) -> None:
     """Raise ``SygusSyntaxError`` naming the first of: a repeated parameter or nonterminal, a
     start that is not a nonterminal, then per nonterminal in order an empty production tuple,
     an operator rule off the catalogue or its arity, an operand that is not a nonterminal, a
-    leaf that is not a ``Var`` or a ``Const`` of a ``BitVecValue``; last, an unproductive
-    nonterminal."""
+    leaf that is not the ``Var`` of a parameter or a ``Const`` of a ``width``-bit
+    ``BitVecValue``; last, an unproductive nonterminal.  A width outside ``[1, 64]`` raises
+    ``ValueError`` before any leaf is compared with it."""
     for kind, names in (("parameter", params), ("nonterminal", grammar.nonterminals)):
         if len({*names}) != len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
@@ -219,6 +220,7 @@ def check_grammar(grammar: Grammar, params: Sequence[str]) -> None:
     if grammar.start not in nonterminals:
         raise SygusSyntaxError(f"start symbol {grammar.start!r} is not a nonterminal")
     productive, rules = set(), []
+    BitVecValue(width, 0)  # checks the width
     for nt in grammar.nonterminals:
         if not grammar.productions.get(nt):
             raise SygusSyntaxError(f"nonterminal {nt!r} has no productions")
@@ -233,11 +235,13 @@ def check_grammar(grammar: Grammar, params: Sequence[str]) -> None:
                     bad = next(o for o in operands if o not in nonterminals)
                     raise SygusSyntaxError(f"operand {bad!r} of {op!r} in {nt!r} is not a nonterminal")
                 rules.append((nt, p))
-            elif isinstance(p, Var) or isinstance(p, Const) and isinstance(p.value, BitVecValue):
+            elif isinstance(p, Var) and p.name in params or isinstance(p, Const) and (
+                isinstance(p.value, BitVecValue) and p.value.width == width
+            ):
                 productive.add(nt)
             else:
                 raise SygusSyntaxError(
-                    f"{p!r} in {nt!r} is not a Var, a Const of a BitVecValue or an OpRule"
+                    f"{p!r} in {nt!r} is not a parameter's Var, a Const of width {width} or an OpRule"
                 )
     while grown := {nt for nt, p in rules if nt not in productive and productive.issuperset(p.operands)}:
         productive |= grown
@@ -424,7 +428,7 @@ def _problem(forms: list) -> Problem:
         if var_width != width:
             raise SygusSyntaxError(f"declared variable {var!r} has width {var_width}, expected {width}")
 
-    examples = detect_pbe(constraints, fname=name, params=params, width=width, declared=declared)
+    examples = detect_pbe(constraints, fname=name, width=width, declared=declared)
     return Problem(name=name, params=params, width=width, grammar=grammar, examples=tuple(examples))
 
 
@@ -489,25 +493,16 @@ def _example_of(
 
 
 def detect_pbe(
-    constraints: list[SExpr],
-    *,
-    fname: str,
-    params: tuple[str, ...],
-    width: int,
-    declared: Mapping[str, int],
+    constraints: list[SExpr], *, fname: str, width: int, declared: Mapping[str, int]
 ) -> list[Example]:
-    """Map every constraint to a concrete input/output example, in file order."""
+    """Map every constraint to a concrete input/output example, in file order; the ``Problem``
+    checks how many inputs each one has."""
     examples: list[Example] = []
     for i, term in enumerate(constraints):
         parsed = _example_of(term, fname, width, declared)
         if parsed is None:
             raise NotPBE(f"not a PBE task: constraint {i} is not an input/output example")
-        inputs, output = parsed
-        if len(inputs) != len(params):
-            raise NotPBE(
-                f"not a PBE task: constraint {i} applies {fname!r} to {len(inputs)} arguments"
-            )
-        examples.append(Example(inputs, output))
+        examples.append(Example(*parsed))
     return examples
 
 

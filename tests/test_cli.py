@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bvsynth import cli
 from bvsynth.cli import _limits, build_parser, main
 from bvsynth.corpus import CorpusSpec, generate_corpus
 from bvsynth.enumeration import SearchLimits
+from bvsynth.errors import MissingIf0Rule
 from bvsynth.frontend import parse_problem
 from bvsynth.semantics import eval_expr
 
@@ -247,6 +249,35 @@ def test_bench_timeout_makes_a_budget_row_and_the_run_goes_on(tmp_path, capsys):
         ("a_slow.sl", "budget"),
         ("b_identity.sl", "solved"),
     ]
+
+
+def test_a_solve_that_raises_a_format_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # No parsed Problem makes a solve raise anything but a SynthesisFailure, but
+    # if one did (a broken invariant), it would end in one line, not a traceback:
+    # ``solve`` exits 1 and ``bench`` makes an error row and goes on.
+    solve_problem, calls = cli.solve_problem, []
+
+    def fails_first(problem, limits=None):
+        calls.append(problem)
+        if len(calls) == 1:
+            raise MissingIf0Rule("a broken invariant")
+        return solve_problem(problem, limits)
+
+    monkeypatch.setattr(cli, "solve_problem", fails_first)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a.sl", "b.sl"):
+        (corpus / name).write_text(IDENTITY, encoding="utf-8")
+    assert main(["solve", str(corpus / "a.sl")]) == 1
+    assert capsys.readouterr() == ("", "error: a broken invariant\n")
+    calls.clear()
+    csv_path = tmp_path / "results.csv"
+    assert main(["bench", str(corpus), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == "a.sl: a broken invariant\n"
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["file"], r["status"]) for r in rows] == [("a.sl", "error"), ("b.sl", "solved")]
+    assert len(calls) == 2
 
 
 def test_bench_empty_directory(tmp_path, capsys):

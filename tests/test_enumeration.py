@@ -16,7 +16,6 @@ from bvsynth.enumeration import (
     EnumerationState, SearchLimits, expr_of, pack, signature_of, size_splits
 )
 from bvsynth.errors import Exhausted, NotFound, SynthesisFailure, TimeoutExceeded
-from bvsynth.errors import UnboundVariable, WidthMismatch
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import (
     COMMUTATIVE, App, BitVecValue, Const, Var, expr_to_sexpr, subexpressions
@@ -681,31 +680,3 @@ def test_expr_of_builds_a_deep_node_chain_without_recursion():
     expr = expr_of(node)
     assert expr.size == 5_001
     assert expr_to_sexpr(expr) == "(bvnot " * 5_000 + "x" + ")" * 5_000
-
-
-# A Problem built directly, not parsed, reaches the engine with its grammar
-# unchecked; the engine checks each leaf where it packs it.
-UNBOUND_LEAF = problem_of(
-    Grammar(
-        ("Start",),
-        {"Start": (Var("y"), OpRule("bvnot", ("Start",)), OpRule("if0", ("Start",) * 3))},
-        "Start",
-    ),
-    [(1, 0)],
-)
-WIDE_LEAF = problem_of(
-    grammar_of(["bvnot", "bvand"], width=64, consts=(0x1FF,)), [(1, 0x1F), (2, 0xFF)], width=8
-)
-
-
-@pytest.mark.parametrize(
-    "problem, error, text",
-    [
-        (UNBOUND_LEAF, UnboundVariable, "unbound variable: y"),
-        (WIDE_LEAF, WidthMismatch, "constant #x00000000000001ff has width 64, expected 8"),
-    ],
-)
-def test_a_grammar_leaf_outside_the_problem_fails_the_engine(problem, error, text):
-    with pytest.raises(error) as info:
-        engine_for(problem)
-    assert str(info.value) == text

@@ -501,6 +501,7 @@ def test_solution_header_errors_keep_message_and_position(text, message):
 
 
 ONE = f"(constraint (= (f {lit64(1)}) {lit64(1)}))"
+ARITY_TWO = "(constraint (= (f #x01 #x02) #x03))"
 TWO_IDENTITIES = "(define-fun f ((x (BitVec 64))) (BitVec 64) x)\n" * 2
 
 
@@ -539,12 +540,18 @@ TWO_IDENTITIES = "(define-fun f ((x (BitVec 64))) (BitVec 64) x)\n" * 2
         (lambda: parse_solution("(check-synth)"), SygusSyntaxError, "expected a single define-fun"),
         (lambda: emit_solution(identity_problem(), Var("y")), UnboundVariable,
          "unbound variable: y"),
+        # The Problem checks the number of inputs, after every constraint is matched.
+        (lambda: parse_problem(w8_file("x (if0 Start Start Start)", ARITY_TWO)), NotPBE,
+         "not a PBE task: example 0 has 2 inputs, not 1"),
+        (lambda: parse_problem(w8_file("x (if0 Start Start Start)", f"{ARITY_TWO}\n(constraint x)")),
+         NotPBE, "not a PBE task: constraint 1 is not an input/output example"),
     ],
     ids=[
         "empty-grammar", "atom-grammar", "nonterminal-sort", "duplicate-nonterminal",
         "production-head-is-a-list", "empty-production", "no-productions", "parameter-list",
         "malformed-define-fun", "define-fun-arity", "declare-var-shape", "declare-var-width",
         "no-solution", "two-solutions", "solution-not-a-define-fun", "emit-unbound-variable",
+        "example-arity", "example-arity-then-non-example",
     ],
 )
 def test_every_rejection_keeps_its_message_and_position(call, error, message):
@@ -916,7 +923,7 @@ MATCH_DECLARED = {"v": 8, "w": 8, "o": 8}  # u and x are not declared
 def pbe_outcome(terms: list) -> list | ProblemFormatError:
     """The examples ``detect_pbe`` finds for unary ``f`` at width 8, or its error."""
     try:
-        return detect_pbe(terms, fname="f", params=("x",), width=8, declared=MATCH_DECLARED)
+        return detect_pbe(terms, fname="f", width=8, declared=MATCH_DECLARED)
     except ProblemFormatError as err:
         return err
 

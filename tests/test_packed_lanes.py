@@ -145,3 +145,18 @@ def test_only_the_enumeration_knows_the_lane_layout():
             users[path.name] = sorted(names & LANE_LAYOUT)
     assert "unify.py" in users
     assert {name: used for name, used in users.items() if used} == {}
+
+
+EVALUATORS_AND_CHECKS = {"eval_columns", "eval_expr", "signature_of", "check_grammar", "check_examples"}
+
+
+def test_the_enumeration_runs_no_evaluator_and_no_check():
+    # A Problem is checked when it is built and a solution is verified by the
+    # per-value evaluator, so the engine only packs: it calls or names none of
+    # them.  Its re-export import of signature_of is no name in its code.
+    path = Path(bvsynth.__file__).parent / "enumeration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "pack" in names
+    assert sorted(names & EVALUATORS_AND_CHECKS) == []

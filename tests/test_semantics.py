@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -333,3 +334,15 @@ def test_app_equality_and_hash_follow_the_text(a, b):
     assert a == parse_term(read_sexprs(expr_to_sexpr(a)), 0, ("x",), 8)
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_app_equality_under_a_hash_collision():
+    # Ints equal modulo sys.hash_info.modulus hash alike, so the two Apps share a
+    # hash and an operator, and only their leaves tell them apart.  Terminal
+    # expressions are dict keys in TerminalMap.masks, so both must stay keys.
+    a = App("bvnot", (Const(BitVecValue(64, 0)),))
+    b = App("bvnot", (Const(BitVecValue(64, sys.hash_info.modulus)),))
+    assert hash(a) == hash(b)
+    assert not a == b and not b == a
+    assert a != b and b != a
+    assert len({a: 0, b: 1}) == 2

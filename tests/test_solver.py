@@ -14,7 +14,7 @@ from bvsynth.enumeration import EnumerationState
 from bvsynth.errors import Exhausted, NotFound, NotPBE, TimeoutExceeded, UnsolvableExample
 from bvsynth.errors import InconsistentExamples, SygusSyntaxError, UnunifiablePair, VerificationFailed
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
-from bvsynth.semantics import App, Const, Var, eval_expr, subexpressions
+from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
 from bvsynth.unify import Leaf, internal_node_count
 
@@ -124,7 +124,10 @@ BINARY_BVNOT = grammar_of(["bvand", "bvadd"], width=8).productions["Start"] + (
 # any code ran those checks on a built Problem, these ended in a bare KeyError
 # (bvmul, the undeclared operand, the start, the empty grammar), an
 # AttributeError (Const(1)), a ValueError from building the binary bvnot hit,
-# UnunifiablePair (equal inputs), or a solve (the other three).
+# UnunifiablePair (equal inputs), or a solve (the other three).  The unbound and
+# the wide leaf were the engine's UnboundVariable and WidthMismatch, raised by the
+# evaluator it ran on each leaf, until check_grammar took the width.
+NOT_A_LEAF = "is not a parameter's Var, a Const of width 8 or an OpRule"
 LIBRARY_INPUT = {
     "unknown operator": (
         grammar_with([OpRule("bvmul", ("Start", "Start"))]), ("x",), TWO,
@@ -148,7 +151,15 @@ LIBRARY_INPUT = {
     ),
     "plain-int constant": (
         grammar_with([Const(1)]), ("x",), TWO,
-        SygusSyntaxError, "Const(value=1) in 'Start' is not a Var, a Const of a BitVecValue or an OpRule",
+        SygusSyntaxError, f"Const(value=1) in 'Start' {NOT_A_LEAF}",
+    ),
+    "unbound leaf": (
+        grammar_with([Var("y")]), ("x",), TWO,
+        SygusSyntaxError, f"Var(name='y') in 'Start' {NOT_A_LEAF}",
+    ),
+    "wide leaf": (
+        grammar_with([Const(BitVecValue(64, 0x1FF))]), ("x",), TWO,
+        SygusSyntaxError, f"Const(value=BitVecValue(width=64, bits=511)) in 'Start' {NOT_A_LEAF}",
     ),
     "binary bvnot": (
         Grammar(("Start",), {"Start": BINARY_BVNOT}, "Start"), ("x",), (Example((0x0F,), 0xF0),),
