@@ -9,7 +9,7 @@ from .errors import VerificationFailed
 from .enumeration import EnumerationState, SearchLimits
 from .frontend import Problem
 from .semantics import Expr, signature_of
-from .unify import TerminalMap, Tree, build_tree, internal_node_count, map_terminals, tree_to_expr
+from .unify import TerminalMap, build_tree, internal_node_count, map_terminals, tree_to_expr
 
 
 class RunStats(NamedTuple):
@@ -38,9 +38,8 @@ class RunStats(NamedTuple):
 
 
 class SolveResult(NamedTuple):
-    solution: Expr
+    solution: Expr  # the decision tree itself: nested if0 over phase 1's expressions
     stats: RunStats
-    tree: Tree
     terminal_map: TerminalMap
 
 
@@ -69,8 +68,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
         tmap = map_terminals(problem, engine)
         t1 = time.perf_counter()
 
-        tree = build_tree(problem, engine, tmap)
-        solution = tree_to_expr(tree, problem.grammar)
+        solution = tree_to_expr(build_tree(problem, engine, tmap), problem.grammar)
         t2 = time.perf_counter()
     finally:
         engine.close()
@@ -84,8 +82,8 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
         evaluations=engine.evaluations,
         phase1_ms=(t1 - t0) * 1000.0,
         phase2_ms=(t2 - t1) * 1000.0,
-        internal_nodes=internal_node_count(tree),
+        internal_nodes=internal_node_count(solution),
         solution_size=solution.size,
         examples=len(problem.examples),
     )
-    return SolveResult(solution=solution, stats=stats, tree=tree, terminal_map=tmap)
+    return SolveResult(solution=solution, stats=stats, terminal_map=tmap)

@@ -7,13 +7,14 @@ one found expression fits becomes a leaf, and any other set is split on the
 smallest condition separating one conflicting pair of its examples.
 Conditions are drawn from the first operand nonterminal of the grammar's
 if0 production and are themselves if0-free.  Every set of examples is an int
-*example mask* with bit ``i`` for example ``i``: a terminal's examples, a leaf's
-bucket, and an if0 node's condition mask (``mask >> i & 1``: the then-branch).
+*example mask* with bit ``i`` for example ``i``: a terminal's examples, or the
+examples a condition evaluates to 1 on (``mask >> i & 1``: the then-branch).
+The decision tree is the solution itself, nested ``(if0 c t e)`` applications.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import GrammarViolation, MissingIf0Rule, SynthesisFailure
 from .errors import UnsolvableExample, UnunifiablePair
@@ -30,21 +31,6 @@ class TerminalMap(NamedTuple):
 
     def distinct(self) -> int:
         return len(self.masks)
-
-
-class Leaf(NamedTuple):
-    expr: Expr
-    bucket: int  # bit i set when example i is in the bucket
-
-
-class Internal(NamedTuple):
-    condition: Expr
-    mask: int  # bit i set when the condition is 1 on example i
-    then_child: "Tree"
-    else_child: "Tree"
-
-
-Tree = Union[Leaf, Internal]
 
 
 def condition_nonterminal(grammar: Grammar) -> str:
@@ -90,41 +76,39 @@ def find_condition(problem: Problem, engine: EnumerationState, a: int, b: int) -
     return expr, engine.agreement(sig, engine.ones)
 
 
-def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) -> Tree:
-    """Unify the terminal map top-down from the set of all examples, then-sides
-    first.  A set that one found expression fits is a leaf of the first such
-    expression.  Any other set is split on ``find_condition`` for its lowest
-    example ``a`` and the lowest example that ``a``'s first expression does
-    not fit; the two land on opposite sides, so every split makes progress."""
-    done: list[Tree] = []
-    todo: list[tuple[int, tuple[Expr, int] | None]] = [((1 << len(problem.examples)) - 1, None)]
+def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) -> Expr:
+    """Unify the terminal map into nested if0 applications, top-down from the
+    set of all examples, then-sides first.  A set that one found expression
+    fits is a leaf: the first such expression.  Any other set is split on
+    ``find_condition`` for its lowest example ``a`` and the lowest example that
+    ``a``'s first expression does not fit; the two land on opposite sides, so
+    every split makes progress, and the condition's mask divides the set."""
+    done: list[Expr] = []
+    todo: list[tuple[int, Expr | None]] = [((1 << len(problem.examples)) - 1, None)]
     while todo:  # a split is pushed below its sides and popped once both are on done
-        examples, split = todo.pop()
-        if split is not None:
-            done[-2:] = [Internal(*split, *done[-2:])]
+        examples, condition = todo.pop()
+        if condition is not None:
+            done[-2:] = [App("if0", (condition, *done[-2:]))]
             continue
         expr = next((e for e, m in tmap.masks.items() if examples & m == examples), None)
         if expr is not None:
-            done.append(Leaf(expr, examples))
+            done.append(expr)
             continue
         a = (examples & -examples).bit_length() - 1
         unfit = examples & ~next(m for m in tmap.masks.values() if m >> a & 1)
         b = (unfit & -unfit).bit_length() - 1
         condition, mask = find_condition(problem, engine, a, b)
-        todo += ((examples, (condition, mask)), (examples & ~mask, None), (examples & mask, None))
+        todo += ((examples, condition), (examples & ~mask, None), (examples & mask, None))
     return done[0]
 
 
-def _branches(tree: Tree) -> tuple[Tree, Tree] | None:
-    return (tree.then_child, tree.else_child) if isinstance(tree, Internal) else None
-
-
-def tree_to_expr(tree: Tree, grammar: Grammar) -> Expr:
-    """Fold the tree into nested if0 applications; must stay in-grammar."""
-    expr = fold(tree, _branches, lambda t: t.expr, lambda t, v: App("if0", (t.condition, *v)))
-    if not derives(grammar, grammar.start, expr):
+def tree_to_expr(tree: Expr, grammar: Grammar) -> Expr:
+    """``tree``, which ``build_tree`` assembles as the solution itself, once it
+    is checked to derive from the grammar's start symbol.  The name stays for
+    the benchmark's tracer (``perfbench/spans.py``), which times this check."""
+    if not derives(grammar, grammar.start, tree):
         raise GrammarViolation("assembled solution is not derivable from the grammar")
-    return expr
+    return tree
 
 
 def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
@@ -147,5 +131,6 @@ def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
     return nt in fold(expr, operands, leaf, node)
 
 
-def internal_node_count(tree: Tree) -> int:
-    return fold(tree, _branches, lambda t: 0, lambda t, v: 1 + v[0] + v[1])
+def internal_node_count(expr: Expr) -> int:
+    """The if0 nodes of a solution: its splits, as no terminal or condition holds one."""
+    return fold(expr, operands, lambda e: 0, lambda e, v: (e.op == "if0") + sum(v))

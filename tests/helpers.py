@@ -10,7 +10,6 @@ from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import (
     COMMUTATIVE, OPERATORS, App, BitVecValue, Const, Expr, Var, eval_expr, subexpressions
 )
-from bvsynth.unify import Internal, Leaf, Tree
 
 LIMITS = SearchLimits()
 
@@ -131,47 +130,72 @@ def env_of(params, width: int, inputs) -> dict[str, BitVecValue]:
     return {p: BitVecValue(width, v) for p, v in zip(params, inputs)}
 
 
-def route(problem, tree: Tree, example: Example) -> tuple[Leaf, tuple[bool, ...]]:
-    """Follow the tree for one example, evaluating every condition with
-    ``eval_expr`` rather than reading its stored mask.  Path entries
-    are True for then-branches."""
+def is_if0(expr: Expr) -> bool:
+    return type(expr) is App and expr.op == "if0"
+
+
+def route(problem, tree: Expr, example: Example) -> tuple[Expr, tuple[bool, ...]]:
+    """Follow a solution's if0 nodes for one example, evaluating every
+    condition (``args[0]``) with ``eval_expr``, to the leaf it reaches.  Path
+    entries are True for then-branches (``args[1]``), False for else-branches
+    (``args[2]``)."""
     env = env_of(problem.params, problem.width, example.inputs)
     node = tree
     path: list[bool] = []
-    while isinstance(node, Internal):
-        taken = eval_expr(node.condition, env, problem.width).bits == 1
+    while is_if0(node):
+        taken = eval_expr(node.args[0], env, problem.width).bits == 1
         path.append(taken)
-        node = node.then_child if taken else node.else_child
+        node = node.args[1] if taken else node.args[2]
     return node, tuple(path)
 
 
-def leaves(tree: Tree) -> Iterator[Leaf]:
-    if isinstance(tree, Leaf):
-        yield tree
-    else:
-        yield from leaves(tree.then_child)
-        yield from leaves(tree.else_child)
+def tree_nodes(tree: Expr) -> Iterator[tuple[tuple[bool, ...], Expr]]:
+    """Every if0 node and leaf of a solution with its path, in preorder,
+    then-branches first; a leaf is any node that is not an if0 application."""
+    todo: list[tuple[Expr, tuple[bool, ...]]] = [(tree, ())]
+    while todo:
+        node, path = todo.pop()
+        yield path, node
+        if is_if0(node):
+            todo += ((node.args[2], path + (False,)), (node.args[1], path + (True,)))
 
 
-def conditions(tree: Tree) -> Iterator[Internal]:
-    """The if0 nodes, each holding a condition and its stored example mask."""
-    if isinstance(tree, Internal):
-        yield tree
-        yield from conditions(tree.then_child)
-        yield from conditions(tree.else_child)
+def leaves(tree: Expr) -> list[tuple[tuple[bool, ...], Expr]]:
+    return [(path, node) for path, node in tree_nodes(tree) if not is_if0(node)]
+
+
+def conditions(tree: Expr) -> list[tuple[tuple[bool, ...], App]]:
+    """The if0 nodes, each with its path; its condition is ``args[0]``."""
+    return [(path, node) for path, node in tree_nodes(tree) if is_if0(node)]
+
+
+def buckets(problem, tree: Expr) -> dict[tuple[bool, ...], int]:
+    """Each leaf's bucket, keyed by the leaf's path: the example mask of the
+    examples that ``route`` takes there, 0 for a leaf no example reaches."""
+    masks = dict.fromkeys((path for path, _ in leaves(tree)), 0)
+    for i, example in enumerate(problem.examples):
+        masks[route(problem, tree, example)[1]] |= 1 << i
+    return masks
+
+
+def under(routed: dict[tuple[bool, ...], int], path: tuple[bool, ...]) -> int:
+    """The examples in the buckets below the node at ``path``."""
+    return sum(mask for p, mask in routed.items() if p[: len(path)] == path)  # disjoint: sum is union
 
 
 def contains_op(expr: Expr, name: str) -> bool:
     return any(isinstance(e, App) and e.op == name for e in subexpressions(expr))
 
 
-def assert_covers(tree: Tree, tmap) -> None:
+def assert_covers(problem, tree: Expr, tmap) -> None:
     """The cover property of phase 2: each leaf holds the first found
     expression whose mask holds its whole bucket, and no found expression's
     mask holds every example under an if0 node."""
-    for leaf in leaves(tree):
-        first = next(e for e, mask in tmap.masks.items() if leaf.bucket & mask == leaf.bucket)
-        assert leaf.expr == first, "a leaf holds an expression other than the first that fits"
-    for node in conditions(tree):
-        under = sum(leaf.bucket for leaf in leaves(node))  # buckets are disjoint: sum is union
-        assert not any(under & mask == under for mask in tmap.masks.values()), "split a cover"
+    routed = buckets(problem, tree)
+    for path, expr in leaves(tree):
+        bucket = routed[path]
+        first = next(e for e, mask in tmap.masks.items() if bucket & mask == bucket)
+        assert expr == first, "a leaf holds an expression other than the first that fits"
+    for path, _ in conditions(tree):
+        examples = under(routed, path)
+        assert not any(examples & mask == examples for mask in tmap.masks.values()), "split a cover"

@@ -28,13 +28,15 @@ from bvsynth.frontend import (
 from bvsynth.semantics import OPERATORS, BitVecValue, Const, Var, eval_expr, signature_of
 from bvsynth.solver import SearchLimits, solve_problem
 from bvsynth.corpus import derivable_size_table, sample_expr
-from bvsynth.unify import Leaf, internal_node_count, map_terminals
+import bvsynth.unify
+from bvsynth.unify import internal_node_count, map_terminals
 
 import bruteforce
 from helpers import (
     assert_covers,
     assigned,
     bits_where,
+    buckets,
     conditions,
     contains_op,
     env_of,
@@ -43,8 +45,8 @@ from helpers import (
     leaves,
     problem_of,
     retained,
-    route,
     rows_of,
+    under,
 )
 from solution_reader import parse_solution
 
@@ -202,43 +204,54 @@ def test_criterion_3_pruning_soundness_oracle():
     print("criterion 3 (pruning soundness, 50/50): PASS")
 
 
-def test_criterion_4_tree_invariants_on_corpus(run_a):
+def test_criterion_4_tree_invariants_on_corpus(run_a, monkeypatch):
     """Node bound, one-expression degenerate case, routing soundness, purity,
-    and the cover property: a leaf wherever one found expression fits."""
+    each split's mask, and the cover property: a leaf wherever one found
+    expression fits.  The tree is the solution's if0 nodes; a leaf's bucket is
+    the examples that evaluating the conditions routes to it."""
+    splits: list[tuple] = []  # (condition, mask) of each find_condition call, in call order
+    find_condition = bvsynth.unify.find_condition
+
+    def recording(*args):
+        splits.append(find_condition(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(bvsynth.unify, "find_condition", recording)
     for path in sorted(run_a.corpus.glob("*.sl")):
         problem = parse_problem(path.read_text(encoding="utf-8"))
+        splits.clear()
         result = solve_problem(problem)
         n = len(problem.examples)
         assert result.stats.internal_nodes <= n - 1  # (a)
-        tree = result.tree
+        tree = result.solution
+        routed = buckets(problem, tree)
         if result.terminal_map.distinct() == 1:  # (b)
-            assert tree == Leaf(result.solution, (1 << n) - 1)
+            assert routed == {(): (1 << n) - 1}
             assert result.stats.internal_nodes == 0
             assert not contains_op(result.solution, "if0")
-        assert internal_node_count(tree) == result.stats.internal_nodes
-        buckets: list[int] = []
-        for leaf in leaves(tree):
-            assert leaf.bucket
-            buckets.append(leaf.bucket)
-            assert not contains_op(leaf.expr, "if0")  # (d)
-            for i in indices_of(leaf.bucket):
+        assert internal_node_count(tree) == result.stats.internal_nodes == len(splits)
+        for leaf_path, expr in leaves(tree):
+            assert routed[leaf_path]  # every leaf is reached
+            assert not contains_op(expr, "if0")  # (d)
+            for i in indices_of(routed[leaf_path]):
                 example = problem.examples[i]
-                reached, _ = route(problem, tree, example)
-                assert reached is leaf  # (c)
                 env = env_of(problem.params, problem.width, example.inputs)
-                assert eval_expr(leaf.expr, env, problem.width).bits == example.output
-        covered = reduce(or_, buckets)
+                assert eval_expr(expr, env, problem.width).bits == example.output  # (c)
+        covered = reduce(or_, routed.values())
         assert covered == (1 << n) - 1
-        assert sum(b.bit_count() for b in buckets) == n
+        assert sum(b.bit_count() for b in routed.values()) == n
         rows = rows_of(problem)
-        for node in conditions(tree):
-            assert not contains_op(node.condition, "if0")  # (d)
-            sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
+        nodes = conditions(tree)  # preorder, then-sides first: the order build_tree splits in
+        assert [node.args[0] for _, node in nodes] == [condition for condition, _ in splits]
+        for (node_path, _), (condition, mask) in zip(nodes, splits):
+            assert not contains_op(condition, "if0")  # (d)
+            sig = bruteforce.signature_on(condition, problem.params, rows, problem.width)
             assert len(set(sig)) > 1  # (e)
-            assert node.mask == bits_where(
-                signature_of(node.condition, problem.params, rows, problem.width), 1
-            )  # (f) routing reads the stored mask
-        assert_covers(tree, result.terminal_map)  # (g)
+            # (f) the mask that divided the examples is the condition's, and
+            # sends each example the way evaluating the condition routes it
+            assert mask == bits_where(signature_of(condition, problem.params, rows, problem.width), 1)
+            assert under(routed, node_path + (True,)) == under(routed, node_path) & mask
+        assert_covers(problem, tree, result.terminal_map)  # (g)
     print("criterion 4 (tree invariants on all 200 instances): PASS")
 
 

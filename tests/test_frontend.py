@@ -297,6 +297,12 @@ def test_unbalanced_parens_reported_with_position():
         parse_problem("(set-logic BV))\n")
 
 
+def test_the_node_walk_stops_at_the_first_close_that_closes_nothing():
+    # The ')' at offset 0 closes no list: the walk ends there, before the atom
+    # after it, and never pops the list of top-level forms.
+    assert list(frontend._nodes(")a", [])) == [(None, None, 0)]
+
+
 def test_out_of_range_width_rejected():
     text = (
         "(set-logic BV)\n"

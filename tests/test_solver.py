@@ -16,10 +16,10 @@ from bvsynth.errors import InconsistentExamples, SygusSyntaxError, UnunifiablePa
 from bvsynth.frontend import Example, Grammar, OpRule, Problem
 from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr, subexpressions
 from bvsynth.solver import SearchLimits, solve_problem, verify_solution
-from bvsynth.unify import Leaf, internal_node_count
+from bvsynth.unify import internal_node_count
 
 import bruteforce
-from helpers import app, const, contains_op, env_of, grammar_of, problem_of, rows_of
+from helpers import app, buckets, const, contains_op, env_of, grammar_of, problem_of, rows_of
 
 BASE_OPS = ["bvand", "bvor", "bvnot", "bvadd"]
 
@@ -28,7 +28,7 @@ def test_conflict_free_identity_instance():
     p = problem_of(grammar_of(BASE_OPS), [(1, 1), (9, 9), (42, 42), (7, 7)])
     result = solve_problem(p)
     assert result.solution == Var("x")
-    assert result.tree == Leaf(Var("x"), 0b1111)
+    assert buckets(p, result.solution) == {(): 0b1111}
     assert result.stats.internal_nodes == 0
     assert result.stats.solution_size == 1
     assert result.stats.examples == 4
@@ -39,12 +39,12 @@ def test_conflict_free_identity_instance():
 
 def test_one_expression_solve_is_one_leaf_of_every_example():
     # One found expression fits all examples: the answer is still a tree,
-    # one leaf whose bucket is the all-examples mask, with no if0 node.
+    # one leaf that every example reaches, with no if0 node.
     p = problem_of(grammar_of(["bvadd"]), [(1, 2), (3, 6), (5, 10)])
     result = solve_problem(p)
     double = app("bvadd", Var("x"), Var("x"))
     assert result.terminal_map.masks == {double: 0b111}
-    assert result.tree == Leaf(double, 0b111)
+    assert buckets(p, result.solution) == {(): 0b111}
     assert result.solution == double
     assert result.stats.internal_nodes == 0
 
@@ -57,7 +57,7 @@ def test_parity_instance_builds_two_nodes():
     oracle_root = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 8, 0, 2, 6)
     assert oracle_root is not None and oracle_root[1] == Var("x")
     result = solve_problem(p)
-    assert internal_node_count(result.tree) == 2
+    assert internal_node_count(result.solution) == 2
     assert result.stats.internal_nodes == 2
     if0_nodes = sum(
         1 for e in subexpressions(result.solution) if isinstance(e, App) and e.op == "if0"

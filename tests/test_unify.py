@@ -16,8 +16,6 @@ from bvsynth.frontend import Grammar, OpRule, emit_solution
 from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import solve_problem, verify_solution
 from bvsynth.unify import (
-    Internal,
-    Leaf,
     build_tree,
     condition_nonterminal,
     derives,
@@ -33,6 +31,7 @@ from helpers import (
     assert_covers,
     assigned,
     bits_where,
+    buckets,
     conditions,
     const,
     contains_op,
@@ -59,22 +58,21 @@ START_COND_TERM = Grammar(
 )
 
 
-def assert_tree_sound(problem, tree, tmap):
-    """Routing soundness plus the leaf/condition purity invariants."""
-    for leaf in leaves(tree):
-        assert leaf.bucket, "empty bucket"
-        assert not contains_op(leaf.expr, "if0")
-        for i in indices_of(leaf.bucket):
+def assert_tree_sound(problem, tree):
+    """Routing soundness plus the leaf/condition purity invariants: every leaf
+    is reached, and fits every example that ``route`` takes to it."""
+    routed = buckets(problem, tree)
+    for path, expr in leaves(tree):
+        assert routed[path], f"no example reaches the leaf at {path}"
+        assert not contains_op(expr, "if0")
+        for i in indices_of(routed[path]):
             example = problem.examples[i]
-            reached, _path = route(problem, tree, example)
-            assert reached is leaf, f"example {i} routes away from its bucket"
             env = env_of(problem.params, problem.width, example.inputs)
-            assert eval_expr(leaf.expr, env, problem.width).bits == example.output
+            assert eval_expr(expr, env, problem.width).bits == example.output
     rows = rows_of(problem)
-    for node in conditions(tree):
-        assert not contains_op(node.condition, "if0")
-        sig = bruteforce.signature_on(node.condition, problem.params, rows, problem.width)
-        assert node.mask == bits_where(sig, 1), "stored mask differs from evaluation"
+    for _, node in conditions(tree):
+        assert not contains_op(node.args[0], "if0")
+        sig = bruteforce.signature_on(node.args[0], problem.params, rows, problem.width)
         assert len(set(sig)) > 1, "constant condition"
 
 
@@ -195,19 +193,16 @@ def parity_problem(width=8):
 
 def test_route_follows_condition_values():
     p = parity_problem()
-    then_leaf = Leaf(app("bvnot", Var("x")), 0b1100)
-    else_leaf = Leaf(Var("x"), 0b0011)
-    tree = Internal(app("bvand", Var("x"), const(8, 1)), 0b1100, then_leaf, else_leaf)
-    leaf, path = route(p, tree, p.examples[3])  # x = 3, 3 & 1 == 1
-    assert leaf is then_leaf and path == (True,)
-    leaf, path = route(p, tree, p.examples[1])  # x = 2
-    assert leaf is else_leaf and path == (False,)
+    tree = app("if0", app("bvand", Var("x"), const(8, 1)), app("bvnot", Var("x")), Var("x"))
+    assert route(p, tree, p.examples[3]) == (app("bvnot", Var("x")), (True,))  # x = 3, 3 & 1 == 1
+    assert route(p, tree, p.examples[1]) == (Var("x"), (False,))  # x = 2
+    assert buckets(p, tree) == {(True,): 0b1100, (False,): 0b0011}
 
 
 def test_route_single_leaf_is_empty_path():
     p = parity_problem()
-    only = Leaf(Var("x"), 0b1)
-    assert route(p, only, p.examples[0]) == (only, ())
+    assert route(p, Var("x"), p.examples[0]) == (Var("x"), ())
+    assert buckets(p, Var("x")) == {(): 0b1111}
 
 
 # -- build_tree ---------------------------------------------------------------
@@ -219,11 +214,10 @@ def test_build_tree_two_conflicting_examples():
     tmap = map_terminals(p, engine)
     tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) == 1
-    assert_tree_sound(p, tree, tmap)
+    assert_tree_sound(p, tree)
     # Orientation: the then-side creation example evaluates the condition to 1.
-    sig = bruteforce.signature_on(tree.condition, ("x",), rows_of(p), 8)
-    then_leaf = tree.then_child
-    assert all(sig[i] == 1 for i in indices_of(then_leaf.bucket))
+    sig = bruteforce.signature_on(tree.args[0], ("x",), rows_of(p), 8)
+    assert all(sig[i] == 1 for i in indices_of(buckets(p, tree)[(True,)]))
 
 
 def test_build_tree_parity_scenario():
@@ -244,11 +238,10 @@ def test_build_tree_parity_scenario():
 
     tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) == 2  # <= examples - 1
-    assert tree.condition == Var("x")
-    inner = tree.else_child
-    assert isinstance(inner, Internal)
-    assert inner.condition == app("bvand", Var("x"), const(8, 1))
-    assert_tree_sound(p, tree, tmap)
+    assert tree.op == "if0" and tree.args[0] == Var("x")
+    inner = tree.args[2]
+    assert inner.op == "if0" and inner.args[0] == app("bvand", Var("x"), const(8, 1))
+    assert_tree_sound(p, tree)
 
     solution = tree_to_expr(tree, p.grammar)
     for ex in p.examples:
@@ -283,10 +276,9 @@ def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
 
     tree = build_tree(p, engine, tmap)
     assert internal_node_count(tree) <= len(p.examples) - 1
-    leaf_of_0, _ = route(p, tree, p.examples[0])
-    leaf_of_1, _ = route(p, tree, p.examples[1])
-    assert leaf_of_0 is not leaf_of_1
-    assert_tree_sound(p, tree, tmap)
+    # Both leaves hold x, so the routes are told apart by their paths.
+    assert route(p, tree, p.examples[0])[1] != route(p, tree, p.examples[1])[1]
+    assert_tree_sound(p, tree)
 
 
 def test_build_tree_one_expression_is_one_leaf_of_every_example():
@@ -294,7 +286,7 @@ def test_build_tree_one_expression_is_one_leaf_of_every_example():
     engine = engine_for(p)
     tmap = map_terminals(p, engine)
     assert tmap.distinct() == 1
-    assert build_tree(p, engine, tmap) == Leaf(Var("x"), 0b11)
+    assert build_tree(p, engine, tmap) == Var("x")
 
 
 def test_an_expression_found_later_takes_every_example_it_fits():
@@ -343,7 +335,7 @@ def mask_problems(draw):
 @given(mask_problems())
 def test_terminal_masks_and_buckets_partition_the_examples(p):
     """The terminal masks cover the examples and may overlap; the tree's
-    buckets partition them, soundly and with the cover property."""
+    leaves' buckets partition them, soundly and with the cover property."""
     n = len(p.examples)
     engine = engine_for(p)
     tmap = map_terminals(p, engine)
@@ -360,11 +352,11 @@ def test_terminal_masks_and_buckets_partition_the_examples(p):
         union |= mask
     assert union == (1 << n) - 1
     tree = build_tree(p, engine, tmap)
-    buckets = [leaf.bucket for leaf in leaves(tree)]
-    assert sum(b.bit_count() for b in buckets) == n
-    assert reduce(or_, buckets) == (1 << n) - 1
-    assert_tree_sound(p, tree, tmap)
-    assert_covers(tree, tmap)
+    routed = list(buckets(p, tree).values())
+    assert sum(b.bit_count() for b in routed) == n
+    assert reduce(or_, routed) == (1 << n) - 1
+    assert_tree_sound(p, tree)
+    assert_covers(p, tree, tmap)
 
 
 # -- tree_to_expr -------------------------------------------------------------
@@ -372,24 +364,13 @@ def test_terminal_masks_and_buckets_partition_the_examples(p):
 
 def test_tree_to_expr_single_leaf():
     p = parity_problem()
-    assert tree_to_expr(Leaf(Var("x"), 0b1), p.grammar) == Var("x")
-
-
-def test_tree_to_expr_composes_if0():
-    p = parity_problem()
-    cond = app("bvand", Var("x"), const(8, 1))
-    tree = Internal(cond, 0b1100, Leaf(app("bvnot", Var("x")), 0b100), Leaf(Var("x"), 0b1))
-    expr = tree_to_expr(tree, p.grammar)
-    assert expr == app("if0", cond, app("bvnot", Var("x")), Var("x"))
-    for ex in p.examples[:3]:
-        env = env_of(p.params, p.width, ex.inputs)
-        want = route(p, tree, ex)[0].expr
-        assert eval_expr(expr, env, p.width) == eval_expr(want, env, p.width)
+    tree = Var("x")
+    assert tree_to_expr(tree, p.grammar) is tree
 
 
 def test_tree_to_expr_grammar_violation():
     # The leaf x is not derivable from Term, the if0 branch nonterminal.
-    tree = Internal(Var("x"), 0b01, Leaf(Var("x"), 0b01), Leaf(const(8, 0), 0b10))
+    tree = app("if0", Var("x"), Var("x"), const(8, 0))
     with pytest.raises(GrammarViolation):
         tree_to_expr(tree, START_COND_TERM)
 
@@ -465,12 +446,12 @@ def test_derives_matches_recursive_reference(data):
 @pytest.mark.parametrize("side", ["else", "then"])
 def test_deep_tree_walks_are_iterative(side):
     p = problem_of(grammar_of(BASE_OPS, width=8), [(5, 5), (9, 9)], width=8)
-    tree = Leaf(Var("x"), 0b11)
+    tree = Var("x")
     for _ in range(3000):
         if side == "else":
-            tree = Internal(const(8, 0), 0, Leaf(const(8, 0), 0), tree)
+            tree = app("if0", const(8, 0), const(8, 0), tree)
         else:
-            tree = Internal(const(8, 1), 0b11, tree, Leaf(const(8, 0), 0))
+            tree = app("if0", const(8, 1), tree, const(8, 0))
     assert internal_node_count(tree) == 3000
     solution = tree_to_expr(tree, p.grammar)
     assert solution.size == 3 * 3000 + 1
