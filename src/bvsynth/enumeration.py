@@ -29,14 +29,14 @@ children.  :func:`expr_of` builds the ``App`` tree only for a hit.
 
 The state reads its grammar once, in declaration order: each leaf as its
 terminal node (a ``Var``'s packed input column, a ``Const``'s value in every
-lane), each operator rule but if0 (the decision tree does all branching) with
-its packed operator and mirror flag; the ``Problem`` checked them.  Candidate
-order is fully deterministic: sizes ascend; within one size, nonterminals and
-productions keep that order, operand size-splits are lexicographic, and pool
-entries are visited in insertion order.  Commutative mirrors are never
-constructed: ``(op b a)`` for ``op(A, A)`` with a commutative ``op`` would only
-repeat the signature of the earlier ``(op a b)``.  A candidate budget counts
-constructions, so it binds later in the language than if mirrors were built.
+lane), each operator rule but if0 (the decision tree does all branching) with its
+packed operator and mirror flag, the first if0 rule's first operand as ``condition``;
+the ``Problem`` checked them.  Candidate order is fully deterministic: sizes ascend;
+within one size, nonterminals and productions keep that order, operand size-splits
+are lexicographic, and pool entries are visited in insertion order.  Commutative
+mirrors are never constructed: ``(op b a)`` for ``op(A, A)`` with a commutative
+``op`` would only repeat the signature of the earlier ``(op a b)``.  A candidate
+budget counts constructions, so it binds later in the language than if mirrors were built.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ class EnumerationState:
 
         self._mask = (1 << width) - 1
         self.ones = lane_ones(width, len(examples))  # the signature of the constant 1
+        self.all_examples = (1 << len(examples)) - 1  # bit i for every example i
         self._high = self.ones << (width - 1)  # the top bit of every lane
         self._low, self._digits = self._high - self.ones, f"0{len(examples) * width}b"
         inputs, outputs = zip(*examples)
@@ -183,7 +184,7 @@ class EnumerationState:
         variables = {x: pack(column, width) for x, column in zip(problem.params, zip(*inputs))}
         fns = packed_operators(width, self.ones)
         # in declaration order, (nt, node) per leaf and (nt, op, operands, fn, mirrored) per rule but if0
-        self._leaves, self._rules = [], []
+        self._leaves, self._rules, self.condition = [], [], None
         for nt in grammar.nonterminals:
             for p in grammar.productions[nt]:
                 if not isinstance(p, OpRule):
@@ -192,6 +193,8 @@ class EnumerationState:
                 elif p.op != "if0":
                     mirrored = p.op in COMMUTATIVE and p.operands[0] == p.operands[1]
                     self._rules.append((nt, p.op, p.operands, fns[p.op], mirrored))
+                elif self.condition is None:  # phase 2's conditions derive from it; None with no if0
+                    self.condition = p.operands[0]
         # pools[nt][size] lists retained nodes; index 0 unused
         self._pools: dict[str, list[list[Node]]] = {nt: [[]] for nt in grammar.nonterminals}
         self._store: dict[str, set[Packed]] = {nt: set() for nt in grammar.nonterminals}

@@ -168,10 +168,6 @@ class Grammar(NamedTuple):
     productions: dict[str, tuple[Production, ...]]
     start: str
 
-    def first_if0(self) -> OpRule | None:
-        rules = (p for nt in self.nonterminals for p in self.productions[nt])
-        return next((p for p in rules if isinstance(p, OpRule) and p.op == "if0"), None)
-
 
 class Example(NamedTuple):
     """Inputs and output are ints in ``[0, 2**width)``; example ``i`` is constraint ``i``."""
@@ -207,11 +203,11 @@ class Problem(_ProblemFields):
 
 def check_grammar(grammar: Grammar, params: Sequence[str], width: int) -> None:
     """Raise ``SygusSyntaxError`` naming the first of: a repeated parameter or nonterminal, a
-    start that is not a nonterminal, then per nonterminal in order an empty production tuple,
-    an operator rule off the catalogue or its arity, an operand that is not a nonterminal, a
-    leaf that is not the ``Var`` of a parameter or a ``Const`` of a ``width``-bit
-    ``BitVecValue``; last, an unproductive nonterminal.  A width outside ``[1, 64]`` raises
-    ``ValueError`` before any leaf is compared with it."""
+    start or a ``productions`` key that is not a nonterminal, then per nonterminal in order an
+    empty production tuple, an operator rule off the catalogue or its arity, an operand that is
+    not a nonterminal, a leaf that is not the ``Var`` of a parameter or a ``Const`` of a
+    ``width``-bit ``BitVecValue``; last, an unproductive nonterminal.  A width outside
+    ``[1, 64]`` raises ``ValueError`` before any leaf is compared with it."""
     for kind, names in (("parameter", params), ("nonterminal", grammar.nonterminals)):
         if len({*names}) != len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
@@ -219,6 +215,8 @@ def check_grammar(grammar: Grammar, params: Sequence[str], width: int) -> None:
     nonterminals = {*grammar.nonterminals}
     if grammar.start not in nonterminals:
         raise SygusSyntaxError(f"start symbol {grammar.start!r} is not a nonterminal")
+    if stray := [key for key in grammar.productions if key not in nonterminals]:
+        raise SygusSyntaxError(f"productions key {stray[0]!r} is not a nonterminal")
     productive, rules = set(), []
     BitVecValue(width, 0)  # checks the width
     for nt in grammar.nonterminals:
@@ -422,7 +420,7 @@ def _problem(forms: list) -> Problem:
     if len(params) != 1:
         raise UnsupportedArity(f"synth-fun {name!r} must be unary, got {len(params)} parameters")
     grammar = _parse_grammar(synth, 4, params, width)
-    if grammar.first_if0() is None:
+    if not any(type(p) is OpRule and p.op == "if0" for ps in grammar.productions.values() for p in ps):
         raise MissingIf0Rule(f"grammar of {name!r} has no production named if0")
     for var, var_width in declared.items():
         if var_width != width:

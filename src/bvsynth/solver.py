@@ -68,7 +68,7 @@ def solve_problem(problem: Problem, limits: SearchLimits | None = None) -> Solve
         tmap = map_terminals(problem, engine)
         t1 = time.perf_counter()
 
-        solution = tree_to_expr(build_tree(problem, engine, tmap), problem.grammar)
+        solution = tree_to_expr(build_tree(engine, tmap), problem.grammar)
         t2 = time.perf_counter()
     finally:
         engine.close()

@@ -5,19 +5,18 @@ consistent with that example alone; one shared enumeration stream serves
 all searches.  Phase 2 splits the examples top-down: a set of examples that
 one found expression fits becomes a leaf, and any other set is split on the
 smallest condition separating one conflicting pair of its examples.
-Conditions are drawn from the first operand nonterminal of the grammar's
-if0 production and are themselves if0-free.  Every set of examples is an int
-*example mask* with bit ``i`` for example ``i``: a terminal's examples, or the
-examples a condition evaluates to 1 on (``mask >> i & 1``: the then-branch).
-The decision tree is the solution itself, nested ``(if0 c t e)`` applications.
+Conditions are if0-free and derive from ``engine.condition``, which the engine
+names when it reads the grammar.  Every set of examples is an int *example mask*
+with bit ``i`` for example ``i``: a terminal's examples, or the examples a
+condition evaluates to 1 on (``mask >> i & 1``: the then-branch).  The decision
+tree is the solution itself, nested ``(if0 c t e)`` applications.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import GrammarViolation, MissingIf0Rule, SynthesisFailure
-from .errors import UnsolvableExample, UnunifiablePair
+from .errors import GrammarViolation, MissingIf0Rule, SynthesisFailure, UnsolvableExample, UnunifiablePair
 from .enumeration import EnumerationState
 from .frontend import Grammar, OpRule, Problem
 from .semantics import App, Expr, fold, operands
@@ -33,14 +32,6 @@ class TerminalMap(NamedTuple):
         return len(self.masks)
 
 
-def condition_nonterminal(grammar: Grammar) -> str:
-    """Nonterminal conditions are enumerated from: the if0 rule's first operand."""
-    rule = grammar.first_if0()
-    if rule is None:
-        raise MissingIf0Rule("grammar has no if0 production")
-    return rule.operands[0]
-
-
 def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     """Assign a consistent terminal expression to every example.
 
@@ -50,7 +41,7 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     the stream fails the example it stopped, as ``UnsolvableExample`` from it.
     """
     tmap = TerminalMap({})
-    unmapped = (1 << len(problem.examples)) - 1
+    unmapped = engine.all_examples
     while unmapped:
         k = (unmapped & -unmapped).bit_length() - 1
         try:
@@ -62,21 +53,22 @@ def map_terminals(problem: Problem, engine: EnumerationState) -> TerminalMap:
     return tmap
 
 
-def find_condition(problem: Problem, engine: EnumerationState, a: int, b: int) -> tuple[Expr, int]:
+def find_condition(engine: EnumerationState, a: int, b: int) -> tuple[Expr, int]:
     """Smallest condition that evaluates to 1 on exactly one of examples ``a``
     and ``b``, with its mask of the examples it evaluates to 1 on: those occupy
-    the then-branch.  Any end of the stream fails the pair, as
-    ``UnunifiablePair`` from it.
+    the then-branch.  A grammar with no if0 rule raises ``MissingIf0Rule``; any
+    end of the stream fails the pair, as ``UnunifiablePair`` from it.
     """
-    nt = condition_nonterminal(problem.grammar)
+    if engine.condition is None:
+        raise MissingIf0Rule("grammar has no if0 production")
     try:
-        expr, sig = engine.enumerate_until(engine.separates(a, b), nt)
+        expr, sig = engine.enumerate_until(engine.separates(a, b), engine.condition)
     except SynthesisFailure as exc:
         raise UnunifiablePair(a, b, str(exc)) from exc
     return expr, engine.agreement(sig, engine.ones)
 
 
-def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) -> Expr:
+def build_tree(engine: EnumerationState, tmap: TerminalMap) -> Expr:
     """Unify the terminal map into nested if0 applications, top-down from the
     set of all examples, then-sides first.  A set that one found expression
     fits is a leaf: the first such expression.  Any other set is split on
@@ -84,7 +76,7 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) ->
     ``a``'s first expression does not fit; the two land on opposite sides, so
     every split makes progress, and the condition's mask divides the set."""
     done: list[Expr] = []
-    todo: list[tuple[int, Expr | None]] = [((1 << len(problem.examples)) - 1, None)]
+    todo: list[tuple[int, Expr | None]] = [(engine.all_examples, None)]
     while todo:  # a split is pushed below its sides and popped once both are on done
         examples, condition = todo.pop()
         if condition is not None:
@@ -97,7 +89,7 @@ def build_tree(problem: Problem, engine: EnumerationState, tmap: TerminalMap) ->
         a = (examples & -examples).bit_length() - 1
         unfit = examples & ~next(m for m in tmap.masks.values() if m >> a & 1)
         b = (unfit & -unfit).bit_length() - 1
-        condition, mask = find_condition(problem, engine, a, b)
+        condition, mask = find_condition(engine, a, b)
         todo += ((examples, condition), (examples & ~mask, None), (examples & mask, None))
     return done[0]
 
@@ -114,21 +106,18 @@ def tree_to_expr(tree: Expr, grammar: Grammar) -> Expr:
 def derives(grammar: Grammar, nt: str, expr: Expr) -> bool:
     """Whether ``nt`` derives ``expr`` under the grammar.  A fold finds,
     bottom-up, the set of nonterminals deriving each node from the sets of
-    its operands."""
-    rules = [(owner, prod) for owner, prods in grammar.productions.items() for prod in prods]
+    its operands, reading only the rules of the node's own leaf or operator."""
+    rules: dict[object, list[tuple[str, tuple[str, ...]]]] = {}  # a leaf or an op: (owner, operands)
+    for owner in grammar.nonterminals:
+        for p in grammar.productions[owner]:
+            key, ops = (p.op, p.operands) if type(p) is OpRule else (p, ())
+            rules.setdefault(key, []).append((owner, ops))
 
-    def leaf(e: Expr) -> set[str]:
-        return {owner for owner, prod in rules if prod == e}
+    def owners(key: object, args: Sequence[set[str]] = ()) -> set[str]:
+        return {owner for owner, ops in rules.get(key, ())
+                if len(ops) == len(args) and all(o in a for o, a in zip(ops, args))}
 
-    def node(e: App, args: list[set[str]]) -> set[str]:
-        return {
-            owner
-            for owner, prod in rules
-            if type(prod) is OpRule and prod.op == e.op and len(prod.operands) == len(args)
-            and all(o in a for o, a in zip(prod.operands, args))
-        }
-
-    return nt in fold(expr, operands, leaf, node)
+    return nt in fold(expr, operands, owners, lambda e, args: owners(e.op, args))
 
 
 def internal_node_count(expr: Expr) -> int:

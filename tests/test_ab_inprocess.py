@@ -67,6 +67,23 @@ def test_a_counter_difference_with_the_same_answers_fails(tmp_path):
     assert "counters differ on instances [0, 1, 2" in run.stderr
 
 
+def test_a_text_the_change_cannot_parse_is_a_differing_answer(tmp_path):
+    # The change's parser rejects instance 3, which the checkout solves: that
+    # is an answer of its own, not a crash of the tool.
+    change = tmp_path / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    frontend = change / "bvsynth" / "frontend.py"
+    text = frontend.read_text()
+    old = '    """Parse and validate one SyGuS problem document."""\n'
+    assert text.count(old) == 1
+    rejects = '    if text.startswith("; instance 0003 "):\n        raise SygusSyntaxError("rejected")\n'
+    frontend.write_text(text.replace(old, old + rejects))
+    run = run_tool(ROOT / "src", change, rounds=1)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "answers differ on instances [3]" in run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+
+
 def test_the_sides_alternate_within_a_round():
     # Both sides solve each instance one right after the other; the side that
     # goes first alternates by instance, and the next round starts with the other.

@@ -27,6 +27,7 @@ from bvsynth.errors import (
 from bvsynth import frontend
 from bvsynth.frontend import (
     Example,
+    OpRule,
     Problem,
     detect_pbe,
     emit_solution,
@@ -275,7 +276,7 @@ def test_define_fun_spelling_of_helpers_accepted():
         "(check-synth)\n"
     )
     p = parse_problem(text)
-    assert p.grammar.first_if0() is not None
+    assert OpRule("if0", ("Start",) * 3) in p.grammar.productions["Start"]
 
 
 def test_define_fun_with_unknown_name_rejected():

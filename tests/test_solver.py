@@ -124,7 +124,7 @@ BINARY_BVNOT = grammar_of(["bvand", "bvadd"], width=8).productions["Start"] + (
 # any code ran those checks on a built Problem, these ended in a bare KeyError
 # (bvmul, the undeclared operand, the start, the empty grammar), an
 # AttributeError (Const(1)), a ValueError from building the binary bvnot hit,
-# UnunifiablePair (equal inputs), or a solve (the other three).  The unbound and
+# UnunifiablePair (equal inputs), or a solve (the other four).  The unbound and
 # the wide leaf were the engine's UnboundVariable and WidthMismatch, raised by the
 # evaluator it ran on each leaf, until check_grammar took the width.
 NOT_A_LEAF = "is not a parameter's Var, a Const of width 8 or an OpRule"
@@ -140,6 +140,10 @@ LIBRARY_INPUT = {
     "start not a nonterminal": (
         LIBRARY_BASE._replace(start="S"), ("x",), TWO,
         SygusSyntaxError, "start symbol 'S' is not a nonterminal",
+    ),
+    "stray productions key": (
+        Grammar(("Start",), {**LIBRARY_BASE.productions, "Strat": (Const(1),)}, "Start"), ("x",), TWO,
+        SygusSyntaxError, "productions key 'Strat' is not a nonterminal",
     ),
     "no productions": (
         grammar_with([OpRule("bvand", ("Start", "B"))], B=()), ("x",), TWO,

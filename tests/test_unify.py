@@ -17,7 +17,6 @@ from bvsynth.semantics import App, BitVecValue, Const, Var, eval_expr
 from bvsynth.solver import solve_problem, verify_solution
 from bvsynth.unify import (
     build_tree,
-    condition_nonterminal,
     derives,
     find_condition,
     internal_node_count,
@@ -139,7 +138,7 @@ def test_find_condition_low_bit_discriminator():
     p = problem_of(grammar_of(BASE_OPS), [(0x0, 0), (mask, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 6)
     assert oracle is not None and oracle[0] == 3
-    expr, mask = find_condition(p, engine_for(p), 0, 1)
+    expr, mask = find_condition(engine_for(p), 0, 1)
     assert expr == app("bvand", Var("x"), const(64, 1))
     assert mask == bits_where(bruteforce.signature_on(expr, ("x",), rows_of(p), 64), 1)
     assert mask == 0b10  # value 0 on A, 1 on B: B takes the then-branch
@@ -149,7 +148,7 @@ def test_find_condition_identity_when_one_input_is_one():
     p = problem_of(grammar_of(BASE_OPS), [(0x1, 0), (0x2, 1)])
     oracle = bruteforce.min_condition(p.grammar, ("x",), rows_of(p), 64, 0, 1, 4)
     assert oracle is not None and oracle[0] == 1
-    expr, mask = find_condition(p, engine_for(p), 0, 1)
+    expr, mask = find_condition(engine_for(p), 0, 1)
     assert expr == Var("x")
     assert mask == 0b01  # 1 on A only (2 on B): A takes the then-branch
 
@@ -157,7 +156,7 @@ def test_find_condition_identity_when_one_input_is_one():
 def test_find_condition_ununifiable_when_language_runs_out():
     p = problem_of(grammar_of(["bvnot"], width=8, consts=()), [(5, 5), (9, 0xF6)], width=8)
     with pytest.raises(UnunifiablePair):
-        find_condition(p, engine_for(p), 0, 1)
+        find_condition(engine_for(p), 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -177,9 +176,31 @@ def test_a_grammar_without_if0_solves_only_what_needs_no_split(pairs, solution):
     assert str(info.value) == "grammar has no if0 production"
 
 
-def test_condition_nonterminal_is_if0_first_operand():
-    assert condition_nonterminal(grammar_of(BASE_OPS)) == "Start"
-    assert condition_nonterminal(START_COND_TERM) == "Cond"
+@pytest.mark.parametrize(
+    "grammar, condition",
+    [
+        (grammar_of(BASE_OPS, width=8), "Start"),
+        (START_COND_TERM, "Cond"),
+        # the only if0 rule sits in a nonterminal declared after the start
+        (Grammar(("Start", "B", "C"), {
+            "Start": (Var("x"), OpRule("bvnot", ("B",))),
+            "B": (Var("x"), OpRule("if0", ("C", "B", "B"))),
+            "C": (Var("x"),),
+        }, "Start"), "C"),
+        # of two if0 rules, the first in declaration order wins
+        (Grammar(("Start", "C", "D"), {
+            "Start": (
+                OpRule("if0", ("C", "Start", "Start")), OpRule("if0", ("D", "Start", "Start")), Var("x")
+            ),
+            "C": (Var("x"),),
+            "D": (const(8, 1),),
+        }, "Start"), "C"),
+        (grammar_of(BASE_OPS, width=8, with_if0=False), None),
+    ],
+    ids=["base", "cond-term", "if0-off-start", "two-if0", "no-if0"],
+)
+def test_the_engine_names_the_first_if0_rules_first_operand(grammar, condition):
+    assert engine_for(problem_of(grammar, [(1, 1)], width=8)).condition == condition
 
 
 # -- route --------------------------------------------------------------------
@@ -212,7 +233,7 @@ def test_build_tree_two_conflicting_examples():
     p = problem_of(grammar_of(BASE_OPS, width=8), [(4, 4), (3, 0xFC)], width=8)
     engine = engine_for(p)
     tmap = map_terminals(p, engine)
-    tree = build_tree(p, engine, tmap)
+    tree = build_tree(engine, tmap)
     assert internal_node_count(tree) == 1
     assert_tree_sound(p, tree)
     # Orientation: the then-side creation example evaluates the condition to 1.
@@ -236,7 +257,7 @@ def test_build_tree_parity_scenario():
     assert oracle_root is not None
     assert oracle_root[0] == 1 and oracle_root[1] == Var("x")
 
-    tree = build_tree(p, engine, tmap)
+    tree = build_tree(engine, tmap)
     assert internal_node_count(tree) == 2  # <= examples - 1
     assert tree.op == "if0" and tree.args[0] == Var("x")
     inner = tree.args[2]
@@ -274,7 +295,7 @@ def test_build_tree_splits_again_a_side_a_pairwise_condition_mixed():
     # ... and that condition routes example 1 away from example 0:
     assert bruteforce.value_on(second_split[1], ("x",), (0x12,), 8) == 1
 
-    tree = build_tree(p, engine, tmap)
+    tree = build_tree(engine, tmap)
     assert internal_node_count(tree) <= len(p.examples) - 1
     # Both leaves hold x, so the routes are told apart by their paths.
     assert route(p, tree, p.examples[0])[1] != route(p, tree, p.examples[1])[1]
@@ -286,7 +307,7 @@ def test_build_tree_one_expression_is_one_leaf_of_every_example():
     engine = engine_for(p)
     tmap = map_terminals(p, engine)
     assert tmap.distinct() == 1
-    assert build_tree(p, engine, tmap) == Var("x")
+    assert build_tree(engine, tmap) == Var("x")
 
 
 def test_an_expression_found_later_takes_every_example_it_fits():
@@ -351,7 +372,7 @@ def test_terminal_masks_and_buckets_partition_the_examples(p):
         assert missing and mask & missing & -missing, "misses the lowest example not yet held"
         union |= mask
     assert union == (1 << n) - 1
-    tree = build_tree(p, engine, tmap)
+    tree = build_tree(engine, tmap)
     routed = list(buckets(p, tree).values())
     assert sum(b.bit_count() for b in routed) == n
     assert reduce(or_, routed) == (1 << n) - 1
@@ -381,6 +402,39 @@ def test_derives_respects_nonterminal_structure():
     assert derives(g, "Start", app("if0", Var("x"), const(64, 0), Var("x")))
     assert not derives(g, "Start", app("bvadd", Var("x"), Var("x")))  # bvadd not in grammar
     assert not derives(g, "Start", const(64, 7))  # constant 7 is not a terminal
+
+
+# Start = x | (bvand B B) | (if0 Start Start Start); B = #x01 | x | (bvand Start B): bvand has
+# one rule in each of two nonterminals over different operands, and x is a leaf of both.
+TWO_BVANDS = Grammar(
+    ("Start", "B"),
+    {
+        "Start": (Var("x"), OpRule("bvand", ("B", "B")), OpRule("if0", ("Start", "Start", "Start"))),
+        "B": (const(8, 1), Var("x"), OpRule("bvand", ("Start", "B"))),
+    },
+    "Start",
+)
+IF0_X = app("if0", Var("x"), Var("x"), Var("x"))  # derives from Start only
+
+
+@pytest.mark.parametrize(
+    "expr, owners",
+    [
+        (Var("x"), {"Start", "B"}),  # a leaf in two nonterminals
+        (const(8, 1), {"B"}),
+        (app("bvand", const(8, 1), const(8, 1)), {"Start"}),  # only Start's rule takes (B, B)
+        (app("bvand", IF0_X, const(8, 1)), {"B"}),  # only B's rule takes (Start, B)
+        (app("bvand", Var("x"), Var("x")), {"Start", "B"}),  # x fits both rules' operands
+        (app("bvand", IF0_X, IF0_X), set()),  # neither rule takes (Start, Start)
+        (app("bvnot", Var("x")), set()),  # an operator with no rule
+        (app("bvand", app("bvnot", Var("x")), Var("x")), set()),  # ... below one with rules
+        (const(8, 2), set()),  # a leaf with no rule
+    ],
+)
+def test_derives_with_an_operator_and_a_leaf_in_two_nonterminals(expr, owners):
+    for nt in TWO_BVANDS.nonterminals:
+        assert derives(TWO_BVANDS, nt, expr) == (nt in owners)
+        assert bruteforce.derives(TWO_BVANDS, nt, expr) == (nt in owners)
 
 
 # Expressions over x, y and the constants 0-2 at width 8, and grammars whose

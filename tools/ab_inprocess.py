@@ -89,12 +89,17 @@ def solver(bv: ModuleType, texts: list[str], limits) -> Solve:
     """``solve(i)``: the seconds of process CPU ``bv.solve_problem`` spends on the
     problem ``texts[i]`` holds, those of parsing, solving and emitting it together,
     its emitted solution or its verdict's type and text, and its engine's
-    ``(evaluations, stored, inspected)``, or None when it built no engine."""
+    ``(evaluations, stored, inspected)``, or None when it built no engine.  A text
+    the parser rejects has its error's type and text as its answer, no solve time
+    and no counters."""
     engines = capture_engines(bv)
 
     def solve(i: int) -> Run:
         t = time.process_time()
-        problem = bv.parse_problem(texts[i])
+        try:
+            problem = bv.parse_problem(texts[i])
+        except bv.errors.BvSynthError as exc:
+            return 0.0, time.process_time() - t, f"{type(exc).__name__}: {exc}", None
         s = time.process_time()
         try:
             result = bv.solve_problem(problem, limits)
